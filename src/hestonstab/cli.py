@@ -415,7 +415,6 @@ def _run_sweep(cfg: RunConfig) -> int:
             print(
                 f"FAIL sweep[m2={rec.m2},L={rec.L:g},sigma={rec.sigma:g},rho={rec.rho:g}]: {rec.error}"
             )
-            ok = False
             continue
         status = "PASS" if rec.within_bound else "FAIL"
         print(
@@ -430,6 +429,8 @@ def _run_sweep(cfg: RunConfig) -> int:
         write_csv(records, cfg.out, kind="sweep")
     if cfg.plot_dir is not None:
         emit_plot_data(records, cfg.plot_dir)
+    if any(rec.error for rec in records):
+        return 3
     return 0 if ok else 1
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import HestonParams, make_grid, scaling_diagonal
-from .linalg import _diag_vector, _sigma_max_power, expm
+from .linalg import _diag_vector, _sigma_max_lanczos, expm
 from .operators import build_operators
 from .stability import BoundCheck
 
@@ -85,9 +85,8 @@ class _NormTracker:
     """Tracks the running maximum of one norm along a semigroup scan.
 
     ``d`` selects the diagonal scaling (None for the plain spectral norm).
-    The right singular vector is carried between evaluations as a warm
-    start, which makes the per-sample power iteration converge in a handful
-    of steps.
+    The Ritz vector of each evaluation is the warm start of the next, which
+    makes the per-sample Lanczos iteration converge in a handful of steps.
     """
 
     def __init__(self, d: Optional[np.ndarray] = None):
@@ -98,7 +97,7 @@ class _NormTracker:
 
     def evaluate(self, P: np.ndarray, t: float) -> None:
         X = (P * self.rt[None, :]) / self.rt[:, None] if self.rt is not None else P
-        report, vec = _sigma_max_power(X, v0=self.v, tol=1e-10)
+        report, vec = _sigma_max_lanczos(X, v0=self.v)
         self.v = vec
         if report.value > self.best:
             self.best = report.value

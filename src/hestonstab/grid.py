@@ -9,6 +9,7 @@ exactly the ordering produced by Kronecker products of the form X_v (x) Y_s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class HestonParams:
     V: float = 5.0
 
     def __post_init__(self):
+        for name in ("r", "kappa", "eta", "sigma", "rho", "L", "S", "V"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"parameter {name} must be finite, got {getattr(self, name)}")
         if not self.r > 0:
             raise ValueError(f"interest rate r must be positive, got {self.r}")
         if not self.kappa > 0:

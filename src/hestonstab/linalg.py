@@ -1,10 +1,13 @@
 """Core numerical kernels: spectral norm, extreme Hermitian eigenvalue,
 logarithmic norms, and the matrix exponential.
 
-All operations accept real or complex matrices.  Norm computations use
-shifted power iteration by default (only extreme eigenvalues are ever
-needed); when the iteration stalls on a clustered spectrum it escalates
-to a dense LAPACK solve, reported as method "direct-small".
+All operations accept real or complex matrices.  One-shot norm and
+eigenvalue calls are dense LAPACK solves (``svd`` / ``eigh``), reported as
+method "lapack".  The sweep's norm scan evaluates the spectral norm of many
+nearby matrices; for it a private, warm-started Lanczos kernel on X*X
+(``_sigma_max_lanczos``) carries the previous Ritz vector from sample to
+sample and falls back to a dense SVD, reported as method "direct-small",
+when its step budget runs out.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ __all__ = [
     "norm_expm",
 ]
 
-#: Methods a NormReport may carry.
-METHODS = ("power-iteration", "direct-small", "pade-expm")
+#: Step budget of the scan's Lanczos kernel before it falls back to an SVD.
+_LANCZOS_STEPS = 40
+#: Acceptance test of the scan's Lanczos kernel: Ritz residual <= tol * theta.
+_LANCZOS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,64 +58,20 @@ def _as_matrix(A) -> np.ndarray:
     return A
 
 
-def _gershgorin_lower(H: np.ndarray) -> float:
-    """Lower bound on the spectrum of a Hermitian matrix from row discs."""
-    d = np.real(np.diag(H))
-    radius = np.sum(np.abs(H), axis=1) - np.abs(np.diag(H))
-    return float(np.min(d - radius))
-
-
-def _start_vector(n: int, complex_: bool, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _start_vector(n: int, complex_: bool) -> np.ndarray:
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     if complex_:
         v = v + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
 
 
-class _StallDetector:
-    """Flags power iterations whose residual decay cannot reach tolerance.
+def lambda_max_hermitian(H, tol: float = 1e-10) -> NormReport:
+    """Largest eigenvalue of a Hermitian matrix by a dense LAPACK solve.
 
-    Every ``window`` iterations the geometric decay rate is estimated; if the
-    projected iterations to tolerance exceed the remaining budget the caller
-    should switch to a direct solve instead of burning the full cap.
-    """
-
-    def __init__(self, window: int = 32, warmup: int = 96):
-        self.window = window
-        self.warmup = warmup
-        self._last = None
-
-    def stalled(self, it: int, resid: float, tol: float, max_iter: int) -> bool:
-        if it < self.warmup or it % self.window:
-            return False
-        if self._last is None:
-            self._last = resid
-            return False
-        prev, self._last = self._last, resid
-        if prev <= 0.0:
-            return False
-        q = (resid / prev) ** (1.0 / self.window)
-        if q >= 0.99999:
-            return True
-        needed = math.log(max(tol, 1e-300) / resid) / math.log(q)
-        return needed > (max_iter - it)
-
-
-def lambda_max_hermitian(
-    H,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    escalate: bool = True,
-    seed: int = 0,
-) -> NormReport:
-    """Largest eigenvalue of a Hermitian matrix.
-
-    The input must satisfy ||H - H*||_max <= 1e-12 * ||H||_max.  The value is
-    accurate to ``tol * max(1, ||H||_max)`` absolute.  A Gershgorin shift
-    makes the target eigenvalue the one of largest modulus before power
-    iteration; on stall the computation falls back to a dense eigensolve
-    (``escalate=False`` disables the fallback and reports converged=False).
+    The input must satisfy ||H - H*||_max <= 1e-12 * ||H||_max.  The report
+    is converged when the residual of the top eigenpair is at most
+    ``tol * max(1, ||H||_max)``.
     """
     H = _as_matrix(H)
     n, nc = H.shape
@@ -123,145 +84,73 @@ def lambda_max_hermitian(
             f"matrix is not Hermitian: asymmetry {herm_err:.3e} exceeds 1e-12 * {scale:.3e}"
         )
     Hs = 0.5 * (H + H.conj().T)
-    tol_abs = tol * max(1.0, scale)
-    if max_iter is None:
-        max_iter = 50 * n
-
-    if n == 1:
-        return NormReport(float(np.real(Hs[0, 0])), "direct-small", 0, 0.0, True)
-    if n == 2:
-        a = float(np.real(Hs[0, 0]))
-        d = float(np.real(Hs[1, 1]))
-        b = abs(Hs[0, 1])
-        lam = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
-        return NormReport(lam, "direct-small", 0, 0.0, True)
-
-    if scale == 0.0:
-        return NormReport(0.0, "power-iteration", 0, 0.0, True)
-
-    shift = max(0.0, -_gershgorin_lower(Hs))
-    M = Hs + shift * np.eye(n, dtype=Hs.dtype)
-    if float(np.abs(M).max()) == 0.0:
-        # H is exactly -shift * I
-        return NormReport(-shift, "power-iteration", 0, 0.0, True)
-    v = _start_vector(n, np.iscomplexobj(Hs), seed)
-    detector = _StallDetector()
-    rho = 0.0
-    resid = np.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        w = M @ v
-        rho = float(np.real(np.vdot(v, w)))
-        resid = float(np.linalg.norm(w - rho * v))
-        # rho > 0 rules out the fixed point at an exact null vector: the
-        # shifted matrix is nonzero positive semidefinite, so its top
-        # eigenvalue is positive
-        if resid <= tol_abs and rho > 0.0:
-            return NormReport(rho - shift, "power-iteration", it, resid, True)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # exact null vector of the shifted matrix: says nothing about
-            # the top of the spectrum, so fall through to the direct solve
-            break
-        v = w / nw
-        if escalate and detector.stalled(it, resid, tol_abs, max_iter):
-            break
-    if not escalate:
-        return NormReport(rho - shift, "power-iteration", it, resid, False)
-
     evals, evecs = np.linalg.eigh(Hs)
     lam = float(evals[-1])
     u = evecs[:, -1]
     resid = float(np.linalg.norm(Hs @ u - lam * u))
-    return NormReport(lam, "direct-small", it, resid, resid <= tol_abs)
+    return NormReport(lam, "lapack", 0, resid, resid <= tol * max(1.0, scale))
 
 
-def _sigma_max_power(
-    X,
-    v0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    escalate: bool = True,
-    seed: int = 0,
-):
-    """Largest singular value of X by power iteration on X*X.
+def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
+    """Largest singular value of X by warm-started Lanczos on X*X.
 
-    Returns (report, right_singular_vector_or_None).  The iteration works
-    with two matrix-vector products per step so X*X is never formed; the
-    optional ``v0`` warm start makes repeated calls on nearby matrices cheap.
+    Returns (report, ritz_vector_or_None).  Each step costs two
+    matrix-vector products, so X*X is never formed, and the Krylov basis is
+    fully reorthogonalised.  The top Ritz pair is accepted once its residual
+    is at most ``_LANCZOS_TOL * theta`` with theta > 0; its vector is the
+    warm start ``v0`` of the next call on a nearby matrix.  After
+    ``_LANCZOS_STEPS`` steps without acceptance, or a breakdown at theta = 0
+    (a warm start inside the null space), a dense SVD gives the value.
     """
     X = _as_matrix(X)
-    nrows, ncols = X.shape
-    if max_iter is None:
-        max_iter = 50 * ncols
-    if float(np.abs(X).max()) == 0.0:
-        return NormReport(0.0, "power-iteration", 0, 0.0, True), None
+    ncols = X.shape[1]
+    if not np.any(X):
+        return NormReport(0.0, "lanczos", 0, 0.0, True), None
+    nv = np.linalg.norm(v0) if v0 is not None and v0.shape == (ncols,) else 0.0
+    v = v0 / nv if nv > 0 else _start_vector(ncols, np.iscomplexobj(X))
 
-    if v0 is not None and v0.shape == (ncols,):
-        v = v0.astype(X.dtype, copy=True)
-        nv = np.linalg.norm(v)
-        v = v / nv if nv > 0 else _start_vector(ncols, np.iscomplexobj(X), seed)
-    else:
-        v = _start_vector(ncols, np.iscomplexobj(X), seed)
-
+    steps = min(_LANCZOS_STEPS, ncols)
+    Q = np.empty((steps, ncols), dtype=np.result_type(X, v))
+    Q[0] = v
+    alpha = np.zeros(steps)
+    beta = np.zeros(steps)
     Xh = X.conj().T
-    detector = _StallDetector()
-    lam = 0.0
-    resid = np.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        z = X @ v
-        lam = float(np.real(np.vdot(z, z)))  # Rayleigh quotient of X*X
-        w = Xh @ z
-        resid = float(np.linalg.norm(w - lam * v))
-        # lam > 0 rules out the fixed point at an exact null vector of the
-        # nonzero matrix X (a warm start may supply one)
-        if resid <= tol * max(lam, 1e-300) and lam > 0.0:
-            return NormReport(math.sqrt(lam), "power-iteration", it, resid, True), v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # v sits in the null space; restart cannot help a warm start,
-            # so fall through to the direct solve
+    for k in range(steps):
+        w = Xh @ (X @ Q[k])
+        alpha[k] = float(np.real(np.vdot(Q[k], w)))
+        basis = Q[: k + 1]
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w = w - basis.T @ (basis.conj() @ w)
+        beta[k] = float(np.linalg.norm(w))
+        T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+        thetas, S = np.linalg.eigh(T)
+        theta = float(thetas[-1])
+        resid = float(beta[k] * abs(S[k, -1]))
+        if resid <= _LANCZOS_TOL * theta and theta > 0.0:
+            return NormReport(math.sqrt(theta), "lanczos", k + 1, resid, True), basis.T @ S[:, -1]
+        if beta[k] == 0.0 or k + 1 == steps:
             break
-        v = w / nw
-        if escalate and detector.stalled(it, resid, tol * max(lam, 1e-300), max_iter):
-            break
-    if not escalate:
-        return NormReport(math.sqrt(max(lam, 0.0)), "power-iteration", it, resid, False), v
+        Q[k + 1] = w / beta[k]
 
     sigma = float(np.linalg.svd(X, compute_uv=False)[0])
-    return NormReport(sigma, "direct-small", it, 0.0, True), None
+    return NormReport(sigma, "direct-small", k + 1, 0.0, True), None
 
 
-def spectral_norm(
-    A,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    escalate: bool = True,
-    seed: int = 0,
-) -> NormReport:
-    """Largest singular value of A to relative tolerance ``tol``.
+def spectral_norm(A) -> NormReport:
+    """Largest singular value of A by a dense LAPACK SVD.
 
-    Square or rectangular, real or complex input.  Computed as
-    sqrt(lambda_max(A*A)) by power iteration with a direct SVD fallback.
+    Square or rectangular, real or complex input.
     """
-    report, _ = _sigma_max_power(A, None, tol, max_iter, escalate, seed)
-    return report
+    A = _as_matrix(A)
+    return NormReport(float(np.linalg.svd(A, compute_uv=False)[0]), "lapack", 0, 0.0, True)
 
 
-def log_norm_2(
-    A,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    escalate: bool = True,
-) -> NormReport:
+def log_norm_2(A, tol: float = 1e-10) -> NormReport:
     """Logarithmic spectral norm: largest eigenvalue of the Hermitian part."""
     A = _as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    return lambda_max_hermitian(0.5 * (A + A.conj().T), tol, max_iter, escalate)
+    return lambda_max_hermitian(0.5 * (A + A.conj().T), tol)
 
 
 def _diag_vector(D) -> np.ndarray:
@@ -276,13 +165,7 @@ def _diag_vector(D) -> np.ndarray:
     raise ValueError(f"expected a diagonal (vector or matrix), got shape {D.shape}")
 
 
-def log_norm_D(
-    A,
-    D,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    escalate: bool = True,
-) -> NormReport:
+def log_norm_D(A, D, tol: float = 1e-10) -> NormReport:
     """Logarithmic norm in the scaled inner product induced by diagonal D > 0.
 
     Equals the logarithmic spectral norm of D^{-1/2} A D^{1/2}.
@@ -295,7 +178,7 @@ def log_norm_D(
         raise ValueError("scaling diagonal must be strictly positive")
     rt = np.sqrt(d)
     T = (A * rt[None, :]) / rt[:, None]
-    return log_norm_2(T, tol, max_iter, escalate)
+    return log_norm_2(T, tol)
 
 
 def log_norm_inf(A) -> float:
@@ -367,7 +250,7 @@ def expm(A, t: float = 1.0) -> np.ndarray:
     return R
 
 
-def norm_expm(A, t: float, D=None, tol: float = 1e-10) -> float:
+def norm_expm(A, t: float, D=None) -> float:
     """Spectral norm (or D-scaled spectral norm) of e^{tA}.
 
     The diagonal similarity is applied to the computed exponential, not
@@ -381,4 +264,4 @@ def norm_expm(A, t: float, D=None, tol: float = 1e-10) -> float:
             raise ValueError("scaling diagonal must be strictly positive")
         rt = np.sqrt(d)
         E = (E * rt[None, :]) / rt[:, None]
-    return spectral_norm(E, tol=tol).value
+    return spectral_norm(E).value

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hestonstab import BoundCheck, SweepRecord
+from hestonstab import BoundCheck, SweepRecord, experiments
 from hestonstab.cli import emit_plot_data, main, parse_args, write_csv
 
 
@@ -39,10 +39,24 @@ def test_explicit_m1_override():
     assert cfg.resolved_m1() == 7
 
 
-def test_invalid_rho_exits_with_usage_error():
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "--rho", "1.5"], "rho"),
+        (["check", "--m2", "3", "--r", "inf"], "parameter r must be finite"),
+        (["check", "--m2", "3", "--S", "inf"], "parameter S must be finite"),
+        (["check", "--m2", "3", "--kappa", "nan"], "parameter kappa must be finite"),
+        (["certificate", "--m2", "3", "--L=-inf"], "parameter L must be finite"),
+        (["sweep", "--m2-values", "3", "--V", "inf"], "parameter V must be finite"),
+        (["sweep", "--m2-values", "3", "--sigma-values", "inf"], "parameter sigma must be finite"),
+    ],
+    ids=["rho-1.5", "r-inf", "S-inf", "kappa-nan", "L-neg-inf", "V-inf", "sigma-inf"],
+)
+def test_invalid_param_exits_with_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        parse_args(["check", "--rho", "1.5"])
+        main(argv)
     assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_flag_rejected():
@@ -243,6 +257,18 @@ def test_main_sweep_deterministic_csv(tmp_path, capsys):
     assert main(args + ["--out", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_main_sweep_failed_case_exits_3(monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise OverflowError("semigroup norm scan overflowed at t = 7")
+
+    monkeypatch.setattr(experiments, "_scan_norms", overflow)
+    code = main(["sweep", "--m2-values", "3", "--sigma-values", "0.1", "--rho-values", "0",
+                 "--L-values", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "FAIL sweep[m2=3,L=0,sigma=0.1,rho=0]: semigroup norm scan overflowed at t = 7" in out
 
 
 def test_main_numerical_failure_exit_code(capsys):

@@ -25,6 +25,8 @@ from hestonstab import (
     scaling_matrices,
     spectral_norm,
 )
+from hestonstab import linalg
+from hestonstab.linalg import _sigma_max_lanczos
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -63,29 +65,75 @@ def test_spectral_norm_transpose_invariance(seed):
     assert spectral_norm(A).value == pytest.approx(spectral_norm(A.T).value, abs=1e-10)
 
 
-def test_spectral_norm_null_warm_start_recovers():
-    # a warm-start vector inside the null space must not fake convergence
-    from hestonstab.linalg import _sigma_max_power
-
-    X = np.zeros((3, 3))
-    X[1, 1] = 2.0
-    report, _ = _sigma_max_power(X, v0=np.array([1.0, 0.0, 0.0]))
-    assert report.converged
-    assert report.value == pytest.approx(2.0, abs=1e-12)
-
-
 def test_lambda_max_uniform_negative_shift():
     report = lambda_max_hermitian(-3.0 * np.eye(4))
     assert report.value == pytest.approx(-3.0, abs=1e-12)
 
 
-def test_spectral_norm_nonconvergence_is_reported():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((12, 12))
-    report = spectral_norm(A, max_iter=2, escalate=False)
-    assert not report.converged
+# ---------------------------------------------------------------------------
+# warm-started Lanczos kernel of the norm scan
+# ---------------------------------------------------------------------------
+
+def _scan_matrix(kind, seed):
+    rng = np.random.default_rng(seed)
+    shape = {"real": (12, 12), "complex": (10, 10), "tall": (14, 9), "wide": (7, 11)}[kind]
+    X = rng.standard_normal(shape)
+    if kind == "complex":
+        X = X + 1j * rng.standard_normal(shape)
+    return X
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "tall", "wide"])
+@pytest.mark.parametrize("start", ["cold", "ritz", "null"])
+def test_scan_kernel_matches_jacobi_oracle(kind, start):
+    X = _scan_matrix(kind, seed=len(kind))
+    v0 = None
+    if start == "ritz":
+        # Ritz vector of a nearby matrix, as the scan carries it
+        E = _scan_matrix(kind, seed=99)
+        _, v0 = _sigma_max_lanczos(X + 1e-3 * E)
+    elif start == "null":
+        # a warm start inside the null space must not fake convergence
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(X.shape[1])
+        if kind == "complex":
+            u = u + 1j * rng.standard_normal(X.shape[1])
+        u /= np.linalg.norm(u)
+        X = X - np.outer(X @ u, u.conj())
+        v0 = u
+    report, _ = _sigma_max_lanczos(X, v0)
+    expected = sigma_max(X)
+    assert report.converged and report.method == "lanczos"
+    assert report.value == pytest.approx(expected, rel=1e-10)
+
+
+def test_scan_kernel_ritz_vector_is_a_converged_warm_start():
+    X = _scan_matrix("real", seed=3)
+    cold, v = _sigma_max_lanczos(X)
+    warm, _ = _sigma_max_lanczos(X, v)
+    assert cold.method == warm.method == "lanczos"
+    assert warm.iterations == 1
+    assert warm.value == pytest.approx(cold.value, rel=1e-12)
+
+
+def test_scan_kernel_exact_null_warm_start_falls_back():
+    X = np.zeros((3, 3))
+    X[1, 1] = 2.0
+    report, vec = _sigma_max_lanczos(X, v0=np.array([1.0, 0.0, 0.0]))
+    assert report.converged and report.method == "direct-small"
+    assert report.value == pytest.approx(2.0, abs=1e-12)
+    assert vec is None
+
+
+def test_scan_kernel_step_budget_falls_back_to_svd(monkeypatch):
+    monkeypatch.setattr(linalg, "_LANCZOS_STEPS", 2)
+    X = _scan_matrix("real", seed=0)
+    report, vec = _sigma_max_lanczos(X)
+    assert report.method == "direct-small"
     assert report.iterations == 2
-    assert report.method == "power-iteration"
+    assert report.converged
+    assert report.value == pytest.approx(sigma_max(X), rel=1e-10)
+    assert vec is None
 
 
 # ---------------------------------------------------------------------------
@@ -302,4 +350,4 @@ def test_exp_bound_from_log_norm(seed):
 def test_report_fields_consistent():
     report = spectral_norm(np.diag([2.0, 1.0]))
     assert report.converged and report.residual <= 1e-10 * 4.0 + 1e-300
-    assert report.method in ("power-iteration", "direct-small")
+    assert report.method == "lapack" and report.iterations == 0
