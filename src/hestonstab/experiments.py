@@ -5,6 +5,13 @@ of e^{t (diffusion)} is estimated by coarse sampling at integer multiples of
 a step followed by local grid refinement around the running argmax, and
 compared against the truncation-dependent bound
 sqrt((L + m1 S) / (m1 L + S) * m2).
+
+The scaled-norm maximum needs no scan.  Each grid's logarithmic norm
+mu_D = mu_D[diffusion] is computed once; mu_D <= 0 gives
+||e^{tA}||_D <= e^{t mu_D} <= 1 = ||I||_D, so the maximum is 1 at t = 0,
+and ||e^{tA}||_2 <= sqrt(cond D) e^{t mu_D}.  The coarse 2-norm scan stops
+once that bound falls below the running maximum, since no later sample can
+exceed it.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import HestonParams, make_grid, scaling_diagonal
-from .linalg import _diag_vector, _sigma_max_lanczos, expm
+from .linalg import _diag_vector, _sigma_max_lanczos, expm, log_norm_D
 from .operators import build_operators
 from .stability import BoundCheck
 
@@ -61,9 +68,11 @@ class SweepRecord:
     """One sweep data point.
 
     ``max_norm2`` estimates max_t ||e^{t diffusion}||_2 with its location
-    ``t_argmax``; ``max_normD`` the same maximum in the scaled norm;
-    ``bound`` is sqrt((L + m1 S) / (m1 L + S) * m2).  A failed case carries
-    its error message in ``error`` with NaN values.
+    ``t_argmax``; ``max_normD`` is the same maximum in the scaled norm,
+    which the certificate mu_D <= 0 fixes at exactly 1 (attained at t = 0);
+    ``bound`` is sqrt((L + m1 S) / (m1 L + S) * m2).  A failed case, a
+    positive mu_D included, carries its error message in ``error`` with NaN
+    values.
     """
 
     m2: int
@@ -82,23 +91,19 @@ class SweepRecord:
 
 
 class _NormTracker:
-    """Tracks the running maximum of one norm along a semigroup scan.
+    """Tracks the running maximum of the spectral norm along a semigroup scan.
 
-    ``d`` selects the diagonal scaling (None for the plain spectral norm).
     The Ritz vector of each evaluation is the warm start of the next, which
     makes the per-sample Lanczos iteration converge in a handful of steps.
     """
 
-    def __init__(self, d: Optional[np.ndarray] = None):
-        self.rt = np.sqrt(d) if d is not None else None
+    def __init__(self):
         self.v = None
         self.best = -math.inf
         self.t_best = 0.0
 
     def evaluate(self, P: np.ndarray, t: float) -> None:
-        X = (P * self.rt[None, :]) / self.rt[:, None] if self.rt is not None else P
-        report, vec = _sigma_max_lanczos(X, v0=self.v)
-        self.v = vec
+        report, self.v = _sigma_max_lanczos(P, v0=self.v)
         if report.value > self.best:
             self.best = report.value
             self.t_best = t
@@ -106,48 +111,50 @@ class _NormTracker:
 
 def _scan_norms(
     A: np.ndarray,
-    trackers: Sequence[_NormTracker],
+    tracker: _NormTracker,
     t_max: float,
     coarse_step: float,
     refine_levels: int,
+    tail: Optional[tuple] = None,
 ) -> None:
-    """Coarse scan plus per-tracker refinement of max_t of each norm.
+    """Coarse scan plus refinement of max_t ||e^{tA}||_2 into ``tracker``.
 
     The coarse pass reuses powers of e^{(step) A}, which are exact at the
     integer multiples sampled; refinement levels re-expand around the
     current argmax with a ten times finer step, clamped to [0, t_max].
+    ``tail = (c, mu)`` certifies ||e^{tA}||_2 <= c e^{t mu} with mu <= 0:
+    the coarse pass stops before the first sample t at which that bound is
+    below the running maximum, because no sample from t on can reach it.
     """
     if t_max <= 0 or coarse_step <= 0:
         raise ValueError("t_max and coarse_step must be positive")
     n_steps = int(round(t_max / coarse_step))
     step_matrix = _expm_at(A, coarse_step)
     P = np.eye(A.shape[0])
-    for tracker in trackers:
-        tracker.evaluate(P, 0.0)
+    tracker.evaluate(P, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            P = P @ step_matrix
             t = k * coarse_step
+            if tail is not None and tail[0] * math.exp(t * tail[1]) < tracker.best:
+                break
+            P = P @ step_matrix
             _check_finite(P, t)
-            for tracker in trackers:
-                tracker.evaluate(P, t)
+            tracker.evaluate(P, t)
 
-        for tracker in trackers:
-            h = coarse_step
-            for _ in range(refine_levels):
-                lo = max(0.0, tracker.t_best - h)
-                hi = min(t_max, tracker.t_best + h)
-                fine = h / 10.0
-                n_fine = int(round((hi - lo) / fine))
-                base = _expm_at(A, lo)
-                Q = _expm_at(A, fine)
-                tracker.evaluate(base, lo)
-                P = base
-                for j in range(1, n_fine + 1):
-                    P = P @ Q
-                    _check_finite(P, lo + j * fine)
-                    tracker.evaluate(P, lo + j * fine)
-                h = fine
+        h = coarse_step
+        for _ in range(refine_levels):
+            lo = max(0.0, tracker.t_best - h)
+            hi = min(t_max, tracker.t_best + h)
+            fine = h / 10.0
+            n_fine = int(round((hi - lo) / fine))
+            P = _expm_at(A, lo)
+            Q = _expm_at(A, fine)
+            tracker.evaluate(P, lo)
+            for j in range(1, n_fine + 1):
+                P = P @ Q
+                _check_finite(P, lo + j * fine)
+                tracker.evaluate(P, lo + j * fine)
+            h = fine
 
 
 def _check_finite(P: np.ndarray, t: float) -> None:
@@ -172,16 +179,18 @@ def max_norm_over_t(
     """Estimated maximum over t in [0, t_max] of ||e^{tA}|| and its location.
 
     Uses the spectral norm, or the D-scaled spectral norm when a positive
-    diagonal ``D`` is given.  Returns (max_value, t_argmax).
+    diagonal ``D`` is given; the latter is the spectral norm of
+    e^{t D^{-1/2} A D^{1/2}}.  Returns (max_value, t_argmax).
     """
     A = np.asarray(A, dtype=float)
-    d = None
     if D is not None:
         d = _diag_vector(D)
         if np.any(d <= 0):
             raise ValueError("scaling diagonal must be strictly positive")
-    tracker = _NormTracker(d)
-    _scan_norms(A, [tracker], t_max, coarse_step, refine_levels)
+        rt = np.sqrt(d)
+        A = (A * rt[None, :]) / rt[:, None]
+    tracker = _NormTracker()
+    _scan_norms(A, tracker, t_max, coarse_step, refine_levels)
     return tracker.best, tracker.t_best
 
 
@@ -193,8 +202,9 @@ def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
     """Run the full parameter sweep; one record per combination.
 
     Combinations are evaluated in deterministic order sorted by
-    (L, sigma, rho, m2).  A failing case is recorded with its error message
-    and the sweep continues.
+    (L, sigma, rho, m2).  A case that fails numerically, or whose diffusion
+    block is not contractive in the D-norm (mu_D > 0), is recorded with its
+    error message and the sweep continues; any other error propagates.
     """
     cfg = config or SweepConfig()
     combos = sorted(
@@ -208,50 +218,40 @@ def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
     for L, sigma, rho, m2 in combos:
         m1 = 2 * m2
         bound = _sweep_bound(L, m1, cfg.S, m2)
+        params = HestonParams(
+            r=cfg.r, kappa=cfg.kappa, eta=cfg.eta, sigma=sigma, rho=rho, L=L, S=cfg.S, V=cfg.V
+        )
+        grid = make_grid(params, m1, m2)
+        diffusion = build_operators(params, grid).diffusion
+        d = scaling_diagonal(grid)
         try:
-            params = HestonParams(
-                r=cfg.r, kappa=cfg.kappa, eta=cfg.eta, sigma=sigma, rho=rho, L=L, S=cfg.S, V=cfg.V
+            mu = log_norm_D(diffusion, d).value
+            if mu > 0:
+                raise ArithmeticError(f"diffusion is not contractive in the D-norm: mu_D = {mu:.6g} > 0")
+            tracker = _NormTracker()
+            tail = (math.sqrt(d.max() / d.min()), mu)
+            _scan_norms(diffusion, tracker, cfg.t_max, cfg.coarse_step, cfg.refine_levels, tail)
+            max_norm2, t_argmax, max_normD, error = tracker.best, tracker.t_best, 1.0, ""
+        except (OverflowError, ArithmeticError, np.linalg.LinAlgError) as err:
+            max_norm2 = t_argmax = max_normD = math.nan
+            error = str(err)
+        records.append(
+            SweepRecord(
+                m2=m2,
+                m1=m1,
+                L=L,
+                sigma=sigma,
+                rho=rho,
+                S=cfg.S,
+                V=cfg.V,
+                max_norm2=max_norm2,
+                t_argmax=t_argmax,
+                max_normD=max_normD,
+                bound=bound,
+                within_bound=max_norm2 <= bound + tol,
+                error=error,
             )
-            grid = make_grid(params, m1, m2)
-            diffusion = build_operators(params, grid).diffusion
-            d = scaling_diagonal(grid)
-            tracker2 = _NormTracker(None)
-            trackerD = _NormTracker(d)
-            _scan_norms(diffusion, [tracker2, trackerD], cfg.t_max, cfg.coarse_step, cfg.refine_levels)
-            records.append(
-                SweepRecord(
-                    m2=m2,
-                    m1=m1,
-                    L=L,
-                    sigma=sigma,
-                    rho=rho,
-                    S=cfg.S,
-                    V=cfg.V,
-                    max_norm2=tracker2.best,
-                    t_argmax=tracker2.t_best,
-                    max_normD=trackerD.best,
-                    bound=bound,
-                    within_bound=tracker2.best <= bound + tol,
-                )
-            )
-        except (ValueError, OverflowError, ArithmeticError) as err:
-            records.append(
-                SweepRecord(
-                    m2=m2,
-                    m1=m1,
-                    L=L,
-                    sigma=sigma,
-                    rho=rho,
-                    S=cfg.S,
-                    V=cfg.V,
-                    max_norm2=math.nan,
-                    t_argmax=math.nan,
-                    max_normD=math.nan,
-                    bound=bound,
-                    within_bound=False,
-                    error=str(err),
-                )
-            )
+        )
     return records
 
 
