@@ -10,11 +10,10 @@ from .experiments import (
     SweepConfig,
     SweepRecord,
     compare_L_effect,
-    loglog_slope,
     max_norm_over_t,
     run_sweep,
 )
-from .grid import GridSpec, HestonParams, make_grid, scaling_diagonal, scaling_matrices
+from .grid import GridSpec, HestonParams, make_grid, scaling_diagonal
 from .linalg import (
     NormReport,
     expm,
@@ -31,10 +30,7 @@ from .operators import (
     TransformedOperators,
     build_operators,
     build_stencils,
-    commutator_check,
-    dump_matrix,
     forward_shift,
-    pair_average,
     transformed_operators,
     tridiag,
 )
@@ -49,11 +45,8 @@ from .stability import (
     check_diffusion_contractivity,
     check_exp_bound,
     check_symbol_conditions,
-    cubic_value,
     diffusion_block_reduction,
     format_certificate_report,
-    quartic_value,
-    symbol_matrix,
     symbol_matrix_hat,
 )
 
@@ -80,11 +73,8 @@ __all__ = [
     "check_diffusion_contractivity",
     "check_exp_bound",
     "check_symbol_conditions",
-    "commutator_check",
     "compare_L_effect",
-    "cubic_value",
     "diffusion_block_reduction",
-    "dump_matrix",
     "expm",
     "format_certificate_report",
     "forward_shift",
@@ -92,17 +82,12 @@ __all__ = [
     "log_norm_2",
     "log_norm_D",
     "log_norm_inf",
-    "loglog_slope",
     "make_grid",
     "max_norm_over_t",
     "norm_expm",
-    "pair_average",
-    "quartic_value",
     "run_sweep",
     "scaling_diagonal",
-    "scaling_matrices",
     "spectral_norm",
-    "symbol_matrix",
     "symbol_matrix_hat",
     "transformed_operators",
     "tridiag",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .experiments import SweepConfig, SweepRecord, compare_L_effect, run_sweep
 from .grid import HestonParams, make_grid
-from .operators import build_operators, dump_matrix
+from .operators import build_operators, transformed_operators
 from .stability import (
     BoundCheck,
     DEFAULT_Y_SAMPLES,
@@ -68,42 +68,12 @@ class RunConfig:
     L_values: tuple = ()
     t_samples: tuple = _DEFAULT_T_SAMPLES
     tol: float = 1e-8
-    full: bool = False
     which: str = "full"
     out: Optional[str] = None
     plot_dir: Optional[str] = None
 
     def resolved_m1(self) -> int:
         return self.m1 if self.m1 is not None else 2 * self.m2
-
-    def to_argv(self) -> list:
-        """Canonical flag list; parsing it reproduces this config exactly."""
-        argv = [self.command]
-        for name in ("r", "kappa", "eta", "sigma", "rho", "L", "S", "V"):
-            if self.command == "sweep" and name in ("sigma", "rho", "L"):
-                continue
-            argv.append(f"--{name}={getattr(self, name)!r}")
-        if self.command == "sweep":
-            argv.append("--m2-values=" + ",".join(str(v) for v in self.m2_values))
-            argv.append("--sigma-values=" + ",".join(repr(v) for v in self.sigma_values))
-            argv.append("--rho-values=" + ",".join(repr(v) for v in self.rho_values))
-            argv.append("--L-values=" + ",".join(repr(v) for v in self.L_values))
-            if self.full:
-                argv.append("--full")
-        else:
-            if self.m1 is not None:
-                argv.append(f"--m1={self.m1}")
-            argv.append(f"--m2={self.m2}")
-        if self.command == "check":
-            argv.append("--t-samples=" + ",".join(repr(t) for t in self.t_samples))
-        if self.command == "operators":
-            argv.append(f"--which={self.which}")
-        argv.append(f"--tol={self.tol!r}")
-        if self.out is not None:
-            argv.append(f"--out={self.out}")
-        if self.plot_dir is not None:
-            argv.append(f"--plot-dir={self.plot_dir}")
-        return argv
 
 
 def _float_list(text: str) -> tuple:
@@ -200,7 +170,6 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             sigma_values=tuple(ns.sigma_values),
             rho_values=tuple(ns.rho_values),
             L_values=tuple(ns.L_values),
-            full=ns.full,
             plot_dir=ns.plot_dir,
         )
         for sigma in ns.sigma_values:
@@ -247,17 +216,12 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def write_csv(records: Sequence, path, kind: Optional[str] = None) -> None:
-    """Write sweep records or bound checks as CSV.
+def write_csv(records: Sequence, path, kind: str) -> None:
+    """Write sweep records (``kind='sweep'``) or bound checks (``kind='check'``) as CSV.
 
     Floats carry 17 significant digits; an empty record list yields a
-    header-only file (sweep header unless ``kind='check'``).
+    header-only file.
     """
-    if kind is None:
-        if records and isinstance(records[0], BoundCheck):
-            kind = "check"
-        else:
-            kind = "sweep"
     lines = []
     if kind == "sweep":
         lines.append(_SWEEP_HEADER)
@@ -339,11 +303,9 @@ def _run_operators(cfg: RunConfig) -> int:
         "mixed-sv": ops.mixed_sv,
         "diff-vv": ops.diff_vv,
     }[cfg.which]
-    if cfg.out is None:
-        for row in matrix:
-            print(" ".join(f"{x:.17g}" for x in row))
-    else:
-        dump_matrix(matrix, cfg.out)
+    # 17 significant digits round-trip every float64 entry
+    np.savetxt(sys.stdout if cfg.out is None else cfg.out, matrix, fmt="%.17g")
+    if cfg.out is not None:
         print(f"wrote {cfg.which} matrix ({matrix.shape[0]}x{matrix.shape[1]}) to {cfg.out}")
     return 0
 
@@ -365,7 +327,7 @@ def _run_check(cfg: RunConfig) -> int:
     ):
         for c in check_exp_bound(block, omega, 1.0, cfg.t_samples, tol=cfg.tol):
             checks.append(BoundCheck(f"{name}_{c.name}", c.lhs, c.rhs, c.tol))
-    mu_check, scaled, spectral = check_diffusion_contractivity(ops, grid, cfg.t_samples, tol=cfg.tol)
+    mu_check, scaled, spectral = check_diffusion_contractivity(ops, cfg.t_samples, tol=cfg.tol)
     checks.append(mu_check)
     checks.extend(scaled)
     checks.extend(spectral)
@@ -378,16 +340,18 @@ def _run_check(cfg: RunConfig) -> int:
 def _run_certificate(cfg: RunConfig) -> int:
     params = _params_from(cfg)
     grid = make_grid(params, cfg.resolved_m1(), cfg.m2)
-    checks = check_symbol_conditions(params, grid, tol=cfg.tol)
+    ops = build_operators(params, grid)
+    t_ops = transformed_operators(grid)
+    checks = check_symbol_conditions(params, t_ops, tol=cfg.tol)
     rows = []
     for y in DEFAULT_Y_SAMPLES:
         if abs(y) >= 0.5:
-            y_rows, check = certificate_case_large_y(grid, y, tol=cfg.tol)
+            y_rows, check = certificate_case_large_y(t_ops, y, tol=cfg.tol)
         else:
             y_rows, check = certificate_case_small_y(grid, y, tol=cfg.tol)
         rows.extend(y_rows)
         checks.append(check)
-    _, B0, B1 = diffusion_block_reduction(params, grid)
+    _, B0, B1 = diffusion_block_reduction(params, ops, t_ops)
     checks.append(check_block_toeplitz_symbol_bound(B0, B1, grid.m2))
     ok = _print_checks(checks)
     if cfg.out is not None:

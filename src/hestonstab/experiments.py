@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import HestonParams, make_grid, scaling_diagonal
-from .linalg import _diag_vector, _sigma_max_lanczos, expm, log_norm_D
+from .linalg import _sigma_max_lanczos, expm, log_norm_D
 from .operators import build_operators
 from .stability import BoundCheck
 
@@ -33,7 +33,6 @@ __all__ = [
     "max_norm_over_t",
     "run_sweep",
     "compare_L_effect",
-    "loglog_slope",
 ]
 
 
@@ -169,26 +168,13 @@ def _expm_at(A: np.ndarray, t: float) -> np.ndarray:
         raise OverflowError(f"semigroup norm scan overflowed at t = {t:g}: {err}") from err
 
 
-def max_norm_over_t(
-    A,
-    D=None,
-    t_max: float = 100.0,
-    coarse_step: float = 1.0,
-    refine_levels: int = 2,
-):
-    """Estimated maximum over t in [0, t_max] of ||e^{tA}|| and its location.
+def max_norm_over_t(A, t_max: float = 100.0, coarse_step: float = 1.0, refine_levels: int = 2):
+    """Estimated maximum over t in [0, t_max] of ||e^{tA}||_2 and its location.
 
-    Uses the spectral norm, or the D-scaled spectral norm when a positive
-    diagonal ``D`` is given; the latter is the spectral norm of
-    e^{t D^{-1/2} A D^{1/2}}.  Returns (max_value, t_argmax).
+    Returns (max_value, t_argmax).  The D-scaled maximum of the diffusion
+    block needs no scan: mu_D <= 0 fixes it at 1 (see ``run_sweep``).
     """
     A = np.asarray(A, dtype=float)
-    if D is not None:
-        d = _diag_vector(D)
-        if np.any(d <= 0):
-            raise ValueError("scaling diagonal must be strictly positive")
-        rt = np.sqrt(d)
-        A = (A * rt[None, :]) / rt[:, None]
     tracker = _NormTracker()
     _scan_norms(A, tracker, t_max, coarse_step, refine_levels)
     return tracker.best, tracker.t_best
@@ -290,11 +276,3 @@ def compare_L_effect(
     if missing:
         raise ValueError(f"missing matched barrier pairs for combinations: {missing}")
     return checks
-
-
-def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    lx = lx - lx.mean()
-    return float((lx @ (ly - ly.mean())) / (lx @ lx))

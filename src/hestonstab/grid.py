@@ -1,4 +1,4 @@
-"""Truncated spatial grid and diagonal scaling matrices for the Heston problem.
+"""Truncated spatial grid and diagonal scaling for the Heston problem.
 
 The price/variance domain [L, S] x [0, V] is discretized with uniform meshes.
 Only interior unknowns are represented; boundary points are never stored.  The
@@ -18,7 +18,6 @@ __all__ = [
     "HestonParams",
     "GridSpec",
     "make_grid",
-    "scaling_matrices",
     "scaling_diagonal",
 ]
 
@@ -119,15 +118,3 @@ def scaling_diagonal(grid: GridSpec) -> np.ndarray:
     Entry (j - 1) * m1 + i (1-based) equals v_j * s_i.
     """
     return np.kron(grid.v_points, grid.s_points)
-
-
-def scaling_matrices(grid: GridSpec):
-    """Dense diagonal scaling matrices (Ds, Dv, D) with D = Dv (x) Ds.
-
-    Ds = diag(s_1..s_m1), Dv = diag(v_1..v_m2); D is m x m with strictly
-    positive diagonal matching the lexicographic grid ordering.
-    """
-    Ds = np.diag(grid.s_points)
-    Dv = np.diag(grid.v_points)
-    D = np.diag(scaling_diagonal(grid))
-    return Ds, Dv, D

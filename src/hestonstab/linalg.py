@@ -153,32 +153,30 @@ def log_norm_2(A, tol: float = 1e-10) -> NormReport:
     return lambda_max_hermitian(0.5 * (A + A.conj().T), tol)
 
 
-def _diag_vector(D) -> np.ndarray:
-    """Accept a diagonal given as a vector or as a full diagonal matrix."""
-    D = np.asarray(D)
-    if D.ndim == 1:
-        return D
-    if D.ndim == 2:
-        if np.count_nonzero(D - np.diag(np.diag(D))):
-            raise ValueError("scaling matrix has off-diagonal entries")
-        return np.diag(D).copy()
-    raise ValueError(f"expected a diagonal (vector or matrix), got shape {D.shape}")
+def _scale_similar(M: np.ndarray, d) -> np.ndarray:
+    """D^{-1/2} M D^{1/2} for the diagonal D = diag(d) of a square matrix M.
+
+    ``d`` must be a vector of strictly positive entries, one per row of M;
+    anything else raises ValueError.
+    """
+    d = np.asarray(d)
+    if d.ndim != 1 or M.shape != (d.shape[0], d.shape[0]):
+        raise ValueError(
+            f"scaling diagonal of shape {d.shape} does not match the matrix shape {M.shape}"
+        )
+    if np.any(d <= 0):
+        raise ValueError("scaling diagonal must be strictly positive")
+    rt = np.sqrt(d)
+    return (M * rt[None, :]) / rt[:, None]
 
 
 def log_norm_D(A, D, tol: float = 1e-10) -> NormReport:
     """Logarithmic norm in the scaled inner product induced by diagonal D > 0.
 
-    Equals the logarithmic spectral norm of D^{-1/2} A D^{1/2}.
+    Equals the logarithmic spectral norm of D^{-1/2} A D^{1/2}.  ``D`` is
+    the diagonal as a vector of positive entries, one per row of A.
     """
-    A = _as_matrix(A)
-    d = _diag_vector(D)
-    if d.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
-        raise ValueError("dimension mismatch between matrix and scaling diagonal")
-    if np.any(d <= 0):
-        raise ValueError("scaling diagonal must be strictly positive")
-    rt = np.sqrt(d)
-    T = (A * rt[None, :]) / rt[:, None]
-    return log_norm_2(T, tol)
+    return log_norm_2(_scale_similar(_as_matrix(A), D), tol)
 
 
 def log_norm_inf(A) -> float:
@@ -251,7 +249,7 @@ def expm(A, t: float = 1.0) -> np.ndarray:
 
 
 def norm_expm(A, t: float, D=None) -> float:
-    """Spectral norm (or D-scaled spectral norm) of e^{tA}.
+    """Spectral norm of e^{tA}, or its D-scaled norm for a positive vector D.
 
     The diagonal similarity is applied to the computed exponential, not
     inside the exponential argument; the two agree in exact arithmetic and
@@ -259,9 +257,5 @@ def norm_expm(A, t: float, D=None) -> float:
     """
     E = expm(A, t)
     if D is not None:
-        d = _diag_vector(D)
-        if np.any(d <= 0):
-            raise ValueError("scaling diagonal must be strictly positive")
-        rt = np.sqrt(d)
-        E = (E * rt[None, :]) / rt[:, None]
+        E = _scale_similar(E, D)
     return spectral_norm(E).value

@@ -10,7 +10,6 @@ formulas stay the single source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +20,10 @@ __all__ = [
     "OperatorSet",
     "TransformedOperators",
     "tridiag",
-    "pair_average",
     "forward_shift",
     "build_stencils",
     "build_operators",
-    "commutator_check",
     "transformed_operators",
-    "dump_matrix",
 ]
 
 
@@ -39,14 +35,6 @@ def tridiag(n: int, lower: float, diag: float, upper: float) -> np.ndarray:
     T[idx + 1, idx] = lower
     T[idx, idx + 1] = upper
     return T
-
-
-def pair_average(n: int) -> np.ndarray:
-    """Symmetric neighbor-average matrix tridiag(1/2, 0, 1/2).
-
-    Its eigenvalues are cos(k*pi/(n+1)), k = 1..n, all inside [-1, 1].
-    """
-    return tridiag(n, 0.5, 0.0, 0.5)
 
 
 def forward_shift(n: int) -> np.ndarray:
@@ -132,21 +120,9 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
     )
 
 
-def commutator_check(grid: GridSpec) -> float:
-    """Residual of the identity (1/2)(d2_s @ Ds - Ds @ d2_s) = d1_s.
-
-    Returns the max-entry norm of the difference.  For any grid the residual
-    stays below 1e-13 * max(1, 1/ds^2); it is exactly zero when the grid
-    coordinates are small integers.
-    """
-    st = build_stencils(grid)
-    Ds = np.diag(grid.s_points)
-    resid = 0.5 * (st.d2_s @ Ds - Ds @ st.d2_s) - st.d1_s
-    return float(np.abs(resid).max())
-
-
-class TransformedOperators(NamedTuple):
-    """Price-direction operators used by the contractivity analysis.
+@dataclass(frozen=True)
+class TransformedOperators:
+    """Price-direction operators on ``grid`` used by the contractivity analysis.
 
     adv_sym  = Ds^{1/2} d1_s Ds^{1/2}   (antisymmetric)
     diff_sym = Ds^{3/2} d2_s Ds^{1/2}
@@ -154,6 +130,7 @@ class TransformedOperators(NamedTuple):
     diff_1d  = (1/2) Ds^2 d2_s          (discrete (1/2)*s^2*u_ss)
     """
 
+    grid: GridSpec
     adv_sym: np.ndarray
     diff_sym: np.ndarray
     adv_1d: np.ndarray
@@ -183,16 +160,4 @@ def transformed_operators(grid: GridSpec) -> TransformedOperators:
     other = (1.0 / rt)[:, None] * (2.0 * diff_1d + adv_1d) * rt[None, :]
     if np.abs(sym_part - other).max() > 1e-11 * scale:
         raise ValueError("symmetric-part identity violated; assembly bug")
-    return TransformedOperators(adv_sym, diff_sym, adv_1d, diff_1d)
-
-
-def dump_matrix(M: np.ndarray, path) -> None:
-    """Write a dense matrix as whitespace-separated text, one row per line.
-
-    Entries carry 17 significant digits so float64 values round-trip.
-    """
-    M = np.atleast_2d(np.asarray(M))
-    with open(path, "w") as fh:
-        for row in M:
-            fh.write(" ".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
+    return TransformedOperators(grid, adv_sym, diff_sym, adv_1d, diff_1d)

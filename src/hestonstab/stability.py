@@ -21,6 +21,7 @@ import numpy as np
 
 from .grid import GridSpec, HestonParams, scaling_diagonal
 from .linalg import (
+    _scale_similar,
     expm,
     lambda_max_hermitian,
     log_norm_2,
@@ -28,7 +29,7 @@ from .linalg import (
     log_norm_inf,
     spectral_norm,
 )
-from .operators import OperatorSet, build_operators, forward_shift, transformed_operators
+from .operators import OperatorSet, TransformedOperators, forward_shift
 
 __all__ = [
     "BoundCheck",
@@ -37,15 +38,12 @@ __all__ = [
     "check_advection_bounds",
     "check_exp_bound",
     "check_diffusion_contractivity",
-    "symbol_matrix",
     "symbol_matrix_hat",
     "check_block_toeplitz_symbol_bound",
     "diffusion_block_reduction",
     "check_symbol_conditions",
     "certificate_case_large_y",
     "certificate_case_small_y",
-    "quartic_value",
-    "cubic_value",
     "format_certificate_report",
 ]
 
@@ -114,7 +112,6 @@ class CertificateRow:
     a_bracket: Optional[float] = None
     b: Optional[float] = None
     theta: Optional[float] = None
-    zeta: Optional[complex] = None
 
 
 def check_advection_bounds(ops: OperatorSet, params: HestonParams, tol: float = 1e-8):
@@ -156,35 +153,27 @@ def check_exp_bound(A, omega: float, K: float, t_samples: Sequence[float], tol: 
     return checks
 
 
-def check_diffusion_contractivity(
-    ops: OperatorSet,
-    grid: GridSpec,
-    t_samples: Sequence[float],
-    tol: float = 1e-8,
-):
-    """Contractivity of the diffusion part in the scaled norm.
+def check_diffusion_contractivity(ops: OperatorSet, t_samples: Sequence[float], tol: float = 1e-8):
+    """Contractivity of the diffusion part in the scaled norm on ``ops.grid``.
 
     Returns (log-norm check, per-t scaled-norm checks, per-t spectral-norm
     checks): mu_D[diffusion] <= 0 with tolerance tol * max-entry scale, then
     ||e^{t diffusion}||_D <= 1 and
-    ||e^{t diffusion}||_2 <= sqrt(s_m1 v_m2 / (s_1 v_1)) at each t.
+    ||e^{t diffusion}||_2 <= sqrt(cond D) = sqrt(s_m1 v_m2 / (s_1 v_1)) at each t.
     """
-    d = scaling_diagonal(grid)
-    rt = np.sqrt(d)
+    d = scaling_diagonal(ops.grid)
     A = ops.diffusion
     scale = float(np.abs(A).max())
     mu_check = BoundCheck("diffusion_log_norm_D", log_norm_D(A, d).value, 0.0, tol * scale)
 
-    ratio = math.sqrt(
-        grid.s_points[-1] * grid.v_points[-1] / (grid.s_points[0] * grid.v_points[0])
-    )
+    ratio = math.sqrt(d.max() / d.min())
     scaled_checks = []
     spectral_checks = []
     for t in t_samples:
         if t < 0:
             raise ValueError(f"t samples must be nonnegative, got {t}")
         E = expm(A, t)
-        normD = spectral_norm((E * rt[None, :]) / rt[:, None]).value
+        normD = spectral_norm(_scale_similar(E, d)).value
         norm2 = spectral_norm(E).value
         scaled_checks.append(BoundCheck(f"diffusion_normD[t={t:g}]", normD, 1.0, tol))
         spectral_checks.append(
@@ -193,26 +182,14 @@ def check_diffusion_contractivity(
     return mu_check, scaled_checks, spectral_checks
 
 
-def _check_unit_modulus(zeta: complex) -> complex:
+def symbol_matrix_hat(B0, B1, zeta: complex) -> np.ndarray:
+    """One-sided companion symbol B0 + 2 zeta B1 of the block tridiagonal form.
+
+    It has the Hermitian part of the full symbol B0 + zeta B1 + zeta^{-1} B1^T.
+    """
     zeta = complex(zeta)
     if abs(abs(zeta) - 1.0) > 1e-12:
         raise ValueError(f"zeta must have unit modulus, got |zeta| = {abs(zeta)!r}")
-    return zeta
-
-
-def symbol_matrix(B0, B1, zeta: complex) -> np.ndarray:
-    """Symbol B0 + zeta B1 + zeta^{-1} B1^T of the block tridiagonal form."""
-    zeta = _check_unit_modulus(zeta)
-    B0 = np.asarray(B0, dtype=float)
-    B1 = np.asarray(B1, dtype=float)
-    if B0.shape != B1.shape or B0.shape[0] != B0.shape[1]:
-        raise ValueError("B0 and B1 must be square matrices of equal dimension")
-    return B0 + zeta * B1 + (1.0 / zeta) * B1.T
-
-
-def symbol_matrix_hat(B0, B1, zeta: complex) -> np.ndarray:
-    """One-sided companion symbol B0 + 2 zeta B1 (same Hermitian part)."""
-    zeta = _check_unit_modulus(zeta)
     B0 = np.asarray(B0, dtype=float)
     B1 = np.asarray(B1, dtype=float)
     if B0.shape != B1.shape or B0.shape[0] != B0.shape[1]:
@@ -254,10 +231,11 @@ def check_block_toeplitz_symbol_bound(
     return BoundCheck("block_toeplitz_symbol_bound", lhs, rhs, slack + tol * scale)
 
 
-def diffusion_block_reduction(params: HestonParams, grid: GridSpec):
+def diffusion_block_reduction(params: HestonParams, ops: OperatorSet, t_ops: TransformedOperators):
     """Similarity reduction of the diffusion part to block tridiagonal form.
 
-    Returns (B, B0, B1) where B is the diffusion operator transformed by the
+    ``ops`` and ``t_ops`` are the operators of ``params`` on one grid.
+    Returns (B, B0, B1) where B is ``ops.diffusion`` transformed by the
     diagonal similarity that removes the variance scaling and symmetrizes
     the price scaling, B0 = (1/2)(diff_sym - 2 sv^2 I) is the diagonal
     block, and B1 = (1/2)(rho sv adv_sym + sv^2 I) the off-diagonal block,
@@ -265,17 +243,16 @@ def diffusion_block_reduction(params: HestonParams, grid: GridSpec):
     I (x) B0 + E (x) B1 + E^T (x) B1^T must reproduce B elementwise to
     roundoff; a mismatch raises, signalling an assembly bug.
     """
-    t_ops = transformed_operators(grid)
+    grid = ops.grid
     sv = params.sigma / grid.dv
     ident1 = np.eye(grid.m1)
     B0 = 0.5 * (t_ops.diff_sym - 2.0 * sv**2 * ident1)
     B1 = 0.5 * (params.rho * sv * t_ops.adv_sym + sv**2 * ident1)
 
-    diffusion = build_operators(params, grid).diffusion
     rt_s = np.sqrt(grid.s_points)
     left = np.kron(1.0 / grid.v_points, 1.0 / rt_s)
     right = np.kron(np.ones(grid.m2), rt_s)
-    B = diffusion * right[None, :] * left[:, None]
+    B = ops.diffusion * right[None, :] * left[:, None]
 
     E = forward_shift(grid.m2)
     blocks = np.kron(np.eye(grid.m2), B0) + np.kron(E, B1) + np.kron(E.T, B1.T)
@@ -304,12 +281,12 @@ def _lambda_max_real_spectrum(T: np.ndarray, name: str) -> float:
 
 def check_symbol_conditions(
     params: HestonParams,
-    grid: GridSpec,
+    t_ops: TransformedOperators,
     zeta_samples: int = DEFAULT_ZETA_SAMPLES,
     y_samples: Sequence[float] = DEFAULT_Y_SAMPLES,
     tol: float = 1e-8,
 ):
-    """Evaluate the chain of sufficient symbol conditions on one grid.
+    """Evaluate the chain of sufficient symbol conditions on ``t_ops.grid``.
 
     For each sampled unit-modulus zeta two equivalent conditions are checked:
     the Hermitian form built from the symmetrized scaled operators
@@ -322,8 +299,7 @@ def check_symbol_conditions(
     """
     if zeta_samples < 8:
         raise ValueError(f"need at least 8 unit-circle samples, got {zeta_samples}")
-    t_ops = transformed_operators(grid)
-    sv = params.sigma / grid.dv
+    sv = params.sigma / t_ops.grid.dv
     sym_part = 0.5 * (t_ops.diff_sym + t_ops.diff_sym.T)
     conv_part = t_ops.diff_1d + 0.5 * t_ops.adv_1d
     scale = max(1.0, float(np.abs(t_ops.diff_sym).max()))
@@ -374,35 +350,19 @@ def _family_entries(grid: GridSpec, y: float):
     return nu, alpha, beta_mag, gamma_mag
 
 
-def quartic_value(nu: float, theta: float) -> float:
-    """Quartic 4 th(th-1) nu^4 + th^2 (4 th - 1) nu^2 + th^4.
-
-    Nonnegative for all nu whenever theta >= 1; equivalent to the unweighted
-    row inequality of the tridiagonal family in the large-y case.
-    """
-    return 4.0 * theta * (theta - 1.0) * nu**4 + theta**2 * (4.0 * theta - 1.0) * nu**2 + theta**4
-
-
-def cubic_value(nu: float) -> float:
-    """Cubic nu^3 - (3/4) nu^2 - (3/2) nu - 9/16.
-
-    Nonnegative for nu >= 2; equivalent to the weighted row condition
-    2 a + b <= 1 in the small-y case.
-    """
-    return nu**3 - 0.75 * nu**2 - 1.5 * nu - 0.5625
-
-
-def certificate_case_large_y(grid: GridSpec, y: float, tol: float = 1e-8):
-    """Row certificate for the tridiagonal family when |y| >= 1/2.
+def certificate_case_large_y(t_ops: TransformedOperators, y: float, tol: float = 1e-8):
+    """Row certificate for the tridiagonal family on ``t_ops.grid`` when |y| >= 1/2.
 
     Each unweighted row sum alpha_i + |beta_i| + |gamma_i| is bounded by
     2 y^2; with theta = 4 y^2 >= 1 the generic row inequality is equivalent
-    to quartic_value(nu_i, theta) >= 0, which holds identically.  Returns
-    the per-row data and the overall check that the logarithmic maximum norm
-    of the family matrix is at most 2 y^2.
+    to the quartic 4 th(th-1) nu_i^4 + th^2 (4 th - 1) nu_i^2 + th^4 >= 0,
+    which holds identically.  Returns the per-row data and the overall check
+    that the logarithmic maximum norm of the family matrix
+    diff_1d + (1/2 + 2iy) adv_1d is at most 2 y^2.
     """
     if abs(y) < 0.5:
         raise ValueError(f"this certificate covers |y| >= 1/2, got y = {y}")
+    grid = t_ops.grid
     nu, alpha, beta_mag, gamma_mag = _family_entries(grid, y)
     theta = 4.0 * y**2
     rows = [
@@ -417,7 +377,6 @@ def certificate_case_large_y(grid: GridSpec, y: float, tol: float = 1e-8):
         )
         for i in range(grid.m1)
     ]
-    t_ops = transformed_operators(grid)
     family = t_ops.diff_1d + (0.5 + 2j * y) * t_ops.adv_1d
     check = BoundCheck("family_log_norm_inf[large_y]", log_norm_inf(family), 2.0 * y**2, tol)
     return rows, check
@@ -442,7 +401,8 @@ def certificate_case_small_y(grid: GridSpec, y: float, tol: float = 1e-8):
     For interior rows this is bounded by a_i + b_i * 2 y^2 where a_i and
     b_i come from the estimate |x + 2iy| <= x + 2 y^2 / x; the weighted
     bound stays below 2 y^2 exactly when a_i <= 0 and 2 a_i + b_i <= 1,
-    which for these weights reduces to cubic_value(nu_i) >= 0.  The closed
+    which for these weights reduces to nu_i^3 - (3/4) nu_i^2 - (3/2) nu_i - 9/16
+    >= 0, true for nu_i >= 2.  The closed
     form for a_i is cross-checked against its defining bracket to 1e-12
     (both evaluated in extended precision); a mismatch raises.  Boundary
     rows are handled with their one-sided expressions.  Returns the per-row
@@ -526,8 +486,6 @@ def format_certificate_report(rows: Sequence[CertificateRow], checks: Sequence[B
             parts.append(f"b={r.b:.12g}")
         if r.theta is not None:
             parts.append(f"theta={r.theta:g}")
-        if r.zeta is not None:
-            parts.append(f"zeta={r.zeta}")
         lines.append(" ".join(parts))
     for c in checks:
         lines.append(

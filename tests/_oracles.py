@@ -3,7 +3,9 @@
 These deliberately avoid the library's own computational paths: eigenvalues
 come from a cyclic Jacobi rotation solver, matrix exponentials from a
 truncated Taylor series accumulated in extended precision, and norms in the
-limit-definition checks from LAPACK's SVD.
+limit-definition checks from LAPACK's SVD.  The closed-form reference
+helpers below (symbols, certificate polynomials, the stencil commutator)
+are written from their formulas.  Nothing here imports ``hestonstab``.
 """
 
 import math
@@ -100,3 +102,61 @@ def pair_average_eigs(n: int) -> np.ndarray:
 def unit_upper_shear_sigma_max(t: float) -> float:
     """Closed-form largest singular value of [[1, t], [0, 1]]."""
     return math.sqrt((2.0 + t * t + math.sqrt(4.0 * t * t + t**4)) / 2.0)
+
+
+def pair_average(n: int) -> np.ndarray:
+    """Symmetric neighbor-average matrix tridiag(1/2, 0, 1/2).
+
+    Its eigenvalues are cos(k*pi/(n+1)), k = 1..n, all inside [-1, 1].
+    """
+    return 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def symbol_matrix(B0, B1, zeta: complex) -> np.ndarray:
+    """Symbol B0 + zeta B1 + zeta^{-1} B1^T of a block tridiagonal Toeplitz form."""
+    zeta = complex(zeta)
+    if abs(abs(zeta) - 1.0) > 1e-12:
+        raise ValueError(f"zeta must have unit modulus, got |zeta| = {abs(zeta)!r}")
+    B0 = np.asarray(B0, dtype=float)
+    B1 = np.asarray(B1, dtype=float)
+    return B0 + zeta * B1 + (1.0 / zeta) * B1.T
+
+
+def quartic_value(nu: float, theta: float) -> float:
+    """Quartic 4 th(th-1) nu^4 + th^2 (4 th - 1) nu^2 + th^4.
+
+    Nonnegative for all nu whenever theta >= 1; equivalent to the unweighted
+    row inequality of the tridiagonal family in the large-y case.
+    """
+    return 4.0 * theta * (theta - 1.0) * nu**4 + theta**2 * (4.0 * theta - 1.0) * nu**2 + theta**4
+
+
+def cubic_value(nu: float) -> float:
+    """Cubic nu^3 - (3/4) nu^2 - (3/2) nu - 9/16.
+
+    Nonnegative for nu >= 2; equivalent to the weighted row condition
+    2 a + b <= 1 in the small-y case.
+    """
+    return nu**3 - 0.75 * nu**2 - 1.5 * nu - 0.5625
+
+
+def loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log(y) against log(x)."""
+    lx = np.log(np.asarray(xs, dtype=float))
+    ly = np.log(np.asarray(ys, dtype=float))
+    lx = lx - lx.mean()
+    return float((lx @ (ly - ly.mean())) / (lx @ lx))
+
+
+def commutator_check(stencils, s_points) -> float:
+    """Residual of the identity (1/2)(d2_s Ds - Ds d2_s) = d1_s, Ds = diag(s_points).
+
+    ``stencils`` carries the price-direction first- and second-difference
+    matrices as ``d1_s`` and ``d2_s``.  Returns the max-entry norm of the
+    difference.  For any grid the residual stays below
+    1e-13 * max(1, 1/ds^2); it is exactly zero when the grid coordinates are
+    small integers.
+    """
+    Ds = np.diag(np.asarray(s_points, dtype=float))
+    resid = 0.5 * (stencils.d2_s @ Ds - Ds @ stencils.d2_s) - stencils.d1_s
+    return float(np.abs(resid).max())

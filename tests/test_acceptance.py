@@ -10,26 +10,31 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import hermitian_lambda_max, sigma_max, taylor_expm
+from _oracles import (
+    commutator_check,
+    cubic_value,
+    hermitian_lambda_max,
+    loglog_slope,
+    quartic_value,
+    sigma_max,
+    taylor_expm,
+)
 from hestonstab import (
     HestonParams,
     SweepConfig,
     build_operators,
+    build_stencils,
     certificate_case_large_y,
     certificate_case_small_y,
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
-    commutator_check,
     compare_L_effect,
-    cubic_value,
     diffusion_block_reduction,
     expm,
     lambda_max_hermitian,
     log_norm_2,
-    loglog_slope,
     make_grid,
-    quartic_value,
     run_sweep,
     spectral_norm,
     transformed_operators,
@@ -92,7 +97,7 @@ def test_criterion_2_diffusion_contractivity():
                     params = HestonParams(r=R, kappa=KAPPA, eta=ETA, sigma=sigma, rho=rho, L=L)
                     grid = make_grid(params, 2 * m2, m2)
                     ops = build_operators(params, grid)
-                    mu_check, scaled, _ = check_diffusion_contractivity(ops, grid, t_samples)
+                    mu_check, scaled, _ = check_diffusion_contractivity(ops, t_samples)
                     scale = float(np.abs(ops.diffusion).max())
                     worst_mu = max(worst_mu, mu_check.lhs / scale)
                     worst_norm = max(worst_norm, max(c.lhs for c in scaled))
@@ -165,7 +170,7 @@ def test_criterion_5_certificate_chain():
             # case-split row certificates
             for y in DEFAULT_Y_SAMPLES:
                 if abs(y) >= 0.5:
-                    rows, check = certificate_case_large_y(grid, y)
+                    rows, check = certificate_case_large_y(t_ops, y)
                     theta = 4.0 * y**2
                     ok &= check.holds
                     for row in rows:
@@ -185,7 +190,8 @@ def test_criterion_5_certificate_chain():
             for sigma in (0.1, 0.2):
                 for rho in (-1.0, 0.0, 1.0):
                     p2 = HestonParams(r=R, kappa=KAPPA, eta=ETA, sigma=sigma, rho=rho, L=L)
-                    _, B0, B1 = diffusion_block_reduction(p2, grid)
+                    ops = build_operators(p2, grid)
+                    _, B0, B1 = diffusion_block_reduction(p2, ops, t_ops)
                     symbol_check = check_block_toeplitz_symbol_bound(B0, B1, grid.m2)
                     ok &= symbol_check.holds
                     min_symbol_margin = min(min_symbol_margin, symbol_check.margin)
@@ -230,7 +236,7 @@ def test_criterion_6_kernel_oracles():
     params = HestonParams(r=R, kappa=KAPPA, eta=ETA, sigma=0.2, rho=0.0, S=math.pi * 100)
     grids.append(make_grid(params, 50, 5))
     for grid in grids:
-        resid = commutator_check(grid)
+        resid = commutator_check(build_stencils(grid), grid.s_points)
         worst_comm = max(worst_comm, resid)
         ok &= resid <= 1e-10
     _report(

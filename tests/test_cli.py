@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hestonstab import BoundCheck, SweepRecord, experiments
+from hestonstab import BoundCheck, HestonParams, SweepRecord, build_operators, experiments, make_grid
 from hestonstab.cli import emit_plot_data, main, parse_args, write_csv
 
 
@@ -85,20 +85,6 @@ def test_sweep_list_flags():
     assert cfg.rho_values == (-1.0, 0.0, 1.0)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", "--rho", "-1", "--m2", "4"],
-        ["sweep", "--m2-values", "5", "--sigma-values", "0.1", "--rho-values", "0", "--L-values", "0,10"],
-        ["certificate", "--m2", "4", "--L", "10"],
-        ["operators", "--which", "diffusion", "--m2", "4"],
-    ],
-)
-def test_round_trip_canonical_argv(argv):
-    cfg = parse_args(argv)
-    assert parse_args(cfg.to_argv()) == cfg
-
-
 # ---------------------------------------------------------------------------
 # CSV and plot data
 # ---------------------------------------------------------------------------
@@ -113,7 +99,7 @@ def _record(m2=5, L=0.0, sigma=0.1, rho=0.0, max_norm2=1.25):
 
 def test_write_csv_empty_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv([], path)
+    write_csv([], path, kind="sweep")
     assert path.read_text() == (
         "m2,m1,L,sigma,rho,S,V,max_norm2,t_argmax,max_normD,bound,within_bound\n"
     )
@@ -121,7 +107,7 @@ def test_write_csv_empty_is_header_only(tmp_path):
 
 def test_write_csv_single_record(tmp_path):
     path = tmp_path / "one.csv"
-    write_csv([_record()], path)
+    write_csv([_record()], path, kind="sweep")
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     fields = lines[1].split(",")
@@ -133,7 +119,7 @@ def test_write_csv_single_record(tmp_path):
 def test_write_csv_17_digit_floats(tmp_path):
     value = 1.0 + 2.0 ** -45
     path = tmp_path / "precise.csv"
-    write_csv([_record(max_norm2=value)], path)
+    write_csv([_record(max_norm2=value)], path, kind="sweep")
     text = path.read_text()
     assert f"{value:.17g}" in text
     assert float(text.splitlines()[1].split(",")[7]) == value
@@ -142,7 +128,7 @@ def test_write_csv_17_digit_floats(tmp_path):
 def test_write_csv_checks(tmp_path):
     path = tmp_path / "checks.csv"
     checks = [BoundCheck("sample_check", 0.5, 1.0, 1e-8)]
-    write_csv(checks, path)
+    write_csv(checks, path, kind="check")
     lines = path.read_text().splitlines()
     assert lines[0] == "name,lhs,rhs,margin,tol,holds"
     assert lines[1].startswith("sample_check,0.5,1,0.5,")
@@ -152,8 +138,8 @@ def test_write_csv_checks(tmp_path):
 def test_write_csv_deterministic(tmp_path):
     records = [_record(m2=m2, L=L) for m2 in (5, 7) for L in (0.0, 10.0)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(records, p1)
-    write_csv(records, p2)
+    write_csv(records, p1, kind="sweep")
+    write_csv(records, p2, kind="sweep")
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -227,12 +213,39 @@ def test_main_certificate(tmp_path, capsys):
 
 
 def test_main_operators_dump(tmp_path, capsys):
+    args = ["operators", "--which", "diffusion", "--m2", "3", "--m1", "4", "--L", "10", "--rho", "0.7"]
     path = tmp_path / "diffusion.txt"
-    code = main(["operators", "--which", "diffusion", "--m2", "3", "--m1", "4", "--out", str(path)])
+    assert main(args + ["--out", str(path)]) == 0
     capsys.readouterr()
-    assert code == 0
     M = np.loadtxt(path)
     assert M.shape == (12, 12)
+    params = HestonParams(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=0.7, L=10.0)
+    np.testing.assert_array_equal(M, build_operators(params, make_grid(params, 4, 3)).diffusion)
+    # without --out the same bytes go to stdout
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["operators", "--m2", "3", "--out", "{missing}/ops.txt"],
+        ["check", "--m2", "3", "--t-samples", "0", "--out", "{missing}/checks.csv"],
+        ["certificate", "--m2", "3", "--out", "{missing}/report.txt"],
+        ["sweep", "--m2-values", "3", "--sigma-values", "0.1", "--rho-values", "0",
+         "--L-values", "0", "--out", "{missing}/sweep.csv"],
+        ["sweep", "--m2-values", "3", "--sigma-values", "0.1", "--rho-values", "0",
+         "--L-values", "0", "--plot-dir", "{file}"],
+    ],
+    ids=["operators-out", "check-out", "certificate-out", "sweep-out", "sweep-plot-dir"],
+)
+def test_io_failure_exits_3(argv, tmp_path, capsys):
+    regular_file = tmp_path / "not-a-directory"
+    regular_file.write_text("")
+    paths = dict(missing=tmp_path / "missing", file=regular_file)
+    code = main([a.format(**paths) for a in argv])
+    assert code == 3
+    assert "I/O failure" in capsys.readouterr().err
 
 
 def test_main_sweep_tiny(tmp_path, capsys):

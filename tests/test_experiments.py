@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import unit_upper_shear_sigma_max
+from _oracles import loglog_slope, unit_upper_shear_sigma_max
 from hestonstab import (
     HestonParams,
     NormReport,
@@ -14,7 +14,6 @@ from hestonstab import (
     experiments,
     expm,
     log_norm_D,
-    loglog_slope,
     make_grid,
     max_norm_over_t,
     run_sweep,
@@ -39,16 +38,6 @@ def test_max_norm_nilpotent_growth_closed_form():
     assert value == pytest.approx(100.01, abs=1e-2)
 
 
-def test_max_norm_scaled_variant():
-    params = HestonParams(**dict(BASE, rho=0.8))
-    grid = make_grid(params, 8, 4)
-    diffusion = build_operators(params, grid).diffusion
-    d = scaling_diagonal(grid)
-    value, t_at = max_norm_over_t(diffusion, D=d, t_max=20.0)
-    assert value == pytest.approx(1.0, abs=1e-8)
-    assert 0.0 <= t_at <= 20.0
-
-
 def test_max_norm_refinement_is_monotone():
     params = HestonParams(**dict(BASE, rho=1.0))
     grid = make_grid(params, 10, 5)
@@ -64,8 +53,6 @@ def test_max_norm_input_validation():
         max_norm_over_t(np.eye(2), t_max=0.0)
     with pytest.raises(ValueError):
         max_norm_over_t(np.eye(2), coarse_step=-1.0)
-    with pytest.raises(ValueError):
-        max_norm_over_t(np.eye(2), D=np.array([1.0, -1.0]))
 
 
 def test_max_norm_overflow_identifies_t():

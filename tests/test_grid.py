@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hestonstab import HestonParams, make_grid, scaling_diagonal, scaling_matrices
+from hestonstab import HestonParams, make_grid, scaling_diagonal
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -51,17 +51,17 @@ def test_counts_and_dimensions():
 def test_scaling_matrices_kronecker_order():
     params = HestonParams(**BASE, L=0.0, S=8.0, V=5.0)
     grid = make_grid(params, 3, 4)
-    Ds, Dv, D = scaling_matrices(grid)
-    np.testing.assert_array_equal(np.diag(Ds), grid.s_points)
-    np.testing.assert_array_equal(np.diag(Dv), grid.v_points)
-    assert D.shape == (grid.m, grid.m)
-    diag = np.diag(D)
+    diag = scaling_diagonal(grid)
+    assert diag.shape == (grid.m,)
     assert np.all(diag > 0)
     for j in range(1, grid.m2 + 1):
         for i in range(1, grid.m1 + 1):
             flat = (j - 1) * grid.m1 + i - 1
             assert diag[flat] == grid.v_points[j - 1] * grid.s_points[i - 1]
-    np.testing.assert_array_equal(diag, scaling_diagonal(grid))
+    # D = Dv (x) Ds with Ds = diag(s), Dv = diag(v)
+    np.testing.assert_array_equal(
+        np.diag(diag), np.kron(np.diag(grid.v_points), np.diag(grid.s_points))
+    )
 
 
 def test_scaling_minimum_without_barrier():

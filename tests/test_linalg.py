@@ -6,6 +6,7 @@ import pytest
 from _oracles import (
     hermitian_lambda_max,
     log_norm_limit,
+    pair_average,
     pair_average_eigs,
     sigma_max,
     taylor_expm,
@@ -20,9 +21,7 @@ from hestonstab import (
     log_norm_inf,
     make_grid,
     norm_expm,
-    pair_average,
     scaling_diagonal,
-    scaling_matrices,
     spectral_norm,
 )
 from hestonstab import linalg
@@ -228,15 +227,24 @@ def test_log_norm_D_heston_diffusion_contractive():
     assert log_norm_D(ops.diffusion, d).value <= 1e-8
 
 
-def test_log_norm_D_accepts_vector_or_full_matrix():
-    params = HestonParams(**BASE, L=0.0, S=800.0, V=5.0)
-    grid = make_grid(params, 6, 4)
-    ops = build_operators(params, grid)
-    _, _, D = scaling_matrices(grid)
+@pytest.mark.parametrize("D", [np.eye(3), np.ones(2), np.ones(4)], ids=["matrix", "short", "long"])
+def test_scaling_diagonal_must_be_a_matching_vector(D):
+    with pytest.raises(ValueError, match="does not match"):
+        log_norm_D(np.eye(3), D)
+    with pytest.raises(ValueError, match="does not match"):
+        norm_expm(np.eye(3), 1.0, D=D)
+
+
+def test_scaled_norms_apply_the_same_similarity():
+    params = HestonParams(**dict(BASE, rho=0.8), L=10.0, S=800.0, V=5.0)
+    grid = make_grid(params, 8, 5)
+    A = build_operators(params, grid).diffusion
     d = scaling_diagonal(grid)
-    assert log_norm_D(ops.diffusion, D).value == pytest.approx(
-        log_norm_D(ops.diffusion, d).value, abs=1e-12
-    )
+    rt = np.sqrt(d)
+    similar = (A * rt[None, :]) / rt[:, None]
+    assert log_norm_D(A, d).value == log_norm_2(similar).value
+    E = expm(A, 2.0)
+    assert norm_expm(A, 2.0, D=d) == spectral_norm((E * rt[None, :]) / rt[:, None]).value
 
 
 def test_log_norm_D_rejects_nonpositive_diagonal():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from _oracles import commutator_check, pair_average
 from hestonstab import (
     HestonParams,
     build_operators,
     build_stencils,
-    commutator_check,
-    dump_matrix,
     forward_shift,
     make_grid,
-    pair_average,
     transformed_operators,
     tridiag,
 )
@@ -118,23 +116,24 @@ def test_operator_sums():
 
 def test_commutator_integer_grid_is_exact():
     _, grid = _grid(m1=3, S=4.0)  # s = 1, 2, 3 with ds = 1
-    assert commutator_check(grid) == 0.0
+    assert commutator_check(build_stencils(grid), grid.s_points) == 0.0
 
 
 def test_commutator_barrier_grid():
     _, grid = _grid(m1=25, L=10.0, S=800.0)
-    assert commutator_check(grid) <= 1e-10
+    assert commutator_check(build_stencils(grid), grid.s_points) <= 1e-10
 
 
 @pytest.mark.parametrize("m1,L,S", [(50, 0.0, np.pi * 100), (40, 7.3, 613.1), (9, 0.0, 800.0)])
 def test_commutator_roundoff_contract(m1, L, S):
     _, grid = _grid(m1=m1, L=L, S=S)
-    assert commutator_check(grid) <= 1e-13 * max(1.0, 1.0 / grid.ds**2)
+    assert commutator_check(build_stencils(grid), grid.s_points) <= 1e-13 * max(1.0, 1.0 / grid.ds**2)
 
 
 def test_transformed_operators_antisymmetry_and_similarity():
     _, grid = _grid(m1=7, L=10.0)
     t_ops = transformed_operators(grid)
+    assert t_ops.grid is grid
     scale = np.abs(t_ops.adv_sym).max()
     assert np.abs(t_ops.adv_sym + t_ops.adv_sym.T).max() <= 1e-15 * scale
     rt = np.sqrt(grid.s_points)
@@ -147,12 +146,3 @@ def test_transformed_operators_unit_grid_row():
     t_ops = transformed_operators(grid)
     np.testing.assert_allclose(t_ops.adv_1d[1], [-1.0, 0.0, 1.0], atol=1e-15)
 
-
-def test_dump_matrix_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    M = rng.standard_normal((4, 6)) * np.exp(rng.uniform(-8, 8, (4, 6)))
-    path = tmp_path / "matrix.txt"
-    dump_matrix(M, path)
-    loaded = np.loadtxt(path)
-    np.testing.assert_array_equal(loaded, M)
-    assert len(path.read_text().splitlines()) == 4

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import hermitian_lambda_max
+from _oracles import cubic_value, hermitian_lambda_max, quartic_value, symbol_matrix
 from hestonstab import (
     HestonParams,
     build_operators,
@@ -15,16 +15,13 @@ from hestonstab import (
     check_diffusion_contractivity,
     check_exp_bound,
     check_symbol_conditions,
-    cubic_value,
     diffusion_block_reduction,
     format_certificate_report,
     log_norm_2,
     log_norm_D,
     log_norm_inf,
     make_grid,
-    quartic_value,
     scaling_diagonal,
-    symbol_matrix,
     symbol_matrix_hat,
     transformed_operators,
 )
@@ -106,7 +103,7 @@ def test_exp_bound_rejects_negative_t():
 @pytest.mark.parametrize("rho", [0.0, 1.0, -1.0])
 def test_diffusion_contractivity(rho):
     params, grid, ops = _setup(m1=10, m2=5, rho=rho)
-    mu_check, scaled, spectral = check_diffusion_contractivity(ops, grid, [0.0, 0.5, 2.0])
+    mu_check, scaled, spectral = check_diffusion_contractivity(ops, [0.0, 0.5, 2.0])
     assert mu_check.holds
     assert mu_check.lhs <= 1e-8 * np.abs(ops.diffusion).max()
     assert all(c.holds for c in scaled)
@@ -166,8 +163,8 @@ def test_block_toeplitz_bound_scalar_shift():
 
 
 def test_block_toeplitz_bound_on_reduction_blocks():
-    params, grid, _ = _setup(m1=6, m2=4, rho=0.7)
-    _, B0, B1 = diffusion_block_reduction(params, grid)
+    params, grid, ops = _setup(m1=6, m2=4, rho=0.7)
+    _, B0, B1 = diffusion_block_reduction(params, ops, transformed_operators(grid))
     check = check_block_toeplitz_symbol_bound(B0, B1, n_blocks=grid.m2)
     assert check.holds
 
@@ -184,25 +181,32 @@ def test_block_toeplitz_bound_input_validation():
 # ---------------------------------------------------------------------------
 
 def test_reduction_zero_correlation_offdiagonal_block():
-    params, grid, _ = _setup(rho=0.0)
-    _, _, B1 = diffusion_block_reduction(params, grid)
+    params, grid, ops = _setup(rho=0.0)
+    _, _, B1 = diffusion_block_reduction(params, ops, transformed_operators(grid))
     sv = params.sigma / grid.dv
     np.testing.assert_allclose(B1, 0.5 * sv**2 * np.eye(grid.m1), atol=1e-14 * sv**2)
 
 
 def test_reduction_transpose_block_consistency():
-    params, grid, _ = _setup(rho=0.9)
-    _, _, B1 = diffusion_block_reduction(params, grid)
+    params, grid, ops = _setup(rho=0.9)
     t_ops = transformed_operators(grid)
+    _, _, B1 = diffusion_block_reduction(params, ops, t_ops)
     sv = params.sigma / grid.dv
     expected = 0.5 * (-params.rho * sv * t_ops.adv_sym + sv**2 * np.eye(grid.m1))
     np.testing.assert_allclose(B1.T, expected, atol=1e-12 * max(1.0, np.abs(B1).max()))
 
 
+def test_reduction_rejects_operators_of_another_grid():
+    params, grid, ops = _setup(m1=6, m2=4, rho=0.5)
+    _, other, _ = _setup(m1=6, m2=4, rho=0.5, L=10.0)
+    with pytest.raises(ValueError, match="block assembly disagrees"):
+        diffusion_block_reduction(params, ops, transformed_operators(other))
+
+
 @pytest.mark.parametrize("rho,L", [(0.0, 0.0), (1.0, 0.0), (-0.6, 10.0)])
 def test_reduction_sign_equivalence_with_scaled_log_norm(rho, L):
     params, grid, ops = _setup(m1=8, m2=4, rho=rho, L=L)
-    B, _, _ = diffusion_block_reduction(params, grid)
+    B, _, _ = diffusion_block_reduction(params, ops, transformed_operators(grid))
     mu_B = log_norm_2(B).value
     mu_D = log_norm_D(ops.diffusion, scaling_diagonal(grid)).value
     tol = 1e-8 * max(1.0, np.abs(B).max())
@@ -216,14 +220,14 @@ def test_reduction_sign_equivalence_with_scaled_log_norm(rho, L):
 @pytest.mark.parametrize("sigma,rho", [(0.1, -1.0), (0.2, 0.5), (0.2, 1.0)])
 def test_symbol_conditions_hold(sigma, rho):
     params, grid, _ = _setup(m1=8, m2=4, sigma=sigma, rho=rho)
-    checks = check_symbol_conditions(params, grid, zeta_samples=16)
+    checks = check_symbol_conditions(params, transformed_operators(grid), zeta_samples=16)
     assert checks
     assert all(c.holds for c in checks)
 
 
 def test_symbol_condition_at_zeta_one_has_zero_rhs():
     params, grid, _ = _setup(m1=6, m2=4)
-    checks = check_symbol_conditions(params, grid, zeta_samples=8)
+    checks = check_symbol_conditions(params, transformed_operators(grid), zeta_samples=8)
     at_one = [c for c in checks if c.name.startswith("scaled_symbol_cond[zeta=0/")]
     assert len(at_one) == 1
     assert at_one[0].rhs == 0.0
@@ -240,7 +244,8 @@ def test_family_condition_at_y_zero():
 
 def test_family_condition_large_y_has_margin():
     params, grid, _ = _setup(m1=8, m2=4)
-    checks = check_symbol_conditions(params, grid, zeta_samples=8, y_samples=(5.0, -5.0))
+    t_ops = transformed_operators(grid)
+    checks = check_symbol_conditions(params, t_ops, zeta_samples=8, y_samples=(5.0, -5.0))
     family = [c for c in checks if c.name.startswith("tridiag_family_cond")]
     assert len(family) == 2
     for c in family:
@@ -255,7 +260,7 @@ def test_family_condition_large_y_has_margin():
 def test_large_y_wrong_branch_rejected():
     _, grid, _ = _setup()
     with pytest.raises(ValueError):
-        certificate_case_large_y(grid, 0.49)
+        certificate_case_large_y(transformed_operators(grid), 0.49)
 
 
 def test_quartic_at_theta_one():
@@ -272,7 +277,7 @@ def test_quartic_frozen_value():
 def test_large_y_rows_match_family_matrix():
     _, grid, _ = _setup(m1=6, m2=4, L=10.0)
     y = 0.8
-    rows, check = certificate_case_large_y(grid, y)
+    rows, check = certificate_case_large_y(transformed_operators(grid), y)
     t_ops = transformed_operators(grid)
     T = t_ops.diff_1d + (0.5 + 2j * y) * t_ops.adv_1d
     for idx, row in enumerate(rows):
@@ -291,7 +296,7 @@ def test_large_y_rows_match_family_matrix():
 @pytest.mark.parametrize("y", [0.5, 0.6, 1.0, 5.0, -0.5, -2.0])
 def test_large_y_certificate_holds(y):
     _, grid, _ = _setup(m1=10, m2=5)
-    rows, check = certificate_case_large_y(grid, y)
+    rows, check = certificate_case_large_y(transformed_operators(grid), y)
     assert check.holds
     theta = 4.0 * y**2
     for row in rows:
@@ -400,11 +405,11 @@ def test_unit_circle_real_part_estimate():
 
 @pytest.mark.parametrize("sigma,rho,L", [(0.1, 1.0, 0.0), (0.2, -1.0, 10.0)])
 def test_family_condition_implies_block_log_norm(sigma, rho, L):
-    params, grid, _ = _setup(m1=8, m2=4, sigma=sigma, rho=rho, L=L)
-    checks = check_symbol_conditions(params, grid, zeta_samples=16)
+    params, grid, ops = _setup(m1=8, m2=4, sigma=sigma, rho=rho, L=L)
+    checks = check_symbol_conditions(params, transformed_operators(grid), zeta_samples=16)
     family = [c for c in checks if c.name.startswith("tridiag_family_cond")]
     assert all(c.holds for c in family)
-    B, _, _ = diffusion_block_reduction(params, grid)
+    B, _, _ = diffusion_block_reduction(params, ops, transformed_operators(grid))
     assert log_norm_2(B).value <= 1e-8 * max(1.0, np.abs(B).max())
 
 
