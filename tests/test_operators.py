@@ -146,3 +146,20 @@ def test_transformed_operators_unit_grid_row():
     t_ops = transformed_operators(grid)
     np.testing.assert_allclose(t_ops.adv_1d[1], [-1.0, 0.0, 1.0], atol=1e-15)
 
+
+
+def test_dump_matrix_roundtrip(tmp_path, capsys):
+    # the operators command writes every matrix it offers so that np.loadtxt gives it back exactly
+    from hestonstab.cli import main
+
+    params, grid = _grid(m1=6, m2=3, L=7.3, S=613.1)
+    ops = build_operators(params, grid)
+    argv = ["--m1", "6", "--m2", "3", "--L", "7.3", "--S", "613.1", "--rho", str(BASE["rho"])]
+    for which, M in [("full", ops.full), ("diffusion", ops.diffusion), ("adv-s", ops.adv_s),
+                     ("adv-v", ops.adv_v), ("diff-ss", ops.diff_ss), ("mixed-sv", ops.mixed_sv),
+                     ("diff-vv", ops.diff_vv)]:
+        path = tmp_path / f"{which}.txt"
+        assert main(["operators", "--which", which, *argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        np.testing.assert_array_equal(np.loadtxt(path), M)
+        assert len(path.read_text().splitlines()) == M.shape[0]
