@@ -6,6 +6,10 @@ parameter set, ``certificate`` runs the contractivity certificate chain on
 one grid, and ``sweep`` reproduces the norm-growth experiment, emitting CSV
 and plot-ready series files.
 
+``parse_args`` returns argparse's namespace with the library inputs of the
+run already built and validated: a ``HestonParams`` and its grid for the
+single-grid commands, a ``SweepConfig`` for ``sweep``.
+
 Exit codes: 0 all checks hold, 1 at least one check failed, 2 usage or
 validation error, 3 numerical failure.
 """
@@ -13,9 +17,10 @@ validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,57 +42,36 @@ from .stability import (
     format_certificate_report,
 )
 
-__all__ = ["RunConfig", "parse_args", "write_csv", "emit_plot_data", "main"]
+__all__ = ["parse_args", "write_csv", "emit_plot_data", "main"]
 
 _OPERATOR_NAMES = ("full", "diffusion", "adv-s", "adv-v", "diff-ss", "mixed-sv", "diff-vv")
 
 _DEFAULT_T_SAMPLES = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
 
-_SWEEP_HEADER = "m2,m1,L,sigma,rho,S,V,max_norm2,t_argmax,max_normD,bound,within_bound"
-_CHECK_HEADER = "name,lhs,rhs,margin,tol,holds"
+# Each CSV kind's columns: the header, and the record attribute each row reads.
+_CSV_COLUMNS = {
+    "sweep": ("m2", "m1", "L", "sigma", "rho", "S", "V",
+              "max_norm2", "t_argmax", "max_normD", "bound", "within_bound"),
+    "check": ("name", "lhs", "rhs", "margin", "tol", "holds"),
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonical, fully resolved run configuration."""
-
-    command: str
-    r: float = 0.05
-    kappa: float = 2.0
-    eta: float = 0.04
-    sigma: float = 0.2
-    rho: float = 0.0
-    L: float = 0.0
-    S: float = 800.0
-    V: float = 5.0
-    m1: Optional[int] = None
-    m2: int = 5
-    m2_values: tuple = ()
-    sigma_values: tuple = ()
-    rho_values: tuple = ()
-    L_values: tuple = ()
-    t_samples: tuple = _DEFAULT_T_SAMPLES
-    tol: float = 1e-8
-    which: str = "full"
-    out: Optional[str] = None
-    plot_dir: Optional[str] = None
-
-    def resolved_m1(self) -> int:
-        return self.m1 if self.m1 is not None else 2 * self.m2
+def _list(text: str, cast, kind: str) -> tuple:
+    try:
+        values = tuple(cast(x) for x in text.split(",") if x != "")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated {kind} list: {err}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a non-empty comma-separated {kind} list")
+    return values
 
 
 def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(x) for x in text.split(",") if x != "")
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated float list: {err}")
+    return _list(text, float, "float")
 
 
 def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(",") if x != "")
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {err}")
+    return _list(text, int, "integer")
 
 
 def _add_param_flags(p: argparse.ArgumentParser, with_rho_sigma_L: bool = True) -> None:
@@ -120,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p_ops)
     p_ops.add_argument("--which", choices=_OPERATOR_NAMES, default="full", help="matrix to dump")
     p_ops.add_argument("--out", default=None, help="output file (default stdout)")
-    p_ops.add_argument("--tol", type=float, default=1e-8)
 
     p_check = sub.add_parser("check", help="advection and diffusion stability checks")
     _add_param_flags(p_check)
@@ -153,59 +136,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
-    """Parse and validate argv into a RunConfig; exits with code 2 on error."""
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv and build the run's inputs; exits with code 2 on error.
+
+    ``operators``, ``check`` and ``certificate`` get ``params`` and ``grid``;
+    ``sweep`` gets ``sweep``, a SweepConfig with ``--full`` resolved.
+    """
     parser = build_parser()
     ns = parser.parse_args(list(argv))
-    kwargs = dict(command=ns.command, tol=ns.tol, out=ns.out)
-    if ns.command == "sweep":
-        m2_values = SweepConfig.full_m2_values() if ns.full else tuple(ns.m2_values)
-        kwargs.update(
-            r=ns.r,
-            kappa=ns.kappa,
-            eta=ns.eta,
-            S=ns.S,
-            V=ns.V,
-            m2_values=m2_values,
-            sigma_values=tuple(ns.sigma_values),
-            rho_values=tuple(ns.rho_values),
-            L_values=tuple(ns.L_values),
-            plot_dir=ns.plot_dir,
-        )
-        for sigma in ns.sigma_values:
-            for rho in ns.rho_values:
-                for L in ns.L_values:
-                    _validate_params(parser, ns.r, ns.kappa, ns.eta, sigma, rho, L, ns.S, ns.V)
-        if any(m2 < 3 for m2 in m2_values):
-            parser.error("all m2 values must be >= 3")
-    else:
-        kwargs.update(
-            r=ns.r,
-            kappa=ns.kappa,
-            eta=ns.eta,
-            sigma=ns.sigma,
-            rho=ns.rho,
-            L=ns.L,
-            S=ns.S,
-            V=ns.V,
-            m1=ns.m1,
-            m2=ns.m2,
-        )
-        _validate_params(parser, ns.r, ns.kappa, ns.eta, ns.sigma, ns.rho, ns.L, ns.S, ns.V)
-        if ns.m2 < 3 or (ns.m1 is not None and ns.m1 < 3):
-            parser.error("mesh counts m1 and m2 must be >= 3")
-        if ns.command == "check":
-            kwargs["t_samples"] = tuple(ns.t_samples)
-        if ns.command == "operators":
-            kwargs["which"] = ns.which
-    return RunConfig(**kwargs)
-
-
-def _validate_params(parser, r, kappa, eta, sigma, rho, L, S, V) -> None:
+    shared = dict(r=ns.r, kappa=ns.kappa, eta=ns.eta, S=ns.S, V=ns.V)
     try:
-        HestonParams(r=r, kappa=kappa, eta=eta, sigma=sigma, rho=rho, L=L, S=S, V=V)
+        if ns.command == "sweep":
+            ns.sweep = SweepConfig(
+                m2_values=SweepConfig.full_m2_values() if ns.full else ns.m2_values,
+                sigma_values=ns.sigma_values,
+                rho_values=ns.rho_values,
+                L_values=ns.L_values,
+                **shared,
+            )
+            for sigma, rho, L in itertools.product(ns.sigma_values, ns.rho_values, ns.L_values):
+                HestonParams(sigma=sigma, rho=rho, L=L, **shared)
+            if any(m2 < 3 for m2 in ns.sweep.m2_values):
+                raise ValueError("all m2 values must be >= 3")
+        else:
+            ns.params = HestonParams(sigma=ns.sigma, rho=ns.rho, L=ns.L, **shared)
+            ns.grid = make_grid(ns.params, 2 * ns.m2 if ns.m1 is None else ns.m1, ns.m2)
+        if not math.isfinite(getattr(ns, "tol", 0.0)):
+            raise ValueError(f"--tol must be finite, got {ns.tol}")
+        bad = [t for t in getattr(ns, "t_samples", ()) if not 0.0 <= t < math.inf]
+        if bad:
+            raise ValueError(f"--t-samples must be finite and >= 0, got {bad[0]}")
     except ValueError as err:
         parser.error(str(err))
+    return ns
 
 
 def _fmt(value) -> str:
@@ -222,37 +185,11 @@ def write_csv(records: Sequence, path, kind: str) -> None:
     Floats carry 17 significant digits; an empty record list yields a
     header-only file.
     """
-    lines = []
-    if kind == "sweep":
-        lines.append(_SWEEP_HEADER)
-        for rec in records:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        rec.m2,
-                        rec.m1,
-                        rec.L,
-                        rec.sigma,
-                        rec.rho,
-                        rec.S,
-                        rec.V,
-                        rec.max_norm2,
-                        rec.t_argmax,
-                        rec.max_normD,
-                        rec.bound,
-                        rec.within_bound,
-                    )
-                )
-            )
-    elif kind == "check":
-        lines.append(_CHECK_HEADER)
-        for c in records:
-            lines.append(
-                ",".join(_fmt(v) for v in (c.name, c.lhs, c.rhs, c.margin, c.tol, c.holds))
-            )
-    else:
+    if kind not in _CSV_COLUMNS:
         raise ValueError(f"unknown CSV kind {kind!r}")
+    columns = _CSV_COLUMNS[kind]
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(getattr(rec, c)) for c in columns) for rec in records]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -290,89 +227,56 @@ def _print_checks(checks: Sequence[BoundCheck]) -> bool:
     return all_hold
 
 
-def _run_operators(cfg: RunConfig) -> int:
-    params = _params_from(cfg)
-    grid = make_grid(params, cfg.resolved_m1(), cfg.m2)
-    ops = build_operators(params, grid)
-    matrix = {
-        "full": ops.full,
-        "diffusion": ops.diffusion,
-        "adv-s": ops.adv_s,
-        "adv-v": ops.adv_v,
-        "diff-ss": ops.diff_ss,
-        "mixed-sv": ops.mixed_sv,
-        "diff-vv": ops.diff_vv,
-    }[cfg.which]
+def _run_operators(ns: argparse.Namespace) -> int:
+    matrix = getattr(build_operators(ns.params, ns.grid), ns.which.replace("-", "_"))
     # 17 significant digits round-trip every float64 entry
-    np.savetxt(sys.stdout if cfg.out is None else cfg.out, matrix, fmt="%.17g")
-    if cfg.out is not None:
-        print(f"wrote {cfg.which} matrix ({matrix.shape[0]}x{matrix.shape[1]}) to {cfg.out}")
+    np.savetxt(sys.stdout if ns.out is None else ns.out, matrix, fmt="%.17g")
+    if ns.out is not None:
+        print(f"wrote {ns.which} matrix ({matrix.shape[0]}x{matrix.shape[1]}) to {ns.out}")
     return 0
 
 
-def _params_from(cfg: RunConfig) -> HestonParams:
-    return HestonParams(
-        r=cfg.r, kappa=cfg.kappa, eta=cfg.eta, sigma=cfg.sigma, rho=cfg.rho, L=cfg.L, S=cfg.S, V=cfg.V
-    )
-
-
-def _run_check(cfg: RunConfig) -> int:
-    params = _params_from(cfg)
-    grid = make_grid(params, cfg.resolved_m1(), cfg.m2)
-    ops = build_operators(params, grid)
-    checks = list(check_advection_bounds(ops, params, tol=cfg.tol))
+def _run_check(ns: argparse.Namespace) -> int:
+    params = ns.params
+    ops = build_operators(params, ns.grid)
+    checks = list(check_advection_bounds(ops, params, tol=ns.tol))
     for name, block, omega in (
         ("adv_s", ops.adv_s, 0.5 * params.r),
         ("adv_v", ops.adv_v, 0.5 * params.kappa),
     ):
-        for c in check_exp_bound(block, omega, 1.0, cfg.t_samples, tol=cfg.tol):
+        for c in check_exp_bound(block, omega, 1.0, ns.t_samples, tol=ns.tol):
             checks.append(BoundCheck(f"{name}_{c.name}", c.lhs, c.rhs, c.tol))
-    mu_check, scaled, spectral = check_diffusion_contractivity(ops, cfg.t_samples, tol=cfg.tol)
+    mu_check, scaled, spectral = check_diffusion_contractivity(ops, ns.t_samples, tol=ns.tol)
     checks.append(mu_check)
     checks.extend(scaled)
     checks.extend(spectral)
     ok = _print_checks(checks)
-    if cfg.out is not None:
-        write_csv(checks, cfg.out, kind="check")
+    if ns.out is not None:
+        write_csv(checks, ns.out, kind="check")
     return 0 if ok else 1
 
 
-def _run_certificate(cfg: RunConfig) -> int:
-    params = _params_from(cfg)
-    grid = make_grid(params, cfg.resolved_m1(), cfg.m2)
-    ops = build_operators(params, grid)
-    t_ops = transformed_operators(grid)
-    checks = check_symbol_conditions(params, t_ops, tol=cfg.tol)
+def _run_certificate(ns: argparse.Namespace) -> int:
+    ops = build_operators(ns.params, ns.grid)
+    t_ops = transformed_operators(ns.grid)
+    checks = check_symbol_conditions(ns.params, t_ops, tol=ns.tol)
     rows = []
     for y in DEFAULT_Y_SAMPLES:
-        if abs(y) >= 0.5:
-            y_rows, check = certificate_case_large_y(t_ops, y, tol=cfg.tol)
-        else:
-            y_rows, check = certificate_case_small_y(grid, y, tol=cfg.tol)
+        certify = certificate_case_large_y if abs(y) >= 0.5 else certificate_case_small_y
+        y_rows, check = certify(t_ops, y, tol=ns.tol)
         rows.extend(y_rows)
         checks.append(check)
-    _, B0, B1 = diffusion_block_reduction(params, ops, t_ops)
-    checks.append(check_block_toeplitz_symbol_bound(B0, B1, grid.m2))
+    _, B0, B1 = diffusion_block_reduction(ns.params, ops, t_ops)
+    checks.append(check_block_toeplitz_symbol_bound(B0, B1, ns.grid.m2))
     ok = _print_checks(checks)
-    if cfg.out is not None:
-        with open(cfg.out, "w", newline="\n") as fh:
+    if ns.out is not None:
+        with open(ns.out, "w", newline="\n") as fh:
             fh.write(format_certificate_report(rows, checks))
     return 0 if ok else 1
 
 
-def _run_sweep(cfg: RunConfig) -> int:
-    sweep_cfg = SweepConfig(
-        m2_values=cfg.m2_values,
-        sigma_values=cfg.sigma_values,
-        rho_values=cfg.rho_values,
-        L_values=cfg.L_values,
-        S=cfg.S,
-        V=cfg.V,
-        r=cfg.r,
-        kappa=cfg.kappa,
-        eta=cfg.eta,
-    )
-    records = run_sweep(sweep_cfg, tol=cfg.tol)
+def _run_sweep(ns: argparse.Namespace) -> int:
+    records = run_sweep(ns.sweep, tol=ns.tol)
     ok = True
     for rec in records:
         if rec.error:
@@ -386,28 +290,28 @@ def _run_sweep(cfg: RunConfig) -> int:
             f"max_norm2={rec.max_norm2:.9g} at t={rec.t_argmax:g}, bound={rec.bound:.9g}"
         )
         ok &= rec.within_bound
-    if len(cfg.L_values) == 2:
-        lo, hi = sorted(cfg.L_values)
+    if len(ns.L_values) == 2:
+        lo, hi = sorted(ns.L_values)
         ok &= _print_checks(compare_L_effect(records, L_low=lo, L_high=hi))
-    if cfg.out is not None:
-        write_csv(records, cfg.out, kind="sweep")
-    if cfg.plot_dir is not None:
-        emit_plot_data(records, cfg.plot_dir)
+    if ns.out is not None:
+        write_csv(records, ns.out, kind="sweep")
+    if ns.plot_dir is not None:
+        emit_plot_data(records, ns.plot_dir)
     if any(rec.error for rec in records):
         return 3
     return 0 if ok else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    ns = parse_args(sys.argv[1:] if argv is None else argv)
     runner = {
         "operators": _run_operators,
         "check": _run_check,
         "certificate": _run_certificate,
         "sweep": _run_sweep,
-    }[cfg.command]
+    }[ns.command]
     try:
-        return runner(cfg)
+        return runner(ns)
     except (OverflowError, ArithmeticError, np.linalg.LinAlgError) as err:  # numerical failure
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

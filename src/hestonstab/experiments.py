@@ -36,6 +36,12 @@ __all__ = [
 ]
 
 
+# The scan's span, coarse step and number of tenfold refinements.
+_T_MAX = 100.0
+_COARSE_STEP = 1.0
+_REFINE_LEVELS = 2
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Parameter sets for the sweep; defaults reproduce the reference runs.
@@ -53,9 +59,6 @@ class SweepConfig:
     r: float = 0.05
     kappa: float = 2.0
     eta: float = 0.04
-    t_max: float = 100.0
-    coarse_step: float = 1.0
-    refine_levels: int = 2
 
     @staticmethod
     def full_m2_values() -> tuple:
@@ -168,7 +171,9 @@ def _expm_at(A: np.ndarray, t: float) -> np.ndarray:
         raise OverflowError(f"semigroup norm scan overflowed at t = {t:g}: {err}") from err
 
 
-def max_norm_over_t(A, t_max: float = 100.0, coarse_step: float = 1.0, refine_levels: int = 2):
+def max_norm_over_t(
+    A, t_max: float = _T_MAX, coarse_step: float = _COARSE_STEP, refine_levels: int = _REFINE_LEVELS
+):
     """Estimated maximum over t in [0, t_max] of ||e^{tA}||_2 and its location.
 
     Returns (max_value, t_argmax).  The D-scaled maximum of the diffusion
@@ -216,7 +221,7 @@ def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
                 raise ArithmeticError(f"diffusion is not contractive in the D-norm: mu_D = {mu:.6g} > 0")
             tracker = _NormTracker()
             tail = (math.sqrt(d.max() / d.min()), mu)
-            _scan_norms(diffusion, tracker, cfg.t_max, cfg.coarse_step, cfg.refine_levels, tail)
+            _scan_norms(diffusion, tracker, _T_MAX, _COARSE_STEP, _REFINE_LEVELS, tail)
             max_norm2, t_argmax, max_normD, error = tracker.best, tracker.t_best, 1.0, ""
         except (OverflowError, ArithmeticError, np.linalg.LinAlgError) as err:
             max_norm2 = t_argmax = max_normD = math.nan

@@ -48,14 +48,13 @@ class StencilSet:
 
     d1_s, d2_s are the m1 x m1 first/second-difference matrices in the price
     direction (scaled by 1/(2 ds) and 1/ds^2); d1_v, d2_v are their m2 x m2
-    variance-direction analogues; shift_v is the m2 x m2 forward shift.
+    variance-direction analogues.
     """
 
     d1_s: np.ndarray
     d2_s: np.ndarray
     d1_v: np.ndarray
     d2_v: np.ndarray
-    shift_v: np.ndarray
 
 
 def build_stencils(grid: GridSpec) -> StencilSet:
@@ -66,7 +65,6 @@ def build_stencils(grid: GridSpec) -> StencilSet:
         d2_s=tridiag(m1, 1.0, -2.0, 1.0) / grid.ds**2,
         d1_v=tridiag(m2, -1.0, 0.0, 1.0) / (2.0 * grid.dv),
         d2_v=tridiag(m2, 1.0, -2.0, 1.0) / grid.dv**2,
-        shift_v=forward_shift(m2),
     )
 
 

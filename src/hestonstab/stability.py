@@ -393,8 +393,8 @@ def _small_y_weights(nu_ld: np.ndarray):
     return eps
 
 
-def certificate_case_small_y(grid: GridSpec, y: float, tol: float = 1e-8):
-    """Row certificate for the tridiagonal family when |y| < 1/2.
+def certificate_case_small_y(t_ops: TransformedOperators, y: float, tol: float = 1e-8):
+    """Row certificate for the tridiagonal family on ``t_ops.grid`` when |y| < 1/2.
 
     A diagonal similarity with weights whose consecutive ratios are eps_j
     turns the row sums into alpha_i + eps_i |beta_i| + |gamma_i| / eps_{i+1}.
@@ -411,6 +411,7 @@ def certificate_case_small_y(grid: GridSpec, y: float, tol: float = 1e-8):
     """
     if abs(y) >= 0.5:
         raise ValueError(f"this certificate covers |y| < 1/2, got y = {y}")
+    grid = t_ops.grid
     nu64, alpha, beta_mag, gamma_mag = _family_entries(grid, y)
     nu = nu64.astype(np.longdouble)
     eps = _small_y_weights(nu)

@@ -177,7 +177,7 @@ def test_criterion_5_certificate_chain():
                         ok &= row.alpha + row.beta_mag + row.gamma_mag <= 2.0 * y**2 + 1e-8
                         ok &= quartic_value(row.nu, theta) >= 0.0
                 else:
-                    rows, check = certificate_case_small_y(grid, y)
+                    rows, check = certificate_case_small_y(t_ops, y)
                     ok &= check.holds
                     for row in rows[1:-1]:
                         if row.nu >= 2.0:

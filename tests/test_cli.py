@@ -11,16 +11,16 @@ from hestonstab.cli import emit_plot_data, main, parse_args, write_csv
 
 def test_sweep_defaults_match_reference_sets():
     cfg = parse_args(["sweep"])
-    assert cfg.m2_values == (5, 7, 9, 11, 13, 15)
-    assert cfg.sigma_values == (0.1, 0.2)
-    assert cfg.rho_values == (-1.0, 0.0, 1.0)
-    assert cfg.L_values == (0.0, 10.0)
-    assert cfg.S == 800.0 and cfg.V == 5.0
+    assert cfg.sweep.m2_values == (5, 7, 9, 11, 13, 15)
+    assert cfg.sweep.sigma_values == (0.1, 0.2)
+    assert cfg.sweep.rho_values == (-1.0, 0.0, 1.0)
+    assert cfg.sweep.L_values == (0.0, 10.0)
+    assert cfg.sweep.S == 800.0 and cfg.sweep.V == 5.0
 
 
 def test_sweep_full_flag_extends_meshes():
     cfg = parse_args(["sweep", "--full"])
-    assert cfg.m2_values == tuple(range(5, 26, 2))
+    assert cfg.sweep.m2_values == tuple(range(5, 26, 2))
 
 
 def test_check_flag_mapping():
@@ -29,14 +29,14 @@ def test_check_flag_mapping():
          "--rho", "-0.5", "--m2", "5"]
     )
     assert cfg.command == "check"
-    assert cfg.rho == -0.5
-    assert cfg.m2 == 5
-    assert cfg.resolved_m1() == 10  # defaults to 2 * m2
+    assert cfg.params.rho == -0.5
+    assert cfg.grid.m2 == 5
+    assert cfg.grid.m1 == 10  # defaults to 2 * m2
 
 
 def test_explicit_m1_override():
     cfg = parse_args(["check", "--m1", "7", "--m2", "5"])
-    assert cfg.resolved_m1() == 7
+    assert cfg.grid.m1 == 7
 
 
 @pytest.mark.parametrize(
@@ -53,6 +53,31 @@ def test_explicit_m1_override():
     ids=["rho-1.5", "r-inf", "S-inf", "kappa-nan", "L-neg-inf", "V-inf", "sigma-inf"],
 )
 def test_invalid_param_exits_with_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "--m2", "3", "--t-samples=-1"], "--t-samples must be finite and >= 0, got -1"),
+        (["check", "--m2", "3", "--t-samples", "nan"], "--t-samples must be finite and >= 0, got nan"),
+        (["check", "--m2", "3", "--t-samples", "inf"], "--t-samples must be finite and >= 0, got inf"),
+        (["check", "--m2", "3", "--tol", "nan"], "--tol must be finite, got nan"),
+        (["certificate", "--m2", "3", "--tol", "inf"], "--tol must be finite, got inf"),
+        (["sweep", "--m2-values", "3", "--tol=-inf"], "--tol must be finite, got -inf"),
+        (["sweep", "--m2-values="], "non-empty"),
+        (["sweep", "--sigma-values="], "non-empty"),
+        (["sweep", "--rho-values="], "non-empty"),
+        (["sweep", "--L-values="], "non-empty"),
+        (["check", "--t-samples="], "non-empty"),
+    ],
+    ids=["t-neg", "t-nan", "t-inf", "check-tol-nan", "certificate-tol-inf", "sweep-tol-neg-inf",
+         "empty-m2", "empty-sigma", "empty-rho", "empty-L", "empty-t"],
+)
+def test_bad_sample_tolerance_or_list_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -80,9 +105,9 @@ def test_bad_mesh_count_rejected():
 def test_sweep_list_flags():
     cfg = parse_args(["sweep", "--m2-values", "5,9", "--sigma-values", "0.2",
                       "--rho-values=-1,0,1", "--L-values", "0,10"])
-    assert cfg.m2_values == (5, 9)
-    assert cfg.sigma_values == (0.2,)
-    assert cfg.rho_values == (-1.0, 0.0, 1.0)
+    assert cfg.sweep.m2_values == (5, 9)
+    assert cfg.sweep.sigma_values == (0.2,)
+    assert cfg.sweep.rho_values == (-1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

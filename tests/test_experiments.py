@@ -149,8 +149,8 @@ def test_sweep_case_call_counts(monkeypatch):
     d = scaling_diagonal(grid)
     mu = log_norm_D(build_operators(params, grid).diffusion, d).value
     assert tails == [(math.sqrt(d.max() / d.min()), mu)]
-    n_steps = round(cfg.t_max / cfg.coarse_step)
-    assert calls["expm"] <= 1 + 2 * cfg.refine_levels
+    n_steps = round(experiments._T_MAX / experiments._COARSE_STEP)
+    assert calls["expm"] <= 1 + 2 * experiments._REFINE_LEVELS
     assert calls["lanczos"] < (2 * (n_steps + 1)) / 2
 
 

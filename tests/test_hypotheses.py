@@ -54,5 +54,5 @@ def test_certificate_chain_holds_on_the_parameter_box(rho, sigma, S, L_fraction,
         if abs(y) >= 0.5:
             _, check = certificate_case_large_y(t_ops, y)
         else:
-            _, check = certificate_case_small_y(grid, y)
+            _, check = certificate_case_small_y(t_ops, y)
         assert check.holds, (y, check)

@@ -312,13 +312,13 @@ def test_large_y_certificate_holds(y):
 def test_small_y_wrong_branch_rejected():
     _, grid, _ = _setup()
     with pytest.raises(ValueError):
-        certificate_case_small_y(grid, 0.5)
+        certificate_case_small_y(transformed_operators(grid), 0.5)
 
 
 def test_small_y_frozen_values_at_nu_two():
     # L = 0 grid has nu_i = i, so row 2 carries nu = 2
     _, grid, _ = _setup(m1=10, m2=5, L=0.0)
-    rows, _ = certificate_case_small_y(grid, 0.1)
+    rows, _ = certificate_case_small_y(transformed_operators(grid), 0.1)
     row = rows[1]
     assert row.nu == pytest.approx(2.0, abs=1e-12)
     assert row.eps == pytest.approx(0.9375, abs=1e-12)
@@ -329,7 +329,7 @@ def test_small_y_frozen_values_at_nu_two():
 
 def test_small_y_bracket_agrees_with_closed_form():
     _, grid, _ = _setup(m1=20, m2=5, L=10.0)
-    rows, _ = certificate_case_small_y(grid, 0.3)
+    rows, _ = certificate_case_small_y(transformed_operators(grid), 0.3)
     for row in rows[1:-1]:
         assert abs(row.a - row.a_bracket) <= 1e-12
 
@@ -337,7 +337,7 @@ def test_small_y_bracket_agrees_with_closed_form():
 @pytest.mark.parametrize("L", [0.0, 10.0])
 def test_certificate_row_invariants(L):
     _, grid, _ = _setup(m1=9, m2=5, L=L)
-    rows, _ = certificate_case_small_y(grid, 0.2)
+    rows, _ = certificate_case_small_y(transformed_operators(grid), 0.2)
     for row in rows:
         assert row.nu >= row.i >= 1  # grid ratio dominates the row index
         if row.eps is not None:
@@ -347,7 +347,7 @@ def test_certificate_row_invariants(L):
 def test_small_y_evaluated_b_form():
     # b_i also equals (nu/2) [ (nu + 1/2)/nu^2 + (nu+1)^2 / ((nu+1/2)^2 (nu+3/2)) ]
     _, grid, _ = _setup(m1=12, m2=5, L=0.0)
-    rows, _ = certificate_case_small_y(grid, 0.2)
+    rows, _ = certificate_case_small_y(transformed_operators(grid), 0.2)
     for row in rows[1:-1]:
         nu = row.nu
         evaluated = 0.5 * nu * (
@@ -360,7 +360,7 @@ def test_small_y_evaluated_b_form():
 @pytest.mark.parametrize("L", [0.0, 10.0])
 def test_small_y_certificate_holds(y, L):
     _, grid, _ = _setup(m1=10, m2=5, L=L)
-    rows, check = certificate_case_small_y(grid, y)
+    rows, check = certificate_case_small_y(transformed_operators(grid), y)
     assert check.holds
     two_y2 = 2.0 * y**2
     eps_by_row = {row.i: row.eps for row in rows}
@@ -428,7 +428,7 @@ def test_log_norm_inf_dominates_real_spectrum(y):
 
 def test_certificate_report_format():
     _, grid, _ = _setup(m1=5, m2=4)
-    rows, check = certificate_case_small_y(grid, 0.2)
+    rows, check = certificate_case_small_y(transformed_operators(grid), 0.2)
     text = format_certificate_report(rows, [check])
     lines = text.strip().split("\n")
     assert len(lines) == len(rows) + 1
