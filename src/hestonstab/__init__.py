@@ -21,7 +21,6 @@ from .linalg import (
     log_norm_2,
     log_norm_D,
     log_norm_inf,
-    norm_expm,
     spectral_norm,
 )
 from .operators import (
@@ -84,7 +83,6 @@ __all__ = [
     "log_norm_inf",
     "make_grid",
     "max_norm_over_t",
-    "norm_expm",
     "run_sweep",
     "scaling_diagonal",
     "spectral_norm",

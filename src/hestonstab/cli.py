@@ -63,6 +63,9 @@ def _list(text: str, cast, kind: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected a comma-separated {kind} list: {err}")
     if not values:
         raise argparse.ArgumentTypeError(f"expected a non-empty comma-separated {kind} list")
+    repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeat is not None:
+        raise argparse.ArgumentTypeError(f"repeated value {repeat!r} in the {kind} list {text!r}")
     return values
 
 
@@ -240,11 +243,11 @@ def _run_check(ns: argparse.Namespace) -> int:
     params = ns.params
     ops = build_operators(params, ns.grid)
     checks = list(check_advection_bounds(ops, params, tol=ns.tol))
-    for name, block, omega in (
-        ("adv_s", ops.adv_s, 0.5 * params.r),
-        ("adv_v", ops.adv_v, 0.5 * params.kappa),
+    for name, factor, omega in (
+        ("adv_s", ops.adv_s_factor, 0.5 * params.r),
+        ("adv_v", ops.adv_v_factor, 0.5 * params.kappa),
     ):
-        for c in check_exp_bound(block, omega, 1.0, ns.t_samples, tol=ns.tol):
+        for c in check_exp_bound(factor, omega, 1.0, ns.t_samples, tol=ns.tol):
             checks.append(BoundCheck(f"{name}_{c.name}", c.lhs, c.rhs, c.tol))
     mu_check, scaled, spectral = check_diffusion_contractivity(ops, ns.t_samples, tol=ns.tol)
     checks.append(mu_check)

@@ -25,7 +25,6 @@ __all__ = [
     "log_norm_D",
     "log_norm_inf",
     "expm",
-    "norm_expm",
 ]
 
 #: Step budget of the scan's Lanczos kernel before it falls back to an SVD.
@@ -247,15 +246,3 @@ def expm(A, t: float = 1.0) -> np.ndarray:
         raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
     return R
 
-
-def norm_expm(A, t: float, D=None) -> float:
-    """Spectral norm of e^{tA}, or its D-scaled norm for a positive vector D.
-
-    The diagonal similarity is applied to the computed exponential, not
-    inside the exponential argument; the two agree in exact arithmetic and
-    this choice reuses a single expm evaluation per t.
-    """
-    E = expm(A, t)
-    if D is not None:
-        E = _scale_similar(E, D)
-    return spectral_norm(E).value

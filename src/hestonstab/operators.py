@@ -78,9 +78,17 @@ class OperatorSet:
     ``full`` is their sum minus the r*I reaction term; ``diffusion`` is
     diff_ss + mixed_sv + diff_vv (the part covered by the contractivity
     result).
+
+    adv_s = I2 (x) adv_s_factor and adv_v = adv_v_factor (x) I1, with the 1-D
+    factors r Ds d1_s (m1 x m1) and kappa (eta I - Dv) d1_v (m2 x m2).  As
+    e^{t(I (x) B)} = I (x) e^{tB}, ||I (x) X||_2 = ||X||_2 and
+    mu2[I (x) X] = mu2[X] (likewise for X (x) I), the advection checks run
+    on the factors; the dense blocks serve ``full`` and the ``operators`` dump.
     """
 
     grid: GridSpec
+    adv_s_factor: np.ndarray
+    adv_v_factor: np.ndarray
     adv_s: np.ndarray
     adv_v: np.ndarray
     diff_ss: np.ndarray
@@ -98,8 +106,10 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
     I1 = np.eye(grid.m1)
     I2 = np.eye(grid.m2)
 
-    adv_s = params.r * np.kron(I2, Ds @ st.d1_s)
-    adv_v = params.kappa * np.kron((params.eta * I2 - Dv) @ st.d1_v, I1)
+    adv_s_factor = params.r * (Ds @ st.d1_s)
+    adv_v_factor = params.kappa * ((params.eta * I2 - Dv) @ st.d1_v)
+    adv_s = np.kron(I2, adv_s_factor)
+    adv_v = np.kron(adv_v_factor, I1)
     diff_ss = 0.5 * np.kron(Dv, Ds @ Ds @ st.d2_s)
     mixed_sv = params.rho * params.sigma * np.kron(Dv @ st.d1_v, Ds @ st.d1_s)
     diff_vv = 0.5 * params.sigma**2 * np.kron(Dv @ st.d2_v, I1)
@@ -108,6 +118,8 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
     full = adv_s + adv_v + diffusion - params.r * np.eye(grid.m)
     return OperatorSet(
         grid=grid,
+        adv_s_factor=adv_s_factor,
+        adv_v_factor=adv_v_factor,
         adv_s=adv_s,
         adv_v=adv_v,
         diff_ss=diff_ss,

@@ -117,14 +117,17 @@ class CertificateRow:
 def check_advection_bounds(ops: OperatorSet, params: HestonParams, tol: float = 1e-8):
     """Log-norm bounds for the two advection blocks.
 
-    Returns checks mu2[adv_s] <= r/2 and mu2[adv_v] <= kappa/2.  The computed
-    log norms are also compared against their sharp closed forms
-    (r/2)cos(pi/(m1+1)) and (kappa/2)cos(pi/(m2+1)); disagreement beyond 1e-8
-    raises, since those values are exact for these operators.
+    Returns checks mu2[adv_s] <= r/2 and mu2[adv_v] <= kappa/2.  The log
+    norms are taken on the 1-D factors, which is exact: the Hermitian part
+    of I (x) X is I (x) He(X), with the spectrum of He(X), so
+    mu2[I (x) X] = mu2[X (x) I] = mu2[X].  They are also compared against
+    their sharp closed forms (r/2)cos(pi/(m1+1)) and (kappa/2)cos(pi/(m2+1));
+    disagreement beyond 1e-8 raises, since those values are exact for these
+    operators.
     """
     m1, m2 = ops.grid.m1, ops.grid.m2
-    mu_s = log_norm_2(ops.adv_s).value
-    mu_v = log_norm_2(ops.adv_v).value
+    mu_s = log_norm_2(ops.adv_s_factor).value
+    mu_v = log_norm_2(ops.adv_v_factor).value
     sharp_s = 0.5 * params.r * math.cos(math.pi / (m1 + 1))
     sharp_v = 0.5 * params.kappa * math.cos(math.pi / (m2 + 1))
     if abs(mu_s - sharp_s) > 1e-8 * max(1.0, params.r):
@@ -382,17 +385,6 @@ def certificate_case_large_y(t_ops: TransformedOperators, y: float, tol: float =
     return rows, check
 
 
-def _small_y_weights(nu_ld: np.ndarray):
-    """Diagonal weight ratios eps_j = (nu_j - 1/2)(nu_j + 1/2) / nu_j^2.
-
-    Indexed like the grid rows; eps[0] is unused (the weights enter only
-    from the second row on).  Computed in extended precision because the
-    bracket expressions below suffer heavy cancellation.
-    """
-    eps = (nu_ld - 0.5) * (nu_ld + 0.5) / nu_ld**2
-    return eps
-
-
 def certificate_case_small_y(t_ops: TransformedOperators, y: float, tol: float = 1e-8):
     """Row certificate for the tridiagonal family on ``t_ops.grid`` when |y| < 1/2.
 
@@ -413,8 +405,10 @@ def certificate_case_small_y(t_ops: TransformedOperators, y: float, tol: float =
         raise ValueError(f"this certificate covers |y| < 1/2, got y = {y}")
     grid = t_ops.grid
     nu64, alpha, beta_mag, gamma_mag = _family_entries(grid, y)
+    # Weight ratios eps_j = (nu_j - 1/2)(nu_j + 1/2) / nu_j^2, indexed like the rows (eps[0]
+    # unused), in extended precision because the bracket expressions below cancel heavily.
     nu = nu64.astype(np.longdouble)
-    eps = _small_y_weights(nu)
+    eps = (nu - 0.5) * (nu + 0.5) / nu**2
     m1 = grid.m1
 
     rows = []

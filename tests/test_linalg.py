@@ -20,12 +20,11 @@ from hestonstab import (
     log_norm_D,
     log_norm_inf,
     make_grid,
-    norm_expm,
     scaling_diagonal,
     spectral_norm,
 )
 from hestonstab import linalg
-from hestonstab.linalg import _sigma_max_lanczos
+from hestonstab.linalg import _scale_similar, _sigma_max_lanczos
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -232,7 +231,7 @@ def test_scaling_diagonal_must_be_a_matching_vector(D):
     with pytest.raises(ValueError, match="does not match"):
         log_norm_D(np.eye(3), D)
     with pytest.raises(ValueError, match="does not match"):
-        norm_expm(np.eye(3), 1.0, D=D)
+        _scale_similar(expm(np.eye(3), 1.0), D)
 
 
 def test_scaled_norms_apply_the_same_similarity():
@@ -244,7 +243,8 @@ def test_scaled_norms_apply_the_same_similarity():
     similar = (A * rt[None, :]) / rt[:, None]
     assert log_norm_D(A, d).value == log_norm_2(similar).value
     E = expm(A, 2.0)
-    assert norm_expm(A, 2.0, D=d) == spectral_norm((E * rt[None, :]) / rt[:, None]).value
+    scaled = spectral_norm(_scale_similar(E, d)).value
+    assert scaled == spectral_norm((E * rt[None, :]) / rt[:, None]).value
 
 
 def test_log_norm_D_rejects_nonpositive_diagonal():
@@ -324,25 +324,26 @@ def test_expm_overflow_raises():
 # norms of exponentials
 # ---------------------------------------------------------------------------
 
-def test_norm_expm_orthogonal_flow():
+def test_norm_of_expm_orthogonal_flow():
     K = np.array([[0.0, 2.0], [-2.0, 0.0]])
     for t in (0.1, 1.0, 7.5):
-        assert norm_expm(K, t) == pytest.approx(1.0, abs=1e-10)
+        assert spectral_norm(expm(K, t)).value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_norm_expm_decay():
-    assert norm_expm(-np.eye(4), 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+def test_norm_of_expm_decay():
+    assert spectral_norm(expm(-np.eye(4), 2.0)).value == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
-def test_norm_expm_scaled_vs_plain_bound():
+def test_norm_of_expm_scaled_vs_plain_bound():
     params = HestonParams(**dict(BASE, rho=0.8), L=10.0, S=800.0, V=5.0)
     grid = make_grid(params, 8, 5)
     ops = build_operators(params, grid)
     d = scaling_diagonal(grid)
     ratio = math.sqrt(d.max() / d.min())
     for t in (0.5, 2.0):
-        plain = norm_expm(ops.diffusion, t)
-        scaled = norm_expm(ops.diffusion, t, D=d)
+        E = expm(ops.diffusion, t)
+        plain = spectral_norm(E).value
+        scaled = spectral_norm(_scale_similar(E, d)).value
         assert plain <= ratio * scaled + 1e-8
 
 
@@ -352,7 +353,7 @@ def test_exp_bound_from_log_norm(seed):
     A = rng.standard_normal((10, 10))
     omega = log_norm_2(A).value
     for t in (0.1, 1.0, 5.0):
-        assert norm_expm(A, t) <= math.exp(t * omega) + 1e-8
+        assert spectral_norm(expm(A, t)).value <= math.exp(t * omega) + 1e-8
 
 
 def test_report_fields_consistent():

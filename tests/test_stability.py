@@ -67,6 +67,31 @@ def test_advection_log_norm_monotone_in_mesh():
     assert values[0] < values[1] < values[2]
 
 
+@pytest.mark.parametrize(
+    "m1,m2,extra",
+    [(6, 3, {}), (5, 4, {"rho": 0.3}), (8, 4, {"rho": -1.0, "L": 10.0, "sigma": 0.1})],
+    ids=["m1=2m2", "m1!=2m2", "rho=-1,L=10"],
+)
+def test_advection_factors_give_the_dense_blocks_results(m1, m2, extra):
+    params, grid, ops = _setup(m1=m1, m2=m2, **extra)
+    np.testing.assert_array_equal(ops.adv_s, np.kron(np.eye(m2), ops.adv_s_factor))
+    np.testing.assert_array_equal(ops.adv_v, np.kron(ops.adv_v_factor, np.eye(m1)))
+
+    c_s, c_v = check_advection_bounds(ops, params)
+    assert c_s.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_s + ops.adv_s.T)), abs=1e-10)
+    assert c_v.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_v + ops.adv_v.T)), abs=1e-10)
+
+    t_samples = [0.0, 0.5, 2.0, 10.0]
+    for factor, block, omega in ((ops.adv_s_factor, ops.adv_s, 0.5 * params.r),
+                                 (ops.adv_v_factor, ops.adv_v, 0.5 * params.kappa)):
+        on_factor = check_exp_bound(factor, omega, 1.0, t_samples)
+        on_block = check_exp_bound(block, omega, 1.0, t_samples)
+        assert [c.name for c in on_factor] == [c.name for c in on_block]
+        for f, b in zip(on_factor, on_block):
+            assert f.lhs == pytest.approx(b.lhs, rel=1e-12)
+            assert f.rhs == b.rhs
+
+
 # ---------------------------------------------------------------------------
 # exponential growth bound checks
 # ---------------------------------------------------------------------------
