@@ -245,4 +245,3 @@ def expm(A, t: float = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(R)):
         raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
     return R
-

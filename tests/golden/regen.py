@@ -46,6 +46,7 @@ CASES = {
 
 def run_case(name: str, workdir: Path) -> None:
     """Run case ``name`` with its outputs, stdout and exit code in ``workdir``."""
+    # imported here so that running this file as a script can put src/ on the path first
     from hestonstab.cli import main
 
     workdir.mkdir(parents=True)
