@@ -2,7 +2,10 @@
 
 Each case runs ``hestonstab.cli.main`` in process and writes, into a
 directory named after the case, its standard output (``stdout.txt``), its
-exit code (``exit_code.txt``) and every file it was told to write.
+standard error (``stderr.txt``), its exit code (``exit_code.txt``) and every
+file it was told to write.  In both streams the case's directory reads as
+``<case>``, and argparse formats usage for an 80-column terminal, so the
+text does not depend on where or in which terminal the case runs.
 
 Usage, from the root of a checkout:
 
@@ -17,9 +20,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shutil
 import sys
 from pathlib import Path
+from unittest import mock
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -41,11 +46,22 @@ CASES = {
        for w in _OPERATORS},
     "sweep": ["sweep", "--m2-values", "5,7", "--sigma-values", "0.2", "--rho-values=-1,1",
               "--L-values", "0,10", "--out", "sweep.csv", "--plot-dir", "series"],
+    # unsorted t samples: several groups that differ by powers of two, and lone samples
+    "check-m2_4_t-samples": ["check", "--m2", "4", "--t-samples",
+                             "2,0,0.25,3,0.5,40,1,5,7.5,10,20", "--out", "check.csv"],
+    "operators-diffusion-out": ["operators", "--which", "diffusion", "--m2", "4",
+                                "--out", "diffusion.txt"],
+    # error paths: a failed check (1), a validation error (2), an I/O failure (3)
+    "check-m2_4_tol-1": ["check", "--m2", "4", "--tol", "-1"],
+    "check-m2_4_rho1.5": ["check", "--m2", "4", "--rho", "1.5"],
+    "check-m2_4_out-missing": ["check", "--m2", "4", "--out", "missing/check.csv"],
 }
+
+PLACEHOLDER = "<case>"
 
 
 def run_case(name: str, workdir: Path) -> None:
-    """Run case ``name`` with its outputs, stdout and exit code in ``workdir``."""
+    """Run case ``name`` with its outputs, stdout, stderr and exit code in ``workdir``."""
     # imported here so that running this file as a script can put src/ on the path first
     from hestonstab.cli import main
 
@@ -54,13 +70,15 @@ def run_case(name: str, workdir: Path) -> None:
     for i, flag in enumerate(argv[:-1]):
         if flag in ("--out", "--plot-dir"):
             argv[i + 1] = str(workdir / argv[i + 1])
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    (workdir / "stdout.txt").write_text(buf.getvalue())
+    (workdir / "stdout.txt").write_text(out.getvalue().replace(str(workdir), PLACEHOLDER))
+    (workdir / "stderr.txt").write_text(err.getvalue().replace(str(workdir), PLACEHOLDER))
     (workdir / "exit_code.txt").write_text(f"{code}\n")
 
 

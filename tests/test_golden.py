@@ -2,7 +2,8 @@
 
 Text, line structure, file names and exit codes must match exactly; each
 numeric token must agree within ``REL_TOL`` relative or ``ABS_TOL``
-absolute (the latter for values near 0, such as margins).  Regenerate the
+absolute (the latter for values near 0, such as margins).  Standard error
+(``stderr.txt``) must match character for character.  Regenerate the
 files with ``python3 tests/golden/regen.py``.
 """
 
@@ -53,8 +54,12 @@ def test_output_matches_golden(name, tmp_path):
     assert _files(actual) == _files(golden)
     problems = []
     for rel in sorted(_files(golden)):
-        problems += [f"{rel}: {p}" for p in _mismatches((golden / rel).read_text(),
-                                                        (actual / rel).read_text())]
+        expected, got = (golden / rel).read_text(), (actual / rel).read_text()
+        if rel == "stderr.txt":
+            if got != expected:
+                problems.append(f"{rel}: expected {expected!r}, got {got!r}")
+        else:
+            problems += [f"{rel}: {p}" for p in _mismatches(expected, got)]
     assert not problems, "\n".join(problems[:20])
 
 
