@@ -17,6 +17,7 @@ from .grid import GridSpec, HestonParams, make_grid, scaling_diagonal
 from .linalg import (
     NormReport,
     expm,
+    expm_samples,
     lambda_max_hermitian,
     log_norm_2,
     log_norm_D,
@@ -75,6 +76,7 @@ __all__ = [
     "compare_L_effect",
     "diffusion_block_reduction",
     "expm",
+    "expm_samples",
     "format_certificate_report",
     "forward_shift",
     "lambda_max_hermitian",

@@ -8,12 +8,20 @@ nearby matrices; for it a private, warm-started Lanczos kernel on X*X
 (``_sigma_max_lanczos``) carries the previous Ritz vector from sample to
 sample and falls back to a dense SVD, reported as method "direct-small",
 when its step budget runs out.
+
+``expm_samples`` evaluates e^{tA} at several t by scaling and squaring.
+Samples whose scaled matrices tA / 2^s are equal (same mantissa of t, same
+binary exponent of t minus squaring count s) share one Pade evaluation and
+one squaring chain, and each is taken from the chain after its own s
+squarings.  Scaling by a power of two is exact, so each result is bitwise
+the one a single-sample call gives; ``expm`` is that single-sample call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +33,7 @@ __all__ = [
     "log_norm_D",
     "log_norm_inf",
     "expm",
+    "expm_samples",
 ]
 
 #: Step budget of the scan's Lanczos kernel before it falls back to an SVD.
@@ -207,41 +216,86 @@ _PADE13 = (
 )
 
 
-def expm(A, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^{tA} by scaling and squaring with Pade order 13.
+def _pade13(X: np.ndarray) -> np.ndarray:
+    """Degree-13 diagonal Pade approximant r_13(X) to e^X."""
+    ident = np.eye(X.shape[0], dtype=X.dtype)
+    b = _PADE13
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident)
+    V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident
+    return np.linalg.solve(V - U, V + U)
 
-    The squaring count is chosen so the scaled matrix has 1-norm at most 1.
-    Raises OverflowError when the result grows beyond the representable
-    range, identifying the size of the scaled problem.
+
+def expm_samples(A, ts: Iterable[float]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (index, e^{t A}) for every t of ``ts``, by scaling and squaring with Pade order 13.
+
+    Each t gets the squaring count s, the smallest s >= 0 with
+    ||tA||_1 <= 2^s, read exactly off ``math.frexp``.  Samples with the
+    same scaled matrix tA / 2^s -- t = m 2^e with the same mantissa m and
+    the same e - s, such as 0.5, 1 and 2 once ||0.5 A||_1 > 1 -- share one
+    Pade evaluation, and each is yielded from one squaring chain once its
+    own s squarings are done.  Multiplying by a power of two is exact
+    (absent subnormal entries), so every result is bitwise the one a call
+    with that t alone gives.  Results come in chain order, not in the
+    order of ``ts``; a yielded matrix is the chain's working matrix and
+    must not be modified in place.
+
+    Every t is validated before any work: a negative or non-finite t
+    raises ValueError.  Raises OverflowError when a result grows beyond the
+    representable range, identifying the size of that sample's problem.
     """
     A = _as_matrix(A)
     n, nc = A.shape
     if n != nc:
         raise ValueError("matrix must be square")
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-    X = t * A.astype(np.complex128 if np.iscomplexobj(A) else np.float64)
-    norm1 = float(np.abs(X).sum(axis=0).max())
-    if norm1 == 0.0:
-        return np.eye(n, dtype=X.dtype)
-    squarings = 0 if norm1 <= 1.0 else int(math.ceil(math.log2(norm1)))
-    Xs = X / (2.0**squarings)
+    ts = list(ts)
+    for t in ts:
+        if not (np.isfinite(t) and t >= 0):
+            raise ValueError(f"t must be finite and nonnegative, got {t}")
+    A = A.astype(np.complex128 if np.iscomplexobj(A) else np.float64, copy=False)
 
-    ident = np.eye(n, dtype=X.dtype)
-    b = _PADE13
-    X2 = Xs @ Xs
-    X4 = X2 @ X2
-    X6 = X4 @ X2
-    U = Xs @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident)
-    V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident
-    R = np.linalg.solve(V - U, V + U)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            R = R @ R
-            if not np.all(np.isfinite(R)):
-                raise OverflowError(
-                    f"matrix exponential overflowed during squaring: ||tA||_1 = {norm1:.6g}"
-                )
-    if not np.all(np.isfinite(R)):
-        raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
-    return R
+    # scaled-matrix key -> [(squarings, index, t, ||tA||_1)], in order of first appearance
+    groups: dict = {}
+    for i, t in enumerate(ts):
+        norm1 = float(np.abs(t * A).sum(axis=0).max())
+        if not math.isfinite(norm1):
+            raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
+        if norm1 == 0.0:
+            key, squarings = None, 0
+        else:
+            mant, exp = math.frexp(norm1)
+            squarings = max(0, exp - (mant == 0.5))
+            t_mant, t_exp = math.frexp(t)
+            key = (t_mant, t_exp - squarings)
+        groups.setdefault(key, []).append((squarings, i, t, norm1))
+
+    for key, members in groups.items():
+        if key is None:
+            for _, i, _, _ in members:
+                yield i, np.eye(n, dtype=A.dtype)
+            continue
+        members.sort()
+        squarings, _, t, _ = members[0]
+        R = _pade13((t * A) / (2.0**squarings))
+        done = 0
+        for squarings, i, _, norm1 in members:
+            # the error state is restored before each yield, so the caller keeps its own
+            with np.errstate(over="ignore", invalid="ignore"):
+                while done < squarings:
+                    R = R @ R
+                    done += 1
+                    if not np.all(np.isfinite(R)):
+                        raise OverflowError(
+                            f"matrix exponential overflowed during squaring: ||tA||_1 = {norm1:.6g}"
+                        )
+            if squarings == 0 and not np.all(np.isfinite(R)):
+                raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
+            yield i, R
+
+
+def expm(A, t: float = 1.0) -> np.ndarray:
+    """Matrix exponential e^{tA}: the single-sample case of ``expm_samples``."""
+    ((_, E),) = expm_samples(A, (t,))
+    return E

@@ -15,6 +15,7 @@ from hestonstab import (
     HestonParams,
     build_operators,
     expm,
+    expm_samples,
     lambda_max_hermitian,
     log_norm_2,
     log_norm_D,
@@ -318,6 +319,87 @@ def test_expm_rejects_bad_t():
 def test_expm_overflow_raises():
     with pytest.raises(OverflowError):
         expm(np.array([[1.0]]), 1000.0)
+
+
+def _one_at_a_time(A, ts):
+    return {i: expm(A, t) for i, t in enumerate(ts)}
+
+
+def _count_pade(monkeypatch) -> list:
+    """Record the shape of every Pade evaluation made from here on."""
+    calls = []
+    real = linalg._pade13
+
+    def counted(X):
+        calls.append(X.shape)
+        return real(X)
+
+    monkeypatch.setattr(linalg, "_pade13", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        [0.0],
+        [0.0, 0.5, 1.0, 2.0, 5.0, 10.0],
+        [1.5, 0.25, 1.5, 3.0],  # a repeated t
+        [10.0, 0.5, 3.0, 0.0, 20.0, 2.0, 7.5, 1.0, 40.0, 5.0],  # unsorted
+    ],
+)
+def test_expm_samples_bitwise_equal_to_expm(ts):
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((8, 8))
+    got = dict(expm_samples(A, ts))
+    assert sorted(got) == list(range(len(ts)))
+    for i, E in _one_at_a_time(A, ts).items():
+        assert np.array_equal(got[i], E), ts[i]
+
+
+def test_expm_samples_unscaled_t_beside_its_dyadic_multiples(monkeypatch):
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 6))
+    t = 0.25 / float(np.abs(A).sum(axis=0).max())  # ||tA||_1 = 0.25: no squaring
+    ts = [t * 2.0**k for k in range(7)]  # ||tA||_1 = 0.25 ... 16
+    pade = _count_pade(monkeypatch)
+    got = dict(expm_samples(A, ts))
+    # t and 2t scale to themselves; 4t ... 64t share the scaled matrix 4tA
+    assert len(pade) == 3
+    for i, E in _one_at_a_time(A, ts).items():
+        assert np.array_equal(got[i], E), ts[i]
+
+
+def test_expm_samples_complex():
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    ts = [3.0, 0.75, 1.5, 0.3]
+    got = dict(expm_samples(A, ts))
+    for i, E in _one_at_a_time(A, ts).items():
+        assert got[i].dtype == np.complex128
+        assert np.array_equal(got[i], E), ts[i]
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_expm_samples_validates_every_t_first(bad, monkeypatch):
+    monkeypatch.setattr(linalg, "_pade13", lambda X: pytest.fail("Pade evaluated"))
+    samples = expm_samples(np.eye(2), [0.0, 1.0, bad])
+    with pytest.raises(ValueError):
+        next(samples)
+
+
+def test_expm_samples_overflow_raises():
+    with pytest.raises(OverflowError):
+        dict(expm_samples(np.array([[1.0]]), [1.0, 1000.0]))
+
+
+def test_expm_samples_default_t_samples_make_two_pade_evaluations(monkeypatch):
+    calls = _count_pade(monkeypatch)
+    params = HestonParams(**dict(BASE, rho=0.0), L=0.0, S=800.0, V=5.0)
+    A = build_operators(params, make_grid(params, 26, 13)).diffusion
+    got = dict(expm_samples(A, (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)))
+    assert sorted(got) == list(range(6))
+    # {0} is the identity; {0.5, 1, 2} and {5, 10} each share one Pade evaluation
+    assert calls == [(338, 338)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,12 @@ def test_diffusion_contractivity(rho):
     assert spectral[0].rhs == pytest.approx(ratio)
 
 
+def test_diffusion_contractivity_rejects_negative_t():
+    _, _, ops = _setup(m1=6, m2=3, rho=0.0)
+    with pytest.raises(ValueError):
+        check_diffusion_contractivity(ops, [0.5, -1.0])
+
+
 # ---------------------------------------------------------------------------
 # symbol machinery
 # ---------------------------------------------------------------------------
