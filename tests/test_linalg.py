@@ -338,6 +338,7 @@ def _count_pade(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize(
     "ts",
     [
@@ -347,12 +348,15 @@ def _count_pade(monkeypatch) -> list:
         [10.0, 0.5, 3.0, 0.0, 20.0, 2.0, 7.5, 1.0, 40.0, 5.0],  # unsorted
     ],
 )
-def test_expm_samples_bitwise_equal_to_expm(ts):
+def test_expm_samples_bitwise_equal_to_expm(ts, complex_):
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 8))
+    if complex_:
+        A = A + 1j * rng.standard_normal((8, 8))
     got = dict(expm_samples(A, ts))
     assert sorted(got) == list(range(len(ts)))
     for i, E in _one_at_a_time(A, ts).items():
+        assert got[i].dtype == E.dtype == A.dtype
         assert np.array_equal(got[i], E), ts[i]
 
 
@@ -369,16 +373,6 @@ def test_expm_samples_unscaled_t_beside_its_dyadic_multiples(monkeypatch):
         assert np.array_equal(got[i], E), ts[i]
 
 
-def test_expm_samples_complex():
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    ts = [3.0, 0.75, 1.5, 0.3]
-    got = dict(expm_samples(A, ts))
-    for i, E in _one_at_a_time(A, ts).items():
-        assert got[i].dtype == np.complex128
-        assert np.array_equal(got[i], E), ts[i]
-
-
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_expm_samples_validates_every_t_first(bad, monkeypatch):
     monkeypatch.setattr(linalg, "_pade13", lambda X: pytest.fail("Pade evaluated"))
@@ -390,6 +384,8 @@ def test_expm_samples_validates_every_t_first(bad, monkeypatch):
 def test_expm_samples_overflow_raises():
     with pytest.raises(OverflowError):
         dict(expm_samples(np.array([[1.0]]), [1.0, 1000.0]))
+    with pytest.raises(OverflowError), np.errstate(over="ignore"):  # tA itself overflows
+        dict(expm_samples(np.array([[1e300]]), [1e10]))
 
 
 def test_expm_samples_default_t_samples_make_two_pade_evaluations(monkeypatch):
