@@ -46,6 +46,10 @@ CASES = {
        for w in _OPERATORS},
     "sweep": ["sweep", "--m2-values", "5,7", "--sigma-values", "0.2", "--rho-values=-1,1",
               "--L-values", "0,10", "--out", "sweep.csv", "--plot-dir", "series"],
+    # t_argmax = 2.62: the first refinement level starts from a coarse sample, not from I
+    "sweep-m2_9_sigma0.1_rho1_V1": ["sweep", "--m2-values", "9", "--sigma-values", "0.1",
+                                    "--rho-values", "1", "--L-values", "0", "--V", "1",
+                                    "--out", "sweep.csv"],
     # unsorted t samples: several groups that differ by powers of two, and lone samples
     "check-m2_4_t-samples": ["check", "--m2", "4", "--t-samples",
                              "2,0,0.25,3,0.5,40,1,5,7.5,10,20", "--out", "check.csv"],
