@@ -6,24 +6,30 @@ a step followed by local grid refinement around the running argmax, and
 compared against the truncation-dependent bound
 sqrt((L + m1 S) / (m1 L + S) * m2).
 
+The coarse pass stops at the first integer k >= 1 with ||P_k||_2 <= 1,
+where P_k = e^{k (step) A}.  Every later t = u + j k (step) with
+0 <= u < k (step) has ||e^{tA}||_2 <= ||e^{uA}||_2 ||P_k||_2^j <= ||e^{uA}||_2,
+so the maximum over all t >= 0, past the scan's span included, is the
+maximum over [0, k (step)).  The Lanczos value is only a lower bound on a
+norm, so the stop is confirmed by sqrt(||P_k||_1 ||P_k||_inf) <= 1 or else
+by a dense SVD.  Each refinement level starts from the sample the previous
+pass kept at t_best - h, so a case computes one exponential per step size.
+
 The scaled-norm maximum needs no scan.  Each grid's logarithmic norm
 mu_D = mu_D[diffusion] is computed once; mu_D <= 0 gives
-||e^{tA}||_D <= e^{t mu_D} <= 1 = ||I||_D, so the maximum is 1 at t = 0,
-and ||e^{tA}||_2 <= sqrt(cond D) e^{t mu_D}.  The coarse 2-norm scan stops
-once that bound falls below the running maximum, since no later sample can
-exceed it.
+||e^{tA}||_D <= e^{t mu_D} <= 1 = ||I||_D, so the maximum is 1 at t = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .grid import HestonParams, make_grid, scaling_diagonal
-from .linalg import _sigma_max_lanczos, expm, log_norm_D
+from .linalg import _sigma_max_lanczos, expm, log_norm_D, spectral_norm
 from .operators import build_operators
 from .stability import BoundCheck
 
@@ -92,71 +98,55 @@ class SweepRecord:
     error: str = ""
 
 
-class _NormTracker:
-    """Tracks the running maximum of the spectral norm along a semigroup scan.
-
-    The Ritz vector of each evaluation is the warm start of the next, which
-    makes the per-sample Lanczos iteration converge in a handful of steps.
-    """
-
-    def __init__(self):
-        self.v = None
-        self.best = -math.inf
-        self.t_best = 0.0
-
-    def evaluate(self, P: np.ndarray, t: float) -> None:
-        report, self.v = _sigma_max_lanczos(P, v0=self.v)
-        if report.value > self.best:
-            self.best = report.value
-            self.t_best = t
+def _n_samples(span: float, step: float) -> int:
+    """Number of steps j >= 1 with j * step <= span, up to rounding in the quotient."""
+    return int(math.floor(span / step + 1e-9))
 
 
-def _scan_norms(
-    A: np.ndarray,
-    tracker: _NormTracker,
-    t_max: float,
-    coarse_step: float,
-    refine_levels: int,
-    tail: Optional[tuple] = None,
-) -> None:
-    """Coarse scan plus refinement of max_t ||e^{tA}||_2 into ``tracker``.
+def _is_contraction(P: np.ndarray) -> bool:
+    """||P||_2 <= 1, from ||P||_2^2 <= ||P||_1 ||P||_inf when that suffices, else a dense SVD."""
+    a = np.abs(P)
+    return a.sum(axis=0).max() * a.sum(axis=1).max() <= 1.0 or spectral_norm(P).value <= 1.0
 
-    The coarse pass reuses powers of e^{(step) A}, which are exact at the
-    integer multiples sampled; refinement levels re-expand around the
-    current argmax with a ten times finer step, clamped to [0, t_max].
-    ``tail = (c, mu)`` certifies ||e^{tA}||_2 <= c e^{t mu} with mu <= 0:
-    the coarse pass stops before the first sample t at which that bound is
-    below the running maximum, because no sample from t on can reach it.
+
+def _scan_norms(A: np.ndarray, t_max: float, coarse_step: float, refine_levels: int) -> tuple:
+    """Coarse scan plus refinement of max_t ||e^{tA}||_2; returns (max, argmax).
+
+    The coarse pass samples powers of e^{(step) A} at k (step) <= t_max and
+    stops at the first contractive one (see the module docstring).  Each
+    refinement level re-expands around the running argmax with a ten times
+    finer step, clamped to [0, t_max].  The spectral norms are Lanczos
+    values, each warm-started from the previous Ritz vector.
     """
     if t_max <= 0 or coarse_step <= 0:
         raise ValueError("t_max and coarse_step must be positive")
-    n_steps = int(round(t_max / coarse_step))
-    step_matrix = _expm_at(A, coarse_step)
-    P = np.eye(A.shape[0])
-    tracker.evaluate(P, 0.0)
+    P = start = np.eye(A.shape[0])
+    report, v = _sigma_max_lanczos(P)
+    best, t_best = report.value, 0.0
+    lo, h, n_steps = 0.0, coarse_step, _n_samples(t_max, coarse_step)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            t = k * coarse_step
-            if tail is not None and tail[0] * math.exp(t * tail[1]) < tracker.best:
-                break
-            P = P @ step_matrix
-            _check_finite(P, t)
-            tracker.evaluate(P, t)
-
-        h = coarse_step
-        for _ in range(refine_levels):
-            lo = max(0.0, tracker.t_best - h)
-            hi = min(t_max, tracker.t_best + h)
-            fine = h / 10.0
-            n_fine = int(round((hi - lo) / fine))
-            P = _expm_at(A, lo)
-            Q = _expm_at(A, fine)
-            tracker.evaluate(P, lo)
-            for j in range(1, n_fine + 1):
-                P = P @ Q
-                _check_finite(P, lo + j * fine)
-                tracker.evaluate(P, lo + j * fine)
-            h = fine
+        for level in range(refine_levels + 1):
+            if level:
+                lo, hi, h = max(0.0, t_best - h), min(t_max, t_best + h), h / 10.0
+                n_steps = _n_samples(hi - lo, h)
+                # the sample at lo, taken before: its evaluation only refreshes the warm start
+                P = start
+                v = _sigma_max_lanczos(P, v0=v)[1]
+            step_matrix = _expm_at(A, h)
+            # the argmax is sample j_best of this pass (0, or a multiple of 10 if carried over);
+            # the sample before it starts the next level ('start' is the identity at t_best = 0)
+            j_best = round((t_best - lo) / h)
+            for j in range(1, n_steps + 1):
+                prev, P = P, P @ step_matrix
+                _check_finite(P, lo + j * h)
+                report, v = _sigma_max_lanczos(P, v0=v)
+                if report.value > best:
+                    best, t_best, j_best, start = report.value, lo + j * h, j, prev
+                elif j + 1 == j_best:
+                    start = P
+                if not level and report.value <= 1.0 and _is_contraction(P):
+                    break
+    return best, t_best
 
 
 def _check_finite(P: np.ndarray, t: float) -> None:
@@ -174,15 +164,14 @@ def _expm_at(A: np.ndarray, t: float) -> np.ndarray:
 def max_norm_over_t(
     A, t_max: float = _T_MAX, coarse_step: float = _COARSE_STEP, refine_levels: int = _REFINE_LEVELS
 ):
-    """Estimated maximum over t in [0, t_max] of ||e^{tA}||_2 and its location.
+    """Estimated maximum of ||e^{tA}||_2 and its location t_argmax in [0, t_max].
 
-    Returns (max_value, t_argmax).  The D-scaled maximum of the diffusion
-    block needs no scan: mu_D <= 0 fixes it at 1 (see ``run_sweep``).
+    Returns (max_value, t_argmax).  The maximum is over all t >= 0 when the
+    coarse pass reaches a contractive sample by t_max, and over [0, t_max]
+    otherwise.  The D-scaled maximum of the diffusion block needs no scan:
+    mu_D <= 0 fixes it at 1 (see ``run_sweep``).
     """
-    A = np.asarray(A, dtype=float)
-    tracker = _NormTracker()
-    _scan_norms(A, tracker, t_max, coarse_step, refine_levels)
-    return tracker.best, tracker.t_best
+    return _scan_norms(np.asarray(A, dtype=float), t_max, coarse_step, refine_levels)
 
 
 def _sweep_bound(L: float, m1: int, S: float, m2: int) -> float:
@@ -219,10 +208,8 @@ def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
             mu = log_norm_D(diffusion, d).value
             if mu > 0:
                 raise ArithmeticError(f"diffusion is not contractive in the D-norm: mu_D = {mu:.6g} > 0")
-            tracker = _NormTracker()
-            tail = (math.sqrt(d.max() / d.min()), mu)
-            _scan_norms(diffusion, tracker, _T_MAX, _COARSE_STEP, _REFINE_LEVELS, tail)
-            max_norm2, t_argmax, max_normD, error = tracker.best, tracker.t_best, 1.0, ""
+            max_norm2, t_argmax = max_norm_over_t(diffusion)
+            max_normD, error = 1.0, ""
         except (OverflowError, ArithmeticError, np.linalg.LinAlgError) as err:
             max_norm2 = t_argmax = max_normD = math.nan
             error = str(err)

@@ -6,8 +6,10 @@ eigenvalue calls are dense LAPACK solves (``svd`` / ``eigh``), reported as
 method "lapack".  The sweep's norm scan evaluates the spectral norm of many
 nearby matrices; for it a private, warm-started Lanczos kernel on X*X
 (``_sigma_max_lanczos``) carries the previous Ritz vector from sample to
-sample and falls back to a dense SVD, reported as method "direct-small",
-when its step budget runs out.
+sample, tests its top Ritz pair after the first step and then every fourth
+(not on every step, where the tridiagonal ``eigh`` would cost more than the
+step's two matrix-vector products), and falls back to a dense SVD, reported
+as method "direct-small", when its step budget runs out.
 
 ``expm_samples`` evaluates e^{tA} at several t by scaling and squaring.
 Samples whose scaled matrices tA / 2^s are equal (same mantissa of t, same
@@ -40,6 +42,8 @@ __all__ = [
 _LANCZOS_STEPS = 40
 #: Acceptance test of the scan's Lanczos kernel: Ritz residual <= tol * theta.
 _LANCZOS_TOL = 1e-10
+#: The kernel tests its top Ritz pair after step 1 and then after every this many steps.
+_LANCZOS_TEST_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,14 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
 
     Returns (report, ritz_vector_or_None).  Each step costs two
     matrix-vector products, so X*X is never formed, and the Krylov basis is
-    fully reorthogonalised.  The top Ritz pair is accepted once its residual
-    is at most ``_LANCZOS_TOL * theta`` with theta > 0; its vector is the
-    warm start ``v0`` of the next call on a nearby matrix.  After
-    ``_LANCZOS_STEPS`` steps without acceptance, or a breakdown at theta = 0
-    (a warm start inside the null space), a dense SVD gives the value.
+    fully reorthogonalised.  The top Ritz pair is tested after step 1 (so a
+    converged warm start costs one step), after every
+    ``_LANCZOS_TEST_EVERY``-th step, at a breakdown and at the step cap, and
+    accepted once its residual is at most ``_LANCZOS_TOL * theta`` with
+    theta > 0; its vector is the warm start ``v0`` of the next call on a
+    nearby matrix.  After ``_LANCZOS_STEPS`` steps without acceptance, or a
+    breakdown at theta = 0 (a warm start inside the null space), a dense SVD
+    gives the value.
     """
     X = _as_matrix(X)
     ncols = X.shape[1]
@@ -130,13 +137,15 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
         for _ in range(2):  # classical Gram-Schmidt, twice
             w = w - basis.T @ (basis.conj() @ w)
         beta[k] = float(np.linalg.norm(w))
-        T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
-        thetas, S = np.linalg.eigh(T)
-        theta = float(thetas[-1])
-        resid = float(beta[k] * abs(S[k, -1]))
-        if resid <= _LANCZOS_TOL * theta and theta > 0.0:
-            return NormReport(math.sqrt(theta), "lanczos", k + 1, resid, True), basis.T @ S[:, -1]
-        if beta[k] == 0.0 or k + 1 == steps:
+        last = beta[k] == 0.0 or k + 1 == steps
+        if k == 0 or (k + 1) % _LANCZOS_TEST_EVERY == 0 or last:
+            T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            thetas, S = np.linalg.eigh(T)
+            theta = float(thetas[-1])
+            resid = float(beta[k] * abs(S[k, -1]))
+            if resid <= _LANCZOS_TOL * theta and theta > 0.0:
+                return NormReport(math.sqrt(theta), "lanczos", k + 1, resid, True), basis.T @ S[:, -1]
+        if last:
             break
         Q[k + 1] = w / beta[k]
 

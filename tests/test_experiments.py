@@ -13,11 +13,9 @@ from hestonstab import (
     compare_L_effect,
     experiments,
     expm,
-    log_norm_D,
     make_grid,
     max_norm_over_t,
     run_sweep,
-    scaling_diagonal,
 )
 from hestonstab.cli import main
 
@@ -120,14 +118,14 @@ def test_sweep_assembly_error_propagates(monkeypatch):
 
 
 def test_sweep_case_call_counts(monkeypatch):
-    """One m2 = 5 case: one scan with a certified cutoff, no scaled-norm scan."""
+    """One m2 = 5 case: one scan cut at the first contractive coarse sample."""
     calls = {"expm": 0, "lanczos": 0}
-    tails = []
-    real_scan = experiments._scan_norms
+    sampled = []  # t of every sample after t = 0, in scan order
+    real_check = experiments._check_finite
 
-    def scan(A, tracker, t_max, coarse_step, refine_levels, tail=None):
-        tails.append(tail)
-        real_scan(A, tracker, t_max, coarse_step, refine_levels, tail)
+    def check(P, t):
+        sampled.append(t)
+        real_check(P, t)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -140,18 +138,39 @@ def test_sweep_case_call_counts(monkeypatch):
     monkeypatch.setattr(
         experiments, "_sigma_max_lanczos", counted("lanczos", experiments._sigma_max_lanczos)
     )
-    monkeypatch.setattr(experiments, "_scan_norms", scan)
+    monkeypatch.setattr(experiments, "_check_finite", check)
     cfg = SweepConfig(m2_values=(5,), sigma_values=(0.1,), rho_values=(1.0,), L_values=(0.0,))
     (rec,) = run_sweep(cfg)
     assert rec.error == ""
     params = HestonParams(**dict(BASE, sigma=0.1, rho=1.0))
     grid = make_grid(params, 10, 5)
-    d = scaling_diagonal(grid)
-    mu = log_norm_D(build_operators(params, grid).diffusion, d).value
-    assert tails == [(math.sqrt(d.max() / d.min()), mu)]
-    n_steps = round(experiments._T_MAX / experiments._COARSE_STEP)
-    assert calls["expm"] <= 1 + 2 * experiments._REFINE_LEVELS
-    assert calls["lanczos"] < (2 * (n_steps + 1)) / 2
+    A = build_operators(params, grid).diffusion
+    k_cut = next(k for k in range(1, 101) if np.linalg.svd(expm(A, k), compute_uv=False)[0] <= 1.0)
+    levels = experiments._REFINE_LEVELS
+    assert sampled[:k_cut] == [float(k) for k in range(1, k_cut + 1)]
+    assert max(sampled[k_cut:]) <= k_cut
+    # one exponential per step size: e^{A}, e^{0.1 A}, e^{0.01 A}
+    assert calls["expm"] <= 1 + levels
+    # the coarse samples up to the cut, then per level one warm-start refresh and <= 20 samples
+    assert calls["lanczos"] <= (k_cut + 1) + levels * (1 + 20)
+
+
+def _reference_scan(A, t_max=100.0, levels=2):
+    """The scan's grids with no cutoff and no kept matrices: an SVD of ``expm`` at every sample."""
+
+    def norm(t):
+        return np.linalg.svd(expm(A, t), compute_uv=False)[0]
+
+    norms = [norm(float(k)) for k in range(int(t_max) + 1)]
+    t_best = float(np.argmax(norms))
+    best, h = norms[int(t_best)], 1.0
+    for _ in range(levels):
+        lo, hi, h = max(0.0, t_best - h), min(t_max, t_best + h), h / 10.0
+        for j in range(1, round((hi - lo) / h) + 1):
+            value = norm(lo + j * h)
+            if value > best:
+                best, t_best = value, lo + j * h
+    return best, t_best, norms
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
@@ -165,19 +184,46 @@ def test_certified_cutoff_changes_nothing(rho, sigma, L, m2):
     params = HestonParams(**dict(BASE, sigma=sigma, rho=rho), L=L, S=800.0)
     grid = make_grid(params, 2 * m2, m2)
     A = build_operators(params, grid).diffusion
-    d = scaling_diagonal(grid)
-    mu = log_norm_D(A, d).value
-    c = math.sqrt(d.max() / d.min())
-    assert mu <= 0.0
-    cut, full = experiments._NormTracker(), experiments._NormTracker()
-    experiments._scan_norms(A, cut, 100.0, 1.0, 2, tail=(c, mu))
-    experiments._scan_norms(A, full, 100.0, 1.0, 2)
-    assert cut.t_best == full.t_best
-    assert abs(cut.best - full.best) <= 1e-14 * full.best
-    # the tail bound holds at samples past the first t where it drops below the maximum
-    k_cut = next(k for k in range(1, 101) if c * math.exp(k * mu) < cut.best)
-    for t in (k_cut, 0.5 * (k_cut + 100), 100.0):
-        assert np.linalg.svd(expm(A, t), compute_uv=False)[0] <= c * math.exp(t * mu) * (1 + 1e-12)
+    ref_value, ref_t, norms = _reference_scan(A)
+    k_cut = next(k for k in range(1, 101) if norms[k] <= 1.0)
+    _, coarse_argmax = max_norm_over_t(A, refine_levels=0)
+    assert coarse_argmax == float(np.argmax(norms))
+    value, t_at = max_norm_over_t(A)
+    assert abs(t_at - ref_t) <= 1e-11 * max(ref_t, 1.0)
+    assert abs(value - ref_value) <= 1e-11 * ref_value
+    # the sampled maximum bounds the semigroup past the cut and past t_max
+    for t in (k_cut, 100.0, 1000.0):
+        assert np.linalg.svd(expm(A, t), compute_uv=False)[0] <= value * (1 + 1e-12)
+
+
+def test_scan_samples_are_the_semigroup_at_their_t(monkeypatch):
+    """Each refinement level starts from the kept sample at t_best - h, also when the argmax
+    carried over from the coarse pass survives the first level."""
+    sampled = []
+
+    def check(P, t):
+        sampled.append((t, P[0, 0]))
+
+    def peak_at_2(P, v0=None):
+        # a stand-in norm of P = e^{t [1]} with its maximum exactly at the coarse sample t = 2
+        t = math.log(P[0, 0])
+        return NormReport(10.0 - (t - 2.0) ** 2, "lanczos", 1, 0.0, True), None
+
+    monkeypatch.setattr(experiments, "_check_finite", check)
+    monkeypatch.setattr(experiments, "_sigma_max_lanczos", peak_at_2)
+    value, t_at = max_norm_over_t(np.array([[1.0]]), t_max=10.0)
+    assert (value, t_at) == (10.0, 2.0)
+    assert len(sampled) == 10 + 20 + 20
+    for t, p in sampled:
+        assert p == pytest.approx(math.exp(t), rel=1e-12)
+
+
+def test_max_norm_samples_stay_within_t_max():
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    value, t_at = max_norm_over_t(A, t_max=2.6)
+    assert t_at == 2.6
+    # e^{2.6 A} = [[1, 2.6], [0, 1]]
+    assert value == pytest.approx(unit_upper_shear_sigma_max(2.6), rel=1e-12)
 
 
 def test_sweep_bound_formula(small_sweep):

@@ -115,6 +115,22 @@ def test_scan_kernel_ritz_vector_is_a_converged_warm_start():
     assert warm.value == pytest.approx(cold.value, rel=1e-12)
 
 
+def test_scan_kernel_tests_convergence_after_step_1_and_every_few_steps(monkeypatch):
+    X = _scan_matrix("real", seed=3)
+    tested = []  # order of the tridiagonal matrix at each convergence test
+    real_eigh = np.linalg.eigh
+
+    def eigh(T):
+        tested.append(T.shape[0])
+        return real_eigh(T)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    report, _ = _sigma_max_lanczos(X)
+    every = linalg._LANCZOS_TEST_EVERY
+    assert report.method == "lanczos" and report.iterations > every
+    assert tested == [1, *range(every, report.iterations + 1, every)]
+
+
 def test_scan_kernel_exact_null_warm_start_falls_back():
     X = np.zeros((3, 3))
     X[1, 1] = 2.0
