@@ -15,7 +15,6 @@ from .experiments import (
 )
 from .grid import GridSpec, HestonParams, make_grid, scaling_diagonal
 from .linalg import (
-    NormReport,
     expm,
     expm_samples,
     lambda_max_hermitian,
@@ -58,7 +57,6 @@ __all__ = [
     "DEFAULT_Y_SAMPLES",
     "GridSpec",
     "HestonParams",
-    "NormReport",
     "OperatorSet",
     "StencilSet",
     "SweepConfig",

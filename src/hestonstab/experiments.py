@@ -11,9 +11,9 @@ where P_k = e^{k (step) A}.  Every later t = u + j k (step) with
 0 <= u < k (step) has ||e^{tA}||_2 <= ||e^{uA}||_2 ||P_k||_2^j <= ||e^{uA}||_2,
 so the maximum over all t >= 0, past the scan's span included, is the
 maximum over [0, k (step)).  The Lanczos value is only a lower bound on a
-norm, so the stop is confirmed by sqrt(||P_k||_1 ||P_k||_inf) <= 1 or else
-by a dense SVD.  Each refinement level starts from the sample the previous
-pass kept at t_best - h, so a case computes one exponential per step size.
+norm, so the stop is confirmed by a dense SVD.  Each refinement level
+starts from the sample the previous pass kept at t_best - h, so a case
+computes one exponential per step size.
 
 The scaled-norm maximum needs no scan.  Each grid's logarithmic norm
 mu_D = mu_D[diffusion] is computed once; mu_D <= 0 gives
@@ -103,12 +103,6 @@ def _n_samples(span: float, step: float) -> int:
     return int(math.floor(span / step + 1e-9))
 
 
-def _is_contraction(P: np.ndarray) -> bool:
-    """||P||_2 <= 1, from ||P||_2^2 <= ||P||_1 ||P||_inf when that suffices, else a dense SVD."""
-    a = np.abs(P)
-    return a.sum(axis=0).max() * a.sum(axis=1).max() <= 1.0 or spectral_norm(P).value <= 1.0
-
-
 def _scan_norms(A: np.ndarray, t_max: float, coarse_step: float, refine_levels: int) -> tuple:
     """Coarse scan plus refinement of max_t ||e^{tA}||_2; returns (max, argmax).
 
@@ -121,8 +115,8 @@ def _scan_norms(A: np.ndarray, t_max: float, coarse_step: float, refine_levels: 
     if t_max <= 0 or coarse_step <= 0:
         raise ValueError("t_max and coarse_step must be positive")
     P = start = np.eye(A.shape[0])
-    report, v = _sigma_max_lanczos(P)
-    best, t_best = report.value, 0.0
+    best, _, v = _sigma_max_lanczos(P)
+    t_best = 0.0
     lo, h, n_steps = 0.0, coarse_step, _n_samples(t_max, coarse_step)
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(refine_levels + 1):
@@ -131,7 +125,7 @@ def _scan_norms(A: np.ndarray, t_max: float, coarse_step: float, refine_levels: 
                 n_steps = _n_samples(hi - lo, h)
                 # the sample at lo, taken before: its evaluation only refreshes the warm start
                 P = start
-                v = _sigma_max_lanczos(P, v0=v)[1]
+                _, _, v = _sigma_max_lanczos(P, v0=v)
             step_matrix = _expm_at(A, h)
             # the argmax is sample j_best of this pass (0, or a multiple of 10 if carried over);
             # the sample before it starts the next level ('start' is the identity at t_best = 0)
@@ -139,12 +133,12 @@ def _scan_norms(A: np.ndarray, t_max: float, coarse_step: float, refine_levels: 
             for j in range(1, n_steps + 1):
                 prev, P = P, P @ step_matrix
                 _check_finite(P, lo + j * h)
-                report, v = _sigma_max_lanczos(P, v0=v)
-                if report.value > best:
-                    best, t_best, j_best, start = report.value, lo + j * h, j, prev
+                sigma, _, v = _sigma_max_lanczos(P, v0=v)
+                if sigma > best:
+                    best, t_best, j_best, start = sigma, lo + j * h, j, prev
                 elif j + 1 == j_best:
                     start = P
-                if not level and report.value <= 1.0 and _is_contraction(P):
+                if not level and sigma <= 1.0 and spectral_norm(P) <= 1.0:
                     break
     return best, t_best
 
@@ -205,7 +199,7 @@ def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
         diffusion = build_operators(params, grid).diffusion
         d = scaling_diagonal(grid)
         try:
-            mu = log_norm_D(diffusion, d).value
+            mu = log_norm_D(diffusion, d)
             if mu > 0:
                 raise ArithmeticError(f"diffusion is not contractive in the D-norm: mu_D = {mu:.6g} > 0")
             max_norm2, t_argmax = max_norm_over_t(diffusion)

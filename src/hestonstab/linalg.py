@@ -1,15 +1,15 @@
 """Core numerical kernels: spectral norm, extreme Hermitian eigenvalue,
 logarithmic norms, and the matrix exponential.
 
-All operations accept real or complex matrices.  One-shot norm and
-eigenvalue calls are dense LAPACK solves (``svd`` / ``eigh``), reported as
-method "lapack".  The sweep's norm scan evaluates the spectral norm of many
+All operations accept real or complex matrices.  The norm and eigenvalue
+functions return a float from a dense LAPACK solve (``svd`` /
+``eigvalsh``).  The sweep's norm scan evaluates the spectral norm of many
 nearby matrices; for it a private, warm-started Lanczos kernel on X*X
 (``_sigma_max_lanczos``) carries the previous Ritz vector from sample to
 sample, tests its top Ritz pair after the first step and then every fourth
 (not on every step, where the tridiagonal ``eigh`` would cost more than the
-step's two matrix-vector products), and falls back to a dense SVD, reported
-as method "direct-small", when its step budget runs out.
+step's two matrix-vector products), and falls back to a dense SVD, with no
+Ritz vector to carry, when its step budget runs out.
 
 ``expm_samples`` evaluates e^{tA} at several t by scaling and squaring.
 Samples whose scaled matrices tA / 2^s are equal (same mantissa of t, same
@@ -22,13 +22,11 @@ the one a single-sample call gives; ``expm`` is that single-sample call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 __all__ = [
-    "NormReport",
     "spectral_norm",
     "lambda_max_hermitian",
     "log_norm_2",
@@ -44,21 +42,6 @@ _LANCZOS_STEPS = 40
 _LANCZOS_TOL = 1e-10
 #: The kernel tests its top Ritz pair after step 1 and then after every this many steps.
 _LANCZOS_TEST_EVERY = 4
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Result of a norm or eigenvalue computation.
-
-    ``converged`` implies ``residual`` is at or below the tolerance the
-    computation was configured with.
-    """
-
-    value: float
-    method: str
-    iterations: int
-    residual: float
-    converged: bool
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -78,16 +61,14 @@ def _start_vector(n: int, complex_: bool) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def lambda_max_hermitian(H, tol: float = 1e-10) -> NormReport:
+def lambda_max_hermitian(H) -> float:
     """Largest eigenvalue of a Hermitian matrix by a dense LAPACK solve.
 
-    The input must satisfy ||H - H*||_max <= 1e-12 * ||H||_max.  The report
-    is converged when the residual of the top eigenpair is at most
-    ``tol * max(1, ||H||_max)``.
+    The input must satisfy ||H - H*||_max <= 1e-12 * ||H||_max; the solve
+    runs on the Hermitian part 0.5 (H + H*), so both triangles count.
     """
     H = _as_matrix(H)
-    n, nc = H.shape
-    if n != nc:
+    if H.shape[0] != H.shape[1]:
         raise ValueError("matrix must be square")
     scale = float(np.abs(H).max())
     herm_err = float(np.abs(H - H.conj().T).max())
@@ -95,18 +76,13 @@ def lambda_max_hermitian(H, tol: float = 1e-10) -> NormReport:
         raise ValueError(
             f"matrix is not Hermitian: asymmetry {herm_err:.3e} exceeds 1e-12 * {scale:.3e}"
         )
-    Hs = 0.5 * (H + H.conj().T)
-    evals, evecs = np.linalg.eigh(Hs)
-    lam = float(evals[-1])
-    u = evecs[:, -1]
-    resid = float(np.linalg.norm(Hs @ u - lam * u))
-    return NormReport(lam, "lapack", 0, resid, resid <= tol * max(1.0, scale))
+    return float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[-1])
 
 
 def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
     """Largest singular value of X by warm-started Lanczos on X*X.
 
-    Returns (report, ritz_vector_or_None).  Each step costs two
+    Returns (sigma, steps, ritz_vector_or_None).  Each step costs two
     matrix-vector products, so X*X is never formed, and the Krylov basis is
     fully reorthogonalised.  The top Ritz pair is tested after step 1 (so a
     converged warm start costs one step), after every
@@ -115,12 +91,13 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
     theta > 0; its vector is the warm start ``v0`` of the next call on a
     nearby matrix.  After ``_LANCZOS_STEPS`` steps without acceptance, or a
     breakdown at theta = 0 (a warm start inside the null space), a dense SVD
-    gives the value.
+    gives the value.  The vector is None when there is none to carry: the
+    value came from the SVD, or X = 0.
     """
     X = _as_matrix(X)
     ncols = X.shape[1]
     if not np.any(X):
-        return NormReport(0.0, "lanczos", 0, 0.0, True), None
+        return 0.0, 0, None
     nv = np.linalg.norm(v0) if v0 is not None and v0.shape == (ncols,) else 0.0
     v = v0 / nv if nv > 0 else _start_vector(ncols, np.iscomplexobj(X))
 
@@ -144,30 +121,29 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
             theta = float(thetas[-1])
             resid = float(beta[k] * abs(S[k, -1]))
             if resid <= _LANCZOS_TOL * theta and theta > 0.0:
-                return NormReport(math.sqrt(theta), "lanczos", k + 1, resid, True), basis.T @ S[:, -1]
+                return math.sqrt(theta), k + 1, basis.T @ S[:, -1]
         if last:
             break
         Q[k + 1] = w / beta[k]
 
-    sigma = float(np.linalg.svd(X, compute_uv=False)[0])
-    return NormReport(sigma, "direct-small", k + 1, 0.0, True), None
+    return float(np.linalg.svd(X, compute_uv=False)[0]), k + 1, None
 
 
-def spectral_norm(A) -> NormReport:
+def spectral_norm(A) -> float:
     """Largest singular value of A by a dense LAPACK SVD.
 
     Square or rectangular, real or complex input.
     """
     A = _as_matrix(A)
-    return NormReport(float(np.linalg.svd(A, compute_uv=False)[0]), "lapack", 0, 0.0, True)
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def log_norm_2(A, tol: float = 1e-10) -> NormReport:
+def log_norm_2(A) -> float:
     """Logarithmic spectral norm: largest eigenvalue of the Hermitian part."""
     A = _as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    return lambda_max_hermitian(0.5 * (A + A.conj().T), tol)
+    return lambda_max_hermitian(0.5 * (A + A.conj().T))
 
 
 def _scale_similar(M: np.ndarray, d) -> np.ndarray:
@@ -187,13 +163,13 @@ def _scale_similar(M: np.ndarray, d) -> np.ndarray:
     return (M * rt[None, :]) / rt[:, None]
 
 
-def log_norm_D(A, D, tol: float = 1e-10) -> NormReport:
+def log_norm_D(A, D) -> float:
     """Logarithmic norm in the scaled inner product induced by diagonal D > 0.
 
     Equals the logarithmic spectral norm of D^{-1/2} A D^{1/2}.  ``D`` is
     the diagonal as a vector of positive entries, one per row of A.
     """
-    return log_norm_2(_scale_similar(_as_matrix(A), D), tol)
+    return log_norm_2(_scale_similar(_as_matrix(A), D))
 
 
 def log_norm_inf(A) -> float:

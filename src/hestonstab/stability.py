@@ -126,8 +126,8 @@ def check_advection_bounds(ops: OperatorSet, params: HestonParams, tol: float = 
     operators.
     """
     m1, m2 = ops.grid.m1, ops.grid.m2
-    mu_s = log_norm_2(ops.adv_s_factor).value
-    mu_v = log_norm_2(ops.adv_v_factor).value
+    mu_s = log_norm_2(ops.adv_s_factor)
+    mu_v = log_norm_2(ops.adv_v_factor)
     sharp_s = 0.5 * params.r * math.cos(math.pi / (m1 + 1))
     sharp_v = 0.5 * params.kappa * math.cos(math.pi / (m2 + 1))
     if abs(mu_s - sharp_s) > 1e-8 * max(1.0, params.r):
@@ -146,7 +146,7 @@ def check_advection_bounds(ops: OperatorSet, params: HestonParams, tol: float = 
 
 def check_exp_bound(A, omega: float, K: float, t_samples: Sequence[float], tol: float = 1e-8):
     """Check ||e^{tA}||_2 <= K e^{t omega} at each sampled t >= 0."""
-    lhs = {i: spectral_norm(E).value for i, E in expm_samples(A, t_samples)}
+    lhs = {i: spectral_norm(E) for i, E in expm_samples(A, t_samples)}
     return [
         BoundCheck(f"exp_bound[t={t:g}]", lhs[i], K * math.exp(t * omega), tol)
         for i, t in enumerate(t_samples)
@@ -164,11 +164,11 @@ def check_diffusion_contractivity(ops: OperatorSet, t_samples: Sequence[float], 
     d = scaling_diagonal(ops.grid)
     A = ops.diffusion
     scale = float(np.abs(A).max())
-    mu_check = BoundCheck("diffusion_log_norm_D", log_norm_D(A, d).value, 0.0, tol * scale)
+    mu_check = BoundCheck("diffusion_log_norm_D", log_norm_D(A, d), 0.0, tol * scale)
 
     ratio = math.sqrt(d.max() / d.min())
     norms = {
-        i: (spectral_norm(_scale_similar(E, d)).value, spectral_norm(E).value)
+        i: (spectral_norm(_scale_similar(E, d)), spectral_norm(E))
         for i, E in expm_samples(A, t_samples)
     }
     scaled_checks = [
@@ -221,12 +221,12 @@ def check_block_toeplitz_symbol_bound(
     E = forward_shift(n_blocks)
     ident = np.eye(n_blocks)
     B = np.kron(ident, B0) + np.kron(E, B1) + np.kron(E.T, B1.T)
-    lhs = log_norm_2(B).value
+    lhs = log_norm_2(B)
     rhs = -np.inf
     for k in range(zeta_samples):
         zeta = cmath.exp(2j * math.pi * k / zeta_samples)
-        rhs = max(rhs, log_norm_2(symbol_matrix_hat(B0, B1, zeta)).value)
-    slack = 2.0 * spectral_norm(B1).value * 2.0 * math.sin(math.pi / (2 * zeta_samples))
+        rhs = max(rhs, log_norm_2(symbol_matrix_hat(B0, B1, zeta)))
+    slack = 2.0 * spectral_norm(B1) * 2.0 * math.sin(math.pi / (2 * zeta_samples))
     scale = max(1.0, float(np.abs(B0).max()), float(np.abs(B1).max()))
     return BoundCheck("block_toeplitz_symbol_bound", lhs, rhs, slack + tol * scale)
 
@@ -309,7 +309,7 @@ def check_symbol_conditions(
         zeta = cmath.exp(2j * math.pi * k / zeta_samples)
         im, re = zeta.imag, zeta.real
         herm = sym_part + 2j * im * params.rho * sv * t_ops.adv_sym
-        lhs_a = lambda_max_hermitian(herm).value
+        lhs_a = lambda_max_hermitian(herm)
         rhs_a = 2.0 * sv**2 * (1.0 - re)
         check_a = BoundCheck(f"scaled_symbol_cond[zeta={k}/{zeta_samples}]", lhs_a, rhs_a, tol * scale)
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from _oracles import loglog_slope, unit_upper_shear_sigma_max
 from hestonstab import (
     HestonParams,
-    NormReport,
     SweepConfig,
     build_operators,
     compare_L_effect,
@@ -90,7 +89,7 @@ def test_sweep_max_normD_is_the_certified_one(small_sweep):
 
 def test_sweep_positive_mu_D_is_a_failed_case(monkeypatch, capsys):
     def expansive(A, D):
-        return NormReport(0.25, "lapack", 0, 0.0, True)
+        return 0.25
 
     monkeypatch.setattr(experiments, "log_norm_D", expansive)
     cfg = SweepConfig(m2_values=(3,), sigma_values=(0.1,), rho_values=(0.0,), L_values=(0.0,))
@@ -207,7 +206,7 @@ def test_scan_samples_are_the_semigroup_at_their_t(monkeypatch):
     def peak_at_2(P, v0=None):
         # a stand-in norm of P = e^{t [1]} with its maximum exactly at the coarse sample t = 2
         t = math.log(P[0, 0])
-        return NormReport(10.0 - (t - 2.0) ** 2, "lanczos", 1, 0.0, True), None
+        return 10.0 - (t - 2.0) ** 2, 1, None
 
     monkeypatch.setattr(experiments, "_check_finite", check)
     monkeypatch.setattr(experiments, "_sigma_max_lanczos", peak_at_2)

@@ -43,7 +43,7 @@ def test_certificate_chain_holds_on_the_parameter_box(rho, sigma, S, L_fraction,
     ops = build_operators(params, grid)
     t_ops = transformed_operators(grid)
 
-    mu_D = log_norm_D(ops.diffusion, scaling_diagonal(grid)).value
+    mu_D = log_norm_D(ops.diffusion, scaling_diagonal(grid))
     assert mu_D <= 1e-8 * np.abs(ops.diffusion).max()
     # raises if a log norm leaves its sharp closed form
     assert all(c.holds for c in check_advection_bounds(ops, params))

@@ -171,8 +171,8 @@ def test_symbol_and_companion_share_log_norm(seed):
     B1 = rng.standard_normal((5, 5))
     for k in range(16):
         zeta = cmath.exp(2j * math.pi * k / 16)
-        full = log_norm_2(symbol_matrix(B0, B1, zeta)).value
-        hat = log_norm_2(symbol_matrix_hat(B0, B1, zeta)).value
+        full = log_norm_2(symbol_matrix(B0, B1, zeta))
+        hat = log_norm_2(symbol_matrix_hat(B0, B1, zeta))
         assert full == pytest.approx(hat, abs=1e-9)
 
 
@@ -238,8 +238,8 @@ def test_reduction_rejects_operators_of_another_grid():
 def test_reduction_sign_equivalence_with_scaled_log_norm(rho, L):
     params, grid, ops = _setup(m1=8, m2=4, rho=rho, L=L)
     B, _, _ = diffusion_block_reduction(params, ops, transformed_operators(grid))
-    mu_B = log_norm_2(B).value
-    mu_D = log_norm_D(ops.diffusion, scaling_diagonal(grid)).value
+    mu_B = log_norm_2(B)
+    mu_D = log_norm_D(ops.diffusion, scaling_diagonal(grid))
     tol = 1e-8 * max(1.0, np.abs(B).max())
     assert (mu_B <= tol) == (mu_D <= tol)
 
@@ -441,7 +441,7 @@ def test_family_condition_implies_block_log_norm(sigma, rho, L):
     family = [c for c in checks if c.name.startswith("tridiag_family_cond")]
     assert all(c.holds for c in family)
     B, _, _ = diffusion_block_reduction(params, ops, transformed_operators(grid))
-    assert log_norm_2(B).value <= 1e-8 * max(1.0, np.abs(B).max())
+    assert log_norm_2(B) <= 1e-8 * max(1.0, np.abs(B).max())
 
 
 @pytest.mark.parametrize("y", [0.3, 0.7, 2.0])
