@@ -26,11 +26,9 @@ from .linalg import (
 from .operators import (
     OperatorSet,
     StencilSet,
-    TransformedOperators,
     build_operators,
     build_stencils,
     forward_shift,
-    transformed_operators,
     tridiag,
 )
 from .stability import (
@@ -61,7 +59,6 @@ __all__ = [
     "StencilSet",
     "SweepConfig",
     "SweepRecord",
-    "TransformedOperators",
     "build_operators",
     "build_stencils",
     "certificate_case_large_y",
@@ -87,6 +84,5 @@ __all__ = [
     "scaling_diagonal",
     "spectral_norm",
     "symbol_matrix_hat",
-    "transformed_operators",
     "tridiag",
 ]

@@ -22,6 +22,7 @@ mu_D = mu_D[diffusion] is computed once; mu_D <= 0 gives
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,6 +55,9 @@ class SweepConfig:
 
     The default mesh list stops at m2 = 15 so a full sweep finishes in
     minutes; ``full_m2_values`` extends to the largest feasible size.
+    Construction raises ValueError unless every list is non-empty, every
+    m2 is at least 3 and every (sigma, rho, L) combination is a valid
+    ``HestonParams``.
     """
 
     m2_values: tuple = (5, 7, 9, 11, 13, 15)
@@ -65,6 +69,21 @@ class SweepConfig:
     r: float = 0.05
     kappa: float = 2.0
     eta: float = 0.04
+
+    def __post_init__(self):
+        for name in ("m2_values", "sigma_values", "rho_values", "L_values"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for sigma, rho, L in itertools.product(self.sigma_values, self.rho_values, self.L_values):
+            self._params(sigma, rho, L)
+        if any(m2 < 3 for m2 in self.m2_values):
+            raise ValueError("all m2 values must be >= 3")
+
+    def _params(self, sigma: float, rho: float, L: float) -> HestonParams:
+        """The model of one sweep case."""
+        return HestonParams(
+            r=self.r, kappa=self.kappa, eta=self.eta, sigma=sigma, rho=rho, L=L, S=self.S, V=self.V
+        )
 
     @staticmethod
     def full_m2_values() -> tuple:
@@ -103,17 +122,17 @@ def _n_samples(span: float, step: float) -> int:
     return int(math.floor(span / step + 1e-9))
 
 
-def _scan_norms(A: np.ndarray, t_max: float, coarse_step: float, refine_levels: int) -> tuple:
+def _scan_norms(A: np.ndarray) -> tuple:
     """Coarse scan plus refinement of max_t ||e^{tA}||_2; returns (max, argmax).
 
     The coarse pass samples powers of e^{(step) A} at k (step) <= t_max and
     stops at the first contractive one (see the module docstring).  Each
     refinement level re-expands around the running argmax with a ten times
     finer step, clamped to [0, t_max].  The spectral norms are Lanczos
-    values, each warm-started from the previous Ritz vector.
+    values, each warm-started from the previous Ritz vector.  The span,
+    step and level count are read from the module constants at each call.
     """
-    if t_max <= 0 or coarse_step <= 0:
-        raise ValueError("t_max and coarse_step must be positive")
+    t_max, coarse_step, refine_levels = _T_MAX, _COARSE_STEP, _REFINE_LEVELS
     P = start = np.eye(A.shape[0])
     best, _, v = _sigma_max_lanczos(P)
     t_best = 0.0
@@ -155,17 +174,15 @@ def _expm_at(A: np.ndarray, t: float) -> np.ndarray:
         raise OverflowError(f"semigroup norm scan overflowed at t = {t:g}: {err}") from err
 
 
-def max_norm_over_t(
-    A, t_max: float = _T_MAX, coarse_step: float = _COARSE_STEP, refine_levels: int = _REFINE_LEVELS
-):
-    """Estimated maximum of ||e^{tA}||_2 and its location t_argmax in [0, t_max].
+def max_norm_over_t(A):
+    """Estimated maximum of ||e^{tA}||_2 and its location t_argmax in [0, _T_MAX].
 
     Returns (max_value, t_argmax).  The maximum is over all t >= 0 when the
-    coarse pass reaches a contractive sample by t_max, and over [0, t_max]
+    coarse pass reaches a contractive sample by _T_MAX, and over [0, _T_MAX]
     otherwise.  The D-scaled maximum of the diffusion block needs no scan:
     mu_D <= 0 fixes it at 1 (see ``run_sweep``).
     """
-    return _scan_norms(np.asarray(A, dtype=float), t_max, coarse_step, refine_levels)
+    return _scan_norms(np.asarray(A, dtype=float))
 
 
 def _sweep_bound(L: float, m1: int, S: float, m2: int) -> float:
@@ -192,14 +209,11 @@ def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
     for L, sigma, rho, m2 in combos:
         m1 = 2 * m2
         bound = _sweep_bound(L, m1, cfg.S, m2)
-        params = HestonParams(
-            r=cfg.r, kappa=cfg.kappa, eta=cfg.eta, sigma=sigma, rho=rho, L=L, S=cfg.S, V=cfg.V
-        )
+        params = cfg._params(sigma, rho, L)
         grid = make_grid(params, m1, m2)
-        diffusion = build_operators(params, grid).diffusion
-        d = scaling_diagonal(grid)
         try:
-            mu = log_norm_D(diffusion, d)
+            diffusion = build_operators(params, grid).diffusion
+            mu = log_norm_D(diffusion, scaling_diagonal(grid))
             if mu > 0:
                 raise ArithmeticError(f"diffusion is not contractive in the D-norm: mu_D = {mu:.6g} > 0")
             max_norm2, t_argmax = max_norm_over_t(diffusion)

@@ -2,9 +2,10 @@
 
 The five PDE terms (price advection, variance advection, price diffusion,
 mixed derivative, variance diffusion) map to five m x m matrices built as
-Kronecker products of 1-D stencils with the grid scaling diagonals.  All
-matrices are assembled through explicit Kronecker products so the product
-formulas stay the single source of truth.
+Kronecker products of 1-D stencils with the grid scaling diagonals.
+``build_operators`` is the one assembly per grid: it also carries the
+scaled price-direction operators that the certificate chain reads, and the
+2-D blocks are formed from those operators.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from .grid import GridSpec, HestonParams
 __all__ = [
     "StencilSet",
     "OperatorSet",
-    "TransformedOperators",
     "tridiag",
     "forward_shift",
     "build_stencils",
     "build_operators",
-    "transformed_operators",
 ]
 
 
@@ -70,7 +69,7 @@ def build_stencils(grid: GridSpec) -> StencilSet:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """The five semi-discrete Heston operator blocks and their sums.
+    """One grid's semi-discrete Heston operators, with the ``params`` they were built for.
 
     adv_s discretizes r*s*u_s, adv_v discretizes kappa*(eta - v)*u_v,
     diff_ss discretizes (1/2)*s^2*v*u_ss, mixed_sv discretizes
@@ -79,14 +78,29 @@ class OperatorSet:
     diff_ss + mixed_sv + diff_vv (the part covered by the contractivity
     result).
 
+    The price-direction operators read by the certificate chain are
+
+        adv_sym  = Ds^{1/2} d1_s Ds^{1/2}   (antisymmetric)
+        diff_sym = Ds^{3/2} d2_s Ds^{1/2}
+        adv_1d   = Ds d1_s                  (discrete s*u_s)
+        diff_1d  = (1/2) Ds^2 d2_s          (discrete (1/2)*s^2*u_ss)
+
+    and the 2-D blocks are built from them: diff_ss = Dv (x) diff_1d,
+    mixed_sv = rho sigma (Dv d1_v) (x) adv_1d.
+
     adv_s = I2 (x) adv_s_factor and adv_v = adv_v_factor (x) I1, with the 1-D
-    factors r Ds d1_s (m1 x m1) and kappa (eta I - Dv) d1_v (m2 x m2).  As
+    factors r adv_1d (m1 x m1) and kappa (eta I - Dv) d1_v (m2 x m2).  As
     e^{t(I (x) B)} = I (x) e^{tB}, ||I (x) X||_2 = ||X||_2 and
     mu2[I (x) X] = mu2[X] (likewise for X (x) I), the advection checks run
     on the factors; the dense blocks serve ``full`` and the ``operators`` dump.
     """
 
+    params: HestonParams
     grid: GridSpec
+    adv_sym: np.ndarray
+    diff_sym: np.ndarray
+    adv_1d: np.ndarray
+    diff_1d: np.ndarray
     adv_s_factor: np.ndarray
     adv_v_factor: np.ndarray
     adv_s: np.ndarray
@@ -99,25 +113,55 @@ class OperatorSet:
 
 
 def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
-    """Assemble the m x m operator blocks for ``params`` on ``grid``."""
-    st = build_stencils(grid)
-    Ds = np.diag(grid.s_points)
-    Dv = np.diag(grid.v_points)
-    I1 = np.eye(grid.m1)
-    I2 = np.eye(grid.m2)
+    """Assemble the operators of ``params`` on ``grid``.
 
-    adv_s_factor = params.r * (Ds @ st.d1_s)
-    adv_v_factor = params.kappa * ((params.eta * I2 - Dv) @ st.d1_v)
-    adv_s = np.kron(I2, adv_s_factor)
-    adv_v = np.kron(adv_v_factor, I1)
-    diff_ss = 0.5 * np.kron(Dv, Ds @ Ds @ st.d2_s)
-    mixed_sv = params.rho * params.sigma * np.kron(Dv @ st.d1_v, Ds @ st.d1_s)
-    diff_vv = 0.5 * params.sigma**2 * np.kron(Dv @ st.d2_v, I1)
+    Raises ValueError if the antisymmetry of adv_sym or the identity
+    (1/2)(diff_sym + diff_sym^T) = Ds^{-1/2} (2 diff_1d + adv_1d) Ds^{1/2}
+    fails beyond roundoff, which would signal an assembly bug, and
+    OverflowError if an entry of the assembled operator is not finite.
+    """
+    # an overflow shows up as a non-finite entry of full, checked below; np.float64 turns an
+    # overflowing sigma^2 into inf instead of raising
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = build_stencils(grid)
+        s = grid.s_points
+        rt = np.sqrt(s)
 
-    diffusion = diff_ss + mixed_sv + diff_vv
-    full = adv_s + adv_v + diffusion - params.r * np.eye(grid.m)
+        adv_sym = rt[:, None] * st.d1_s * rt[None, :]
+        diff_sym = (s * rt)[:, None] * st.d2_s * rt[None, :]
+        adv_1d = s[:, None] * st.d1_s
+        diff_1d = 0.5 * (s * s)[:, None] * st.d2_s
+
+        scale = max(1.0, float(np.abs(diff_sym).max()))
+        if np.abs(adv_sym + adv_sym.T).max() > 1e-12 * scale:
+            raise ValueError("scaled first-difference matrix is not antisymmetric")
+        sym_part = 0.5 * (diff_sym + diff_sym.T)
+        other = (1.0 / rt)[:, None] * (2.0 * diff_1d + adv_1d) * rt[None, :]
+        if np.abs(sym_part - other).max() > 1e-11 * scale:
+            raise ValueError("symmetric-part identity violated; assembly bug")
+
+        Dv = np.diag(grid.v_points)
+        I1 = np.eye(grid.m1)
+        I2 = np.eye(grid.m2)
+        adv_s_factor = params.r * adv_1d
+        adv_v_factor = params.kappa * ((params.eta * I2 - Dv) @ st.d1_v)
+        adv_s = np.kron(I2, adv_s_factor)
+        adv_v = np.kron(adv_v_factor, I1)
+        diff_ss = np.kron(Dv, diff_1d)
+        mixed_sv = params.rho * params.sigma * np.kron(Dv @ st.d1_v, adv_1d)
+        diff_vv = 0.5 * np.float64(params.sigma) ** 2 * np.kron(Dv @ st.d2_v, I1)
+
+        diffusion = diff_ss + mixed_sv + diff_vv
+        full = adv_s + adv_v + diffusion - params.r * np.eye(grid.m)
+    if not np.all(np.isfinite(full)):
+        raise OverflowError("operator assembly overflowed: the operator has non-finite entries")
     return OperatorSet(
+        params=params,
         grid=grid,
+        adv_sym=adv_sym,
+        diff_sym=diff_sym,
+        adv_1d=adv_1d,
+        diff_1d=diff_1d,
         adv_s_factor=adv_s_factor,
         adv_v_factor=adv_v_factor,
         adv_s=adv_s,
@@ -128,46 +172,3 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
         full=full,
         diffusion=diffusion,
     )
-
-
-@dataclass(frozen=True)
-class TransformedOperators:
-    """Price-direction operators on ``grid`` used by the contractivity analysis.
-
-    adv_sym  = Ds^{1/2} d1_s Ds^{1/2}   (antisymmetric)
-    diff_sym = Ds^{3/2} d2_s Ds^{1/2}
-    adv_1d   = Ds d1_s                  (discrete s*u_s)
-    diff_1d  = (1/2) Ds^2 d2_s          (discrete (1/2)*s^2*u_ss)
-    """
-
-    grid: GridSpec
-    adv_sym: np.ndarray
-    diff_sym: np.ndarray
-    adv_1d: np.ndarray
-    diff_1d: np.ndarray
-
-
-def transformed_operators(grid: GridSpec) -> TransformedOperators:
-    """Build the scaled 1-D operators and verify their exchange identities.
-
-    Raises ValueError if the antisymmetry of adv_sym or the identity
-    (1/2)(diff_sym + diff_sym^T) = Ds^{-1/2} (2 diff_1d + adv_1d) Ds^{1/2}
-    fails beyond roundoff, which would signal an assembly bug.
-    """
-    st = build_stencils(grid)
-    s = grid.s_points
-    rt = np.sqrt(s)
-
-    adv_sym = rt[:, None] * st.d1_s * rt[None, :]
-    diff_sym = (s * rt)[:, None] * st.d2_s * rt[None, :]
-    adv_1d = s[:, None] * st.d1_s
-    diff_1d = 0.5 * (s * s)[:, None] * st.d2_s
-
-    scale = max(1.0, float(np.abs(diff_sym).max()))
-    if np.abs(adv_sym + adv_sym.T).max() > 1e-12 * scale:
-        raise ValueError("scaled first-difference matrix is not antisymmetric")
-    sym_part = 0.5 * (diff_sym + diff_sym.T)
-    other = (1.0 / rt)[:, None] * (2.0 * diff_1d + adv_1d) * rt[None, :]
-    if np.abs(sym_part - other).max() > 1e-11 * scale:
-        raise ValueError("symmetric-part identity violated; assembly bug")
-    return TransformedOperators(grid, adv_sym, diff_sym, adv_1d, diff_1d)

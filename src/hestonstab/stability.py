@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, HestonParams, scaling_diagonal
+from .grid import GridSpec, scaling_diagonal
 from .linalg import (
     _scale_similar,
     expm_samples,
@@ -29,7 +29,7 @@ from .linalg import (
     log_norm_inf,
     spectral_norm,
 )
-from .operators import OperatorSet, TransformedOperators, forward_shift
+from .operators import OperatorSet, forward_shift
 
 __all__ = [
     "BoundCheck",
@@ -47,7 +47,7 @@ __all__ = [
     "format_certificate_report",
 ]
 
-#: Default sample set for the real parameter of the tridiagonal family.
+#: Sample set for the real parameter of the tridiagonal family.
 DEFAULT_Y_SAMPLES = (
     0.0,
     0.1,
@@ -66,7 +66,7 @@ DEFAULT_Y_SAMPLES = (
     -5.0,
 )
 
-#: Default number of unit-circle samples (roots of unity).
+#: Number of unit-circle samples (roots of unity) of the symbol checks.
 DEFAULT_ZETA_SAMPLES = 64
 
 
@@ -114,8 +114,8 @@ class CertificateRow:
     theta: Optional[float] = None
 
 
-def check_advection_bounds(ops: OperatorSet, params: HestonParams, tol: float = 1e-8):
-    """Log-norm bounds for the two advection blocks.
+def check_advection_bounds(ops: OperatorSet, tol: float = 1e-8):
+    """Log-norm bounds for the two advection blocks of ``ops``.
 
     Returns checks mu2[adv_s] <= r/2 and mu2[adv_v] <= kappa/2.  The log
     norms are taken on the 1-D factors, which is exact: the Hermitian part
@@ -126,6 +126,7 @@ def check_advection_bounds(ops: OperatorSet, params: HestonParams, tol: float = 
     operators.
     """
     m1, m2 = ops.grid.m1, ops.grid.m2
+    params = ops.params
     mu_s = log_norm_2(ops.adv_s_factor)
     mu_v = log_norm_2(ops.adv_v_factor)
     sharp_s = 0.5 * params.r * math.cos(math.pi / (m1 + 1))
@@ -144,11 +145,11 @@ def check_advection_bounds(ops: OperatorSet, params: HestonParams, tol: float = 
     )
 
 
-def check_exp_bound(A, omega: float, K: float, t_samples: Sequence[float], tol: float = 1e-8):
-    """Check ||e^{tA}||_2 <= K e^{t omega} at each sampled t >= 0."""
+def check_exp_bound(A, omega: float, t_samples: Sequence[float], tol: float = 1e-8):
+    """Check ||e^{tA}||_2 <= e^{t omega} at each sampled t >= 0."""
     lhs = {i: spectral_norm(E) for i, E in expm_samples(A, t_samples)}
     return [
-        BoundCheck(f"exp_bound[t={t:g}]", lhs[i], K * math.exp(t * omega), tol)
+        BoundCheck(f"exp_bound[t={t:g}]", lhs[i], math.exp(t * omega), tol)
         for i, t in enumerate(t_samples)
     ]
 
@@ -201,21 +202,19 @@ def check_block_toeplitz_symbol_bound(
     B0,
     B1,
     n_blocks: int,
-    zeta_samples: int = DEFAULT_ZETA_SAMPLES,
     tol: float = 1e-9,
 ) -> BoundCheck:
     """Log-norm of a block tridiagonal Toeplitz matrix vs its symbol maximum.
 
     Assembles B = I (x) B0 + E (x) B1 + E^T (x) B1^T with n_blocks blocks and
-    checks mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] over the sampled roots of
-    unity.  The check tolerance adds the sampling slack 2 ||B1||_2 times the
-    maximal chord distance to a sample, since the sampled maximum can fall
-    below the true maximum over the circle by at most that much.
+    checks mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] over the DEFAULT_ZETA_SAMPLES
+    roots of unity.  The check tolerance adds the sampling slack 2 ||B1||_2
+    times the maximal chord distance to a sample, since the sampled maximum
+    can fall below the true maximum over the circle by at most that much.
     """
     if n_blocks < 2:
         raise ValueError(f"need at least 2 blocks, got {n_blocks}")
-    if zeta_samples < 8:
-        raise ValueError(f"need at least 8 unit-circle samples, got {zeta_samples}")
+    zeta_samples = DEFAULT_ZETA_SAMPLES
     B0 = np.asarray(B0, dtype=float)
     B1 = np.asarray(B1, dtype=float)
     E = forward_shift(n_blocks)
@@ -231,10 +230,9 @@ def check_block_toeplitz_symbol_bound(
     return BoundCheck("block_toeplitz_symbol_bound", lhs, rhs, slack + tol * scale)
 
 
-def diffusion_block_reduction(params: HestonParams, ops: OperatorSet, t_ops: TransformedOperators):
-    """Similarity reduction of the diffusion part to block tridiagonal form.
+def diffusion_block_reduction(ops: OperatorSet):
+    """Similarity reduction of the diffusion part of ``ops`` to block tridiagonal form.
 
-    ``ops`` and ``t_ops`` are the operators of ``params`` on one grid.
     Returns (B, B0, B1) where B is ``ops.diffusion`` transformed by the
     diagonal similarity that removes the variance scaling and symmetrizes
     the price scaling, B0 = (1/2)(diff_sym - 2 sv^2 I) is the diagonal
@@ -244,10 +242,10 @@ def diffusion_block_reduction(params: HestonParams, ops: OperatorSet, t_ops: Tra
     roundoff; a mismatch raises, signalling an assembly bug.
     """
     grid = ops.grid
-    sv = params.sigma / grid.dv
+    sv = ops.params.sigma / grid.dv
     ident1 = np.eye(grid.m1)
-    B0 = 0.5 * (t_ops.diff_sym - 2.0 * sv**2 * ident1)
-    B1 = 0.5 * (params.rho * sv * t_ops.adv_sym + sv**2 * ident1)
+    B0 = 0.5 * (ops.diff_sym - 2.0 * sv**2 * ident1)
+    B1 = 0.5 * (ops.params.rho * sv * ops.adv_sym + sv**2 * ident1)
 
     rt_s = np.sqrt(grid.s_points)
     left = np.kron(1.0 / grid.v_points, 1.0 / rt_s)
@@ -279,41 +277,35 @@ def _lambda_max_real_spectrum(T: np.ndarray, name: str) -> float:
     return float(evals.real.max())
 
 
-def check_symbol_conditions(
-    params: HestonParams,
-    t_ops: TransformedOperators,
-    zeta_samples: int = DEFAULT_ZETA_SAMPLES,
-    y_samples: Sequence[float] = DEFAULT_Y_SAMPLES,
-    tol: float = 1e-8,
-):
-    """Evaluate the chain of sufficient symbol conditions on ``t_ops.grid``.
+def check_symbol_conditions(ops: OperatorSet, tol: float = 1e-8):
+    """Evaluate the chain of sufficient symbol conditions on ``ops.grid``.
 
-    For each sampled unit-modulus zeta two equivalent conditions are checked:
-    the Hermitian form built from the symmetrized scaled operators
-    (lambda_max <= 2 sv^2 (1 - Re zeta)) and its diagonal-similarity
-    transform in terms of the 1-D convection/diffusion operators
-    (lambda_max <= sv^2 (1 - Re zeta)).  Their margins must agree up to the
-    factor 2 from the similarity; a violation raises.  For each sampled y the
-    collapsed condition lambda_max[diff_1d + (1/2 + 2iy) adv_1d] <= 2 y^2 is
-    checked.  Returns the full list of BoundChecks.
+    For each of the DEFAULT_ZETA_SAMPLES unit-modulus zeta two equivalent
+    conditions are checked: the Hermitian form built from the symmetrized
+    scaled operators (lambda_max <= 2 sv^2 (1 - Re zeta)) and its
+    diagonal-similarity transform in terms of the 1-D convection/diffusion
+    operators (lambda_max <= sv^2 (1 - Re zeta)).  Their margins must agree
+    up to the factor 2 from the similarity; a violation raises.  For each y
+    of DEFAULT_Y_SAMPLES the collapsed condition
+    lambda_max[diff_1d + (1/2 + 2iy) adv_1d] <= 2 y^2 is checked.  Returns
+    the full list of BoundChecks.
     """
-    if zeta_samples < 8:
-        raise ValueError(f"need at least 8 unit-circle samples, got {zeta_samples}")
-    sv = params.sigma / t_ops.grid.dv
-    sym_part = 0.5 * (t_ops.diff_sym + t_ops.diff_sym.T)
-    conv_part = t_ops.diff_1d + 0.5 * t_ops.adv_1d
-    scale = max(1.0, float(np.abs(t_ops.diff_sym).max()))
+    zeta_samples = DEFAULT_ZETA_SAMPLES
+    sv = ops.params.sigma / ops.grid.dv
+    sym_part = 0.5 * (ops.diff_sym + ops.diff_sym.T)
+    conv_part = ops.diff_1d + 0.5 * ops.adv_1d
+    scale = max(1.0, float(np.abs(ops.diff_sym).max()))
 
     checks = []
     for k in range(zeta_samples):
         zeta = cmath.exp(2j * math.pi * k / zeta_samples)
         im, re = zeta.imag, zeta.real
-        herm = sym_part + 2j * im * params.rho * sv * t_ops.adv_sym
+        herm = sym_part + 2j * im * ops.params.rho * sv * ops.adv_sym
         lhs_a = lambda_max_hermitian(herm)
         rhs_a = 2.0 * sv**2 * (1.0 - re)
         check_a = BoundCheck(f"scaled_symbol_cond[zeta={k}/{zeta_samples}]", lhs_a, rhs_a, tol * scale)
 
-        T = conv_part + 1j * im * params.rho * sv * t_ops.adv_1d
+        T = conv_part + 1j * im * ops.params.rho * sv * ops.adv_1d
         lhs_b = _lambda_max_real_spectrum(T, "convection-form symbol condition")
         rhs_b = sv**2 * (1.0 - re)
         check_b = BoundCheck(
@@ -326,8 +318,8 @@ def check_symbol_conditions(
             )
         checks.extend((check_a, check_b))
 
-    for y in y_samples:
-        T = t_ops.diff_1d + (0.5 + 2j * y) * t_ops.adv_1d
+    for y in DEFAULT_Y_SAMPLES:
+        T = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
         lhs = _lambda_max_real_spectrum(T, "tridiagonal family")
         checks.append(BoundCheck(f"tridiag_family_cond[y={y:g}]", lhs, 2.0 * y**2, tol * scale))
     return checks
@@ -350,8 +342,8 @@ def _family_entries(grid: GridSpec, y: float):
     return nu, alpha, beta_mag, gamma_mag
 
 
-def certificate_case_large_y(t_ops: TransformedOperators, y: float, tol: float = 1e-8):
-    """Row certificate for the tridiagonal family on ``t_ops.grid`` when |y| >= 1/2.
+def certificate_case_large_y(ops: OperatorSet, y: float, tol: float = 1e-8):
+    """Row certificate for the tridiagonal family on ``ops.grid`` when |y| >= 1/2.
 
     Each unweighted row sum alpha_i + |beta_i| + |gamma_i| is bounded by
     2 y^2; with theta = 4 y^2 >= 1 the generic row inequality is equivalent
@@ -362,7 +354,7 @@ def certificate_case_large_y(t_ops: TransformedOperators, y: float, tol: float =
     """
     if abs(y) < 0.5:
         raise ValueError(f"this certificate covers |y| >= 1/2, got y = {y}")
-    grid = t_ops.grid
+    grid = ops.grid
     nu, alpha, beta_mag, gamma_mag = _family_entries(grid, y)
     theta = 4.0 * y**2
     rows = [
@@ -377,13 +369,13 @@ def certificate_case_large_y(t_ops: TransformedOperators, y: float, tol: float =
         )
         for i in range(grid.m1)
     ]
-    family = t_ops.diff_1d + (0.5 + 2j * y) * t_ops.adv_1d
+    family = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
     check = BoundCheck("family_log_norm_inf[large_y]", log_norm_inf(family), 2.0 * y**2, tol)
     return rows, check
 
 
-def certificate_case_small_y(t_ops: TransformedOperators, y: float, tol: float = 1e-8):
-    """Row certificate for the tridiagonal family on ``t_ops.grid`` when |y| < 1/2.
+def certificate_case_small_y(ops: OperatorSet, y: float, tol: float = 1e-8):
+    """Row certificate for the tridiagonal family on ``ops.grid`` when |y| < 1/2.
 
     A diagonal similarity with weights whose consecutive ratios are eps_j
     turns the row sums into alpha_i + eps_i |beta_i| + |gamma_i| / eps_{i+1}.
@@ -400,7 +392,7 @@ def certificate_case_small_y(t_ops: TransformedOperators, y: float, tol: float =
     """
     if abs(y) >= 0.5:
         raise ValueError(f"this certificate covers |y| < 1/2, got y = {y}")
-    grid = t_ops.grid
+    grid = ops.grid
     nu64, alpha, beta_mag, gamma_mag = _family_entries(grid, y)
     # Weight ratios eps_j = (nu_j - 1/2)(nu_j + 1/2) / nu_j^2, indexed like the rows (eps[0]
     # unused), in extended precision because the bracket expressions below cancel heavily.

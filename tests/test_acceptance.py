@@ -37,7 +37,6 @@ from hestonstab import (
     make_grid,
     run_sweep,
     spectral_norm,
-    transformed_operators,
 )
 from hestonstab.stability import DEFAULT_Y_SAMPLES, _lambda_max_real_spectrum
 
@@ -65,7 +64,7 @@ def test_criterion_1_advection_sharpness():
     for m in (3, 7, 15, 31):
         grid = make_grid(params, m, m)
         ops = build_operators(params, grid)
-        c_s, c_v = check_advection_bounds(ops, params)
+        c_s, c_v = check_advection_bounds(ops)
         sharp_s = 0.5 * R * math.cos(math.pi / (m + 1))
         sharp_v = 0.5 * KAPPA * math.cos(math.pi / (m + 1))
         worst = max(worst, abs(c_s.lhs - sharp_s), abs(c_v.lhs - sharp_v))
@@ -159,25 +158,25 @@ def test_criterion_5_certificate_chain():
         for m2 in (5, 7, 9, 11, 13, 15):
             params = HestonParams(r=R, kappa=KAPPA, eta=ETA, sigma=0.2, rho=0.0, L=L)
             grid = make_grid(params, 2 * m2, m2)
-            t_ops = transformed_operators(grid)
+            ops = build_operators(params, grid)
 
             # collapsed family condition at every sampled y
             for y in DEFAULT_Y_SAMPLES:
-                T = t_ops.diff_1d + (0.5 + 2j * y) * t_ops.adv_1d
+                T = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
                 lam = _lambda_max_real_spectrum(T, "family")
                 ok &= lam <= 2.0 * y**2 + 1e-8 * max(1.0, float(np.abs(T).max()))
 
             # case-split row certificates
             for y in DEFAULT_Y_SAMPLES:
                 if abs(y) >= 0.5:
-                    rows, check = certificate_case_large_y(t_ops, y)
+                    rows, check = certificate_case_large_y(ops, y)
                     theta = 4.0 * y**2
                     ok &= check.holds
                     for row in rows:
                         ok &= row.alpha + row.beta_mag + row.gamma_mag <= 2.0 * y**2 + 1e-8
                         ok &= quartic_value(row.nu, theta) >= 0.0
                 else:
-                    rows, check = certificate_case_small_y(t_ops, y)
+                    rows, check = certificate_case_small_y(ops, y)
                     ok &= check.holds
                     for row in rows[1:-1]:
                         if row.nu >= 2.0:
@@ -190,8 +189,7 @@ def test_criterion_5_certificate_chain():
             for sigma in (0.1, 0.2):
                 for rho in (-1.0, 0.0, 1.0):
                     p2 = HestonParams(r=R, kappa=KAPPA, eta=ETA, sigma=sigma, rho=rho, L=L)
-                    ops = build_operators(p2, grid)
-                    _, B0, B1 = diffusion_block_reduction(p2, ops, t_ops)
+                    _, B0, B1 = diffusion_block_reduction(build_operators(p2, grid))
                     symbol_check = check_block_toeplitz_symbol_bound(B0, B1, grid.m2)
                     ok &= symbol_check.holds
                     min_symbol_margin = min(min_symbol_margin, symbol_check.margin)

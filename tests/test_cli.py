@@ -49,8 +49,9 @@ def test_explicit_m1_override():
         (["certificate", "--m2", "3", "--L=-inf"], "parameter L must be finite"),
         (["sweep", "--m2-values", "3", "--V", "inf"], "parameter V must be finite"),
         (["sweep", "--m2-values", "3", "--sigma-values", "inf"], "parameter sigma must be finite"),
+        (["sweep", "--m2-values", "3,2"], "all m2 values must be >= 3"),
     ],
-    ids=["rho-1.5", "r-inf", "S-inf", "kappa-nan", "L-neg-inf", "V-inf", "sigma-inf"],
+    ids=["rho-1.5", "r-inf", "S-inf", "kappa-nan", "L-neg-inf", "V-inf", "sigma-inf", "sweep-m2-2"],
 )
 def test_invalid_param_exits_with_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -312,6 +313,15 @@ def test_main_sweep_failed_case_exits_3(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "FAIL sweep[m2=3,L=0,sigma=0.1,rho=0]: semigroup norm scan overflowed at t = 7" in out
+
+
+@pytest.mark.parametrize("command", ["operators", "check", "certificate"])
+@pytest.mark.parametrize("sigma", ["1e154", "1e155"])
+def test_overflowing_assembly_exits_3(command, sigma, capsys):
+    code = main([command, "--m2", "3", "--sigma", sigma])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "numerical failure: operator assembly overflowed: the operator has non-finite entries\n"
 
 
 def test_main_numerical_failure_exit_code(capsys):

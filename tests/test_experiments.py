@@ -21,41 +21,40 @@ from hestonstab.cli import main
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
 
-def test_max_norm_monotone_decay():
-    value, t_at = max_norm_over_t(-np.eye(3), t_max=20.0)
+def test_max_norm_monotone_decay(monkeypatch):
+    monkeypatch.setattr(experiments, "_T_MAX", 20.0)
+    value, t_at = max_norm_over_t(-np.eye(3))
     assert value == pytest.approx(1.0, abs=1e-10)
     assert t_at == 0.0
 
 
-def test_max_norm_nilpotent_growth_closed_form():
+def test_max_norm_nilpotent_growth_closed_form(monkeypatch):
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    value, t_at = max_norm_over_t(A, t_max=100.0)
+    monkeypatch.setattr(experiments, "_T_MAX", 100.0)
+    value, t_at = max_norm_over_t(A)
     assert t_at == pytest.approx(100.0, abs=1e-9)
     assert value == pytest.approx(unit_upper_shear_sigma_max(100.0), abs=1e-9)
     assert value == pytest.approx(100.01, abs=1e-2)
 
 
-def test_max_norm_refinement_is_monotone():
+def test_max_norm_refinement_is_monotone(monkeypatch):
     params = HestonParams(**dict(BASE, rho=1.0))
     grid = make_grid(params, 10, 5)
     diffusion = build_operators(params, grid).diffusion
-    coarse, _ = max_norm_over_t(diffusion, t_max=20.0, refine_levels=0)
-    refined, t_at = max_norm_over_t(diffusion, t_max=20.0, refine_levels=2)
+    monkeypatch.setattr(experiments, "_T_MAX", 20.0)
+    monkeypatch.setattr(experiments, "_REFINE_LEVELS", 0)
+    coarse, _ = max_norm_over_t(diffusion)
+    monkeypatch.setattr(experiments, "_REFINE_LEVELS", 2)
+    refined, t_at = max_norm_over_t(diffusion)
     assert refined >= coarse - 1e-12
     assert 0.0 <= t_at <= 5.0
 
 
-def test_max_norm_input_validation():
-    with pytest.raises(ValueError):
-        max_norm_over_t(np.eye(2), t_max=0.0)
-    with pytest.raises(ValueError):
-        max_norm_over_t(np.eye(2), coarse_step=-1.0)
-
-
-def test_max_norm_overflow_identifies_t():
+def test_max_norm_overflow_identifies_t(monkeypatch):
     A = np.array([[40.0]])
+    monkeypatch.setattr(experiments, "_T_MAX", 100.0)
     with pytest.raises(OverflowError, match="t ="):
-        max_norm_over_t(A, t_max=100.0)
+        max_norm_over_t(A)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +113,39 @@ def test_sweep_assembly_error_propagates(monkeypatch):
     cfg = SweepConfig(m2_values=(3,), sigma_values=(0.1,), rho_values=(0.0,), L_values=(0.0,))
     with pytest.raises(ValueError, match="assembly bug"):
         run_sweep(cfg)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"rho_values": (0.0, 2.0)}, "correlation rho must lie in"),
+        ({"sigma_values": (0.1, -0.2)}, "sigma must be positive"),
+        ({"L_values": (0.0, 800.0)}, "need 0 <= L < S"),
+        ({"m2_values": (9, 2)}, "all m2 values must be >= 3"),
+        ({"m2_values": ()}, "m2_values must not be empty"),
+        ({"sigma_values": ()}, "sigma_values must not be empty"),
+        ({"rho_values": ()}, "rho_values must not be empty"),
+        ({"L_values": ()}, "L_values must not be empty"),
+    ],
+)
+def test_sweep_config_rejects_a_bad_combination_before_any_case_runs(fields, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(experiments, "build_operators", never)
+    base = dict(m2_values=(9,), sigma_values=(0.1,), rho_values=(0.0,), L_values=(0.0,))
+    with pytest.raises(ValueError, match=message):
+        run_sweep(SweepConfig(**{**base, **fields}))
+
+
+@pytest.mark.parametrize("sigma", [1e154, 1e155])
+def test_sweep_overflowing_assembly_is_a_failed_case(sigma):
+    cfg = SweepConfig(m2_values=(3,), sigma_values=(0.1, sigma), rho_values=(0.0,), L_values=(0.0,))
+    ok, failed = run_sweep(cfg)
+    assert ok.error == "" and ok.within_bound
+    assert failed.sigma == sigma
+    assert failed.error == "operator assembly overflowed: the operator has non-finite entries"
+    assert math.isnan(failed.max_norm2) and not failed.within_bound
 
 
 def test_sweep_case_call_counts(monkeypatch):
@@ -185,7 +217,9 @@ def test_certified_cutoff_changes_nothing(rho, sigma, L, m2):
     A = build_operators(params, grid).diffusion
     ref_value, ref_t, norms = _reference_scan(A)
     k_cut = next(k for k in range(1, 101) if norms[k] <= 1.0)
-    _, coarse_argmax = max_norm_over_t(A, refine_levels=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_REFINE_LEVELS", 0)
+        _, coarse_argmax = max_norm_over_t(A)
     assert coarse_argmax == float(np.argmax(norms))
     value, t_at = max_norm_over_t(A)
     assert abs(t_at - ref_t) <= 1e-11 * max(ref_t, 1.0)
@@ -210,16 +244,18 @@ def test_scan_samples_are_the_semigroup_at_their_t(monkeypatch):
 
     monkeypatch.setattr(experiments, "_check_finite", check)
     monkeypatch.setattr(experiments, "_sigma_max_lanczos", peak_at_2)
-    value, t_at = max_norm_over_t(np.array([[1.0]]), t_max=10.0)
+    monkeypatch.setattr(experiments, "_T_MAX", 10.0)
+    value, t_at = max_norm_over_t(np.array([[1.0]]))
     assert (value, t_at) == (10.0, 2.0)
     assert len(sampled) == 10 + 20 + 20
     for t, p in sampled:
         assert p == pytest.approx(math.exp(t), rel=1e-12)
 
 
-def test_max_norm_samples_stay_within_t_max():
+def test_max_norm_samples_stay_within_t_max(monkeypatch):
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    value, t_at = max_norm_over_t(A, t_max=2.6)
+    monkeypatch.setattr(experiments, "_T_MAX", 2.6)
+    value, t_at = max_norm_over_t(A)
     assert t_at == 2.6
     # e^{2.6 A} = [[1, 2.6], [0, 1]]
     assert value == pytest.approx(unit_upper_shear_sigma_max(2.6), rel=1e-12)

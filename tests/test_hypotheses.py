@@ -21,7 +21,6 @@ from hestonstab import (
     log_norm_D,
     make_grid,
     scaling_diagonal,
-    transformed_operators,
 )
 
 
@@ -41,18 +40,17 @@ def test_certificate_chain_holds_on_the_parameter_box(rho, sigma, S, L_fraction,
     )
     grid = make_grid(params, m1, m2)
     ops = build_operators(params, grid)
-    t_ops = transformed_operators(grid)
 
     mu_D = log_norm_D(ops.diffusion, scaling_diagonal(grid))
     assert mu_D <= 1e-8 * np.abs(ops.diffusion).max()
     # raises if a log norm leaves its sharp closed form
-    assert all(c.holds for c in check_advection_bounds(ops, params))
-    _, B0, B1 = diffusion_block_reduction(params, ops, t_ops)
+    assert all(c.holds for c in check_advection_bounds(ops))
+    _, B0, B1 = diffusion_block_reduction(ops)
     assert check_block_toeplitz_symbol_bound(B0, B1, grid.m2).holds
-    assert all(c.holds for c in check_symbol_conditions(params, t_ops, zeta_samples=16))
+    assert all(c.holds for c in check_symbol_conditions(ops))
     for y in DEFAULT_Y_SAMPLES:
         if abs(y) >= 0.5:
-            _, check = certificate_case_large_y(t_ops, y)
+            _, check = certificate_case_large_y(ops, y)
         else:
-            _, check = certificate_case_small_y(t_ops, y)
+            _, check = certificate_case_small_y(ops, y)
         assert check.holds, (y, check)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from hestonstab import (
     build_stencils,
     forward_shift,
     make_grid,
-    transformed_operators,
     tridiag,
 )
 
@@ -130,22 +131,47 @@ def test_commutator_roundoff_contract(m1, L, S):
     assert commutator_check(build_stencils(grid), grid.s_points) <= 1e-13 * max(1.0, 1.0 / grid.ds**2)
 
 
-def test_transformed_operators_antisymmetry_and_similarity():
-    _, grid = _grid(m1=7, L=10.0)
-    t_ops = transformed_operators(grid)
-    assert t_ops.grid is grid
-    scale = np.abs(t_ops.adv_sym).max()
-    assert np.abs(t_ops.adv_sym + t_ops.adv_sym.T).max() <= 1e-15 * scale
+def test_scaled_operators_antisymmetry_and_similarity():
+    params, grid = _grid(m1=7, L=10.0)
+    ops = build_operators(params, grid)
+    assert ops.grid is grid and ops.params is params
+    scale = np.abs(ops.adv_sym).max()
+    assert np.abs(ops.adv_sym + ops.adv_sym.T).max() <= 1e-15 * scale
     rt = np.sqrt(grid.s_points)
-    back = rt[:, None] * t_ops.adv_sym / rt[None, :]
-    np.testing.assert_allclose(t_ops.adv_1d, back, atol=1e-12 * np.abs(t_ops.adv_1d).max())
+    back = rt[:, None] * ops.adv_sym / rt[None, :]
+    np.testing.assert_allclose(ops.adv_1d, back, atol=1e-12 * np.abs(ops.adv_1d).max())
 
 
-def test_transformed_operators_unit_grid_row():
-    _, grid = _grid(m1=3, S=4.0)  # s = 1, 2, 3
-    t_ops = transformed_operators(grid)
-    np.testing.assert_allclose(t_ops.adv_1d[1], [-1.0, 0.0, 1.0], atol=1e-15)
+def test_scaled_operators_unit_grid_row():
+    params, grid = _grid(m1=3, S=4.0)  # s = 1, 2, 3
+    ops = build_operators(params, grid)
+    np.testing.assert_allclose(ops.adv_1d[1], [-1.0, 0.0, 1.0], atol=1e-15)
 
+
+
+@pytest.mark.parametrize("m1,m2,extra", [(10, 5, {}), (7, 5, {"rho": 0.9, "L": 10.0}),
+                                         (6, 3, {"rho": -1.0, "sigma": 0.1, "L": 7.3})])
+def test_blocks_equal_the_diagonal_scaled_products(m1, m2, extra):
+    # the 2-D blocks are formed from adv_1d and diff_1d; they equal the Ds-product formulas exactly
+    params, grid = _grid(m1=m1, m2=m2, **extra)
+    ops = build_operators(params, grid)
+    st = build_stencils(grid)
+    Ds, Dv = np.diag(grid.s_points), np.diag(grid.v_points)
+    np.testing.assert_array_equal(ops.adv_1d, Ds @ st.d1_s)
+    np.testing.assert_array_equal(ops.adv_s_factor, params.r * (Ds @ st.d1_s))
+    np.testing.assert_array_equal(ops.diff_ss, 0.5 * np.kron(Dv, Ds @ Ds @ st.d2_s))
+    np.testing.assert_array_equal(
+        ops.mixed_sv, params.rho * params.sigma * np.kron(Dv @ st.d1_v, Ds @ st.d1_s)
+    )
+
+
+@pytest.mark.parametrize("sigma", [1e154, 1e155, 1e300])
+def test_overflowing_assembly_raises_overflow_error_without_warnings(sigma):
+    params, grid = _grid(m1=6, m2=3, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="operator assembly overflowed"):
+            build_operators(params, grid)
 
 
 def test_dump_matrix_roundtrip(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -23,8 +24,8 @@ from hestonstab import (
     make_grid,
     scaling_diagonal,
     symbol_matrix_hat,
-    transformed_operators,
 )
+from hestonstab import stability
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -41,7 +42,7 @@ def _setup(m1=10, m2=5, **extra):
 
 def test_advection_bounds_small_grid_values():
     params, grid, ops = _setup(m1=3, m2=3)
-    c_s, c_v = check_advection_bounds(ops, params)
+    c_s, c_v = check_advection_bounds(ops)
     # closed forms: (r/2) cos(pi/4) and (kappa/2) cos(pi/4)
     assert c_s.lhs == pytest.approx(0.025 * math.cos(math.pi / 4.0), abs=1e-10)
     assert c_s.lhs == pytest.approx(0.017677669529663688, abs=1e-9)
@@ -52,7 +53,7 @@ def test_advection_bounds_small_grid_values():
 
 def test_advection_bounds_match_jacobi_oracle():
     params, grid, ops = _setup(m1=4, m2=3)
-    c_s, c_v = check_advection_bounds(ops, params)
+    c_s, c_v = check_advection_bounds(ops)
     assert c_s.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_s + ops.adv_s.T)), abs=1e-8)
     assert c_v.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_v + ops.adv_v.T)), abs=1e-8)
 
@@ -61,7 +62,7 @@ def test_advection_log_norm_monotone_in_mesh():
     values = []
     for m1 in (3, 7, 15):
         params, grid, ops = _setup(m1=m1, m2=3)
-        c_s, _ = check_advection_bounds(ops, params)
+        c_s, _ = check_advection_bounds(ops)
         values.append(c_s.lhs)
         assert c_s.lhs < 0.5 * params.r
     assert values[0] < values[1] < values[2]
@@ -77,15 +78,15 @@ def test_advection_factors_give_the_dense_blocks_results(m1, m2, extra):
     np.testing.assert_array_equal(ops.adv_s, np.kron(np.eye(m2), ops.adv_s_factor))
     np.testing.assert_array_equal(ops.adv_v, np.kron(ops.adv_v_factor, np.eye(m1)))
 
-    c_s, c_v = check_advection_bounds(ops, params)
+    c_s, c_v = check_advection_bounds(ops)
     assert c_s.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_s + ops.adv_s.T)), abs=1e-10)
     assert c_v.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_v + ops.adv_v.T)), abs=1e-10)
 
     t_samples = [0.0, 0.5, 2.0, 10.0]
     for factor, block, omega in ((ops.adv_s_factor, ops.adv_s, 0.5 * params.r),
                                  (ops.adv_v_factor, ops.adv_v, 0.5 * params.kappa)):
-        on_factor = check_exp_bound(factor, omega, 1.0, t_samples)
-        on_block = check_exp_bound(block, omega, 1.0, t_samples)
+        on_factor = check_exp_bound(factor, omega, t_samples)
+        on_block = check_exp_bound(block, omega, t_samples)
         assert [c.name for c in on_factor] == [c.name for c in on_block]
         for f, b in zip(on_factor, on_block):
             assert f.lhs == pytest.approx(b.lhs, rel=1e-12)
@@ -98,12 +99,12 @@ def test_advection_factors_give_the_dense_blocks_results(m1, m2, extra):
 
 def test_exp_bound_advection():
     params, grid, ops = _setup(m1=4, m2=3)
-    checks = check_exp_bound(ops.adv_s, omega=0.5 * params.r, K=1.0, t_samples=[0.0, 1.0, 10.0])
+    checks = check_exp_bound(ops.adv_s, omega=0.5 * params.r, t_samples=[0.0, 1.0, 10.0])
     assert all(c.holds for c in checks)
 
 
 def test_exp_bound_zero_matrix_is_tight():
-    checks = check_exp_bound(np.zeros((3, 3)), omega=0.0, K=1.0, t_samples=[0.0, 2.0])
+    checks = check_exp_bound(np.zeros((3, 3)), omega=0.0, t_samples=[0.0, 2.0])
     for c in checks:
         assert c.lhs == pytest.approx(1.0, abs=1e-12)
         assert c.rhs == 1.0
@@ -112,13 +113,13 @@ def test_exp_bound_zero_matrix_is_tight():
 
 def test_exp_bound_failure_is_reported_not_raised():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])  # log norm 1, claimed omega 0
-    checks = check_exp_bound(A, omega=0.0, K=1.0, t_samples=[1.0])
+    checks = check_exp_bound(A, omega=0.0, t_samples=[1.0])
     assert not checks[0].holds
 
 
 def test_exp_bound_rejects_negative_t():
     with pytest.raises(ValueError):
-        check_exp_bound(np.eye(2), 0.0, 1.0, [-1.0])
+        check_exp_bound(np.eye(2), 0.0, [-1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_block_toeplitz_bound_scalar_shift():
 
 def test_block_toeplitz_bound_on_reduction_blocks():
     params, grid, ops = _setup(m1=6, m2=4, rho=0.7)
-    _, B0, B1 = diffusion_block_reduction(params, ops, transformed_operators(grid))
+    _, B0, B1 = diffusion_block_reduction(ops)
     check = check_block_toeplitz_symbol_bound(B0, B1, n_blocks=grid.m2)
     assert check.holds
 
@@ -203,8 +204,6 @@ def test_block_toeplitz_bound_on_reduction_blocks():
 def test_block_toeplitz_bound_input_validation():
     with pytest.raises(ValueError):
         check_block_toeplitz_symbol_bound(np.eye(2), np.eye(2), n_blocks=1)
-    with pytest.raises(ValueError):
-        check_block_toeplitz_symbol_bound(np.eye(2), np.eye(2), n_blocks=4, zeta_samples=4)
 
 
 # ---------------------------------------------------------------------------
@@ -213,31 +212,30 @@ def test_block_toeplitz_bound_input_validation():
 
 def test_reduction_zero_correlation_offdiagonal_block():
     params, grid, ops = _setup(rho=0.0)
-    _, _, B1 = diffusion_block_reduction(params, ops, transformed_operators(grid))
+    _, _, B1 = diffusion_block_reduction(ops)
     sv = params.sigma / grid.dv
     np.testing.assert_allclose(B1, 0.5 * sv**2 * np.eye(grid.m1), atol=1e-14 * sv**2)
 
 
 def test_reduction_transpose_block_consistency():
     params, grid, ops = _setup(rho=0.9)
-    t_ops = transformed_operators(grid)
-    _, _, B1 = diffusion_block_reduction(params, ops, t_ops)
+    _, _, B1 = diffusion_block_reduction(ops)
     sv = params.sigma / grid.dv
-    expected = 0.5 * (-params.rho * sv * t_ops.adv_sym + sv**2 * np.eye(grid.m1))
+    expected = 0.5 * (-params.rho * sv * ops.adv_sym + sv**2 * np.eye(grid.m1))
     np.testing.assert_allclose(B1.T, expected, atol=1e-12 * max(1.0, np.abs(B1).max()))
 
 
 def test_reduction_rejects_operators_of_another_grid():
-    params, grid, ops = _setup(m1=6, m2=4, rho=0.5)
-    _, other, _ = _setup(m1=6, m2=4, rho=0.5, L=10.0)
+    _, _, ops = _setup(m1=6, m2=4, rho=0.5)
+    _, _, other = _setup(m1=6, m2=4, rho=0.5, L=10.0)
     with pytest.raises(ValueError, match="block assembly disagrees"):
-        diffusion_block_reduction(params, ops, transformed_operators(other))
+        diffusion_block_reduction(dataclasses.replace(ops, diffusion=other.diffusion))
 
 
 @pytest.mark.parametrize("rho,L", [(0.0, 0.0), (1.0, 0.0), (-0.6, 10.0)])
 def test_reduction_sign_equivalence_with_scaled_log_norm(rho, L):
     params, grid, ops = _setup(m1=8, m2=4, rho=rho, L=L)
-    B, _, _ = diffusion_block_reduction(params, ops, transformed_operators(grid))
+    B, _, _ = diffusion_block_reduction(ops)
     mu_B = log_norm_2(B)
     mu_D = log_norm_D(ops.diffusion, scaling_diagonal(grid))
     tol = 1e-8 * max(1.0, np.abs(B).max())
@@ -250,15 +248,15 @@ def test_reduction_sign_equivalence_with_scaled_log_norm(rho, L):
 
 @pytest.mark.parametrize("sigma,rho", [(0.1, -1.0), (0.2, 0.5), (0.2, 1.0)])
 def test_symbol_conditions_hold(sigma, rho):
-    params, grid, _ = _setup(m1=8, m2=4, sigma=sigma, rho=rho)
-    checks = check_symbol_conditions(params, transformed_operators(grid), zeta_samples=16)
+    _, _, ops = _setup(m1=8, m2=4, sigma=sigma, rho=rho)
+    checks = check_symbol_conditions(ops)
     assert checks
     assert all(c.holds for c in checks)
 
 
 def test_symbol_condition_at_zeta_one_has_zero_rhs():
-    params, grid, _ = _setup(m1=6, m2=4)
-    checks = check_symbol_conditions(params, transformed_operators(grid), zeta_samples=8)
+    _, _, ops = _setup(m1=6, m2=4)
+    checks = check_symbol_conditions(ops)
     at_one = [c for c in checks if c.name.startswith("scaled_symbol_cond[zeta=0/")]
     assert len(at_one) == 1
     assert at_one[0].rhs == 0.0
@@ -266,17 +264,16 @@ def test_symbol_condition_at_zeta_one_has_zero_rhs():
 
 
 def test_family_condition_at_y_zero():
-    params, grid, _ = _setup(m1=8, m2=4)
-    t_ops = transformed_operators(grid)
-    T = t_ops.diff_1d + 0.5 * t_ops.adv_1d
+    _, _, ops = _setup(m1=8, m2=4)
+    T = ops.diff_1d + 0.5 * ops.adv_1d
     evals = np.linalg.eigvals(T)
     assert float(evals.real.max()) <= 1e-8 * max(1.0, np.abs(T).max())
 
 
-def test_family_condition_large_y_has_margin():
-    params, grid, _ = _setup(m1=8, m2=4)
-    t_ops = transformed_operators(grid)
-    checks = check_symbol_conditions(params, t_ops, zeta_samples=8, y_samples=(5.0, -5.0))
+def test_family_condition_large_y_has_margin(monkeypatch):
+    _, _, ops = _setup(m1=8, m2=4)
+    monkeypatch.setattr(stability, "DEFAULT_Y_SAMPLES", (5.0, -5.0))
+    checks = check_symbol_conditions(ops)
     family = [c for c in checks if c.name.startswith("tridiag_family_cond")]
     assert len(family) == 2
     for c in family:
@@ -289,9 +286,9 @@ def test_family_condition_large_y_has_margin():
 # ---------------------------------------------------------------------------
 
 def test_large_y_wrong_branch_rejected():
-    _, grid, _ = _setup()
+    _, _, ops = _setup()
     with pytest.raises(ValueError):
-        certificate_case_large_y(transformed_operators(grid), 0.49)
+        certificate_case_large_y(ops, 0.49)
 
 
 def test_quartic_at_theta_one():
@@ -306,18 +303,17 @@ def test_quartic_frozen_value():
 
 
 def test_large_y_rows_match_family_matrix():
-    _, grid, _ = _setup(m1=6, m2=4, L=10.0)
+    _, _, ops = _setup(m1=6, m2=4, L=10.0)
     y = 0.8
-    rows, check = certificate_case_large_y(transformed_operators(grid), y)
-    t_ops = transformed_operators(grid)
-    T = t_ops.diff_1d + (0.5 + 2j * y) * t_ops.adv_1d
+    rows, check = certificate_case_large_y(ops, y)
+    T = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
     for idx, row in enumerate(rows):
         assert row.alpha == pytest.approx(float(T[idx, idx].real), rel=1e-12)
         if idx > 0:
             assert row.beta_mag == pytest.approx(abs(T[idx, idx - 1]), rel=1e-12)
         else:
             assert row.beta_mag == 0.0
-        if idx < grid.m1 - 1:
+        if idx < ops.grid.m1 - 1:
             assert row.gamma_mag == pytest.approx(abs(T[idx, idx + 1]), rel=1e-12)
         else:
             assert row.gamma_mag == 0.0
@@ -326,8 +322,8 @@ def test_large_y_rows_match_family_matrix():
 
 @pytest.mark.parametrize("y", [0.5, 0.6, 1.0, 5.0, -0.5, -2.0])
 def test_large_y_certificate_holds(y):
-    _, grid, _ = _setup(m1=10, m2=5)
-    rows, check = certificate_case_large_y(transformed_operators(grid), y)
+    _, _, ops = _setup(m1=10, m2=5)
+    rows, check = certificate_case_large_y(ops, y)
     assert check.holds
     theta = 4.0 * y**2
     for row in rows:
@@ -341,15 +337,15 @@ def test_large_y_certificate_holds(y):
 # ---------------------------------------------------------------------------
 
 def test_small_y_wrong_branch_rejected():
-    _, grid, _ = _setup()
+    _, _, ops = _setup()
     with pytest.raises(ValueError):
-        certificate_case_small_y(transformed_operators(grid), 0.5)
+        certificate_case_small_y(ops, 0.5)
 
 
 def test_small_y_frozen_values_at_nu_two():
     # L = 0 grid has nu_i = i, so row 2 carries nu = 2
-    _, grid, _ = _setup(m1=10, m2=5, L=0.0)
-    rows, _ = certificate_case_small_y(transformed_operators(grid), 0.1)
+    _, _, ops = _setup(m1=10, m2=5, L=0.0)
+    rows, _ = certificate_case_small_y(ops, 0.1)
     row = rows[1]
     assert row.nu == pytest.approx(2.0, abs=1e-12)
     assert row.eps == pytest.approx(0.9375, abs=1e-12)
@@ -359,16 +355,16 @@ def test_small_y_frozen_values_at_nu_two():
 
 
 def test_small_y_bracket_agrees_with_closed_form():
-    _, grid, _ = _setup(m1=20, m2=5, L=10.0)
-    rows, _ = certificate_case_small_y(transformed_operators(grid), 0.3)
+    _, _, ops = _setup(m1=20, m2=5, L=10.0)
+    rows, _ = certificate_case_small_y(ops, 0.3)
     for row in rows[1:-1]:
         assert abs(row.a - row.a_bracket) <= 1e-12
 
 
 @pytest.mark.parametrize("L", [0.0, 10.0])
 def test_certificate_row_invariants(L):
-    _, grid, _ = _setup(m1=9, m2=5, L=L)
-    rows, _ = certificate_case_small_y(transformed_operators(grid), 0.2)
+    _, _, ops = _setup(m1=9, m2=5, L=L)
+    rows, _ = certificate_case_small_y(ops, 0.2)
     for row in rows:
         assert row.nu >= row.i >= 1  # grid ratio dominates the row index
         if row.eps is not None:
@@ -377,8 +373,8 @@ def test_certificate_row_invariants(L):
 
 def test_small_y_evaluated_b_form():
     # b_i also equals (nu/2) [ (nu + 1/2)/nu^2 + (nu+1)^2 / ((nu+1/2)^2 (nu+3/2)) ]
-    _, grid, _ = _setup(m1=12, m2=5, L=0.0)
-    rows, _ = certificate_case_small_y(transformed_operators(grid), 0.2)
+    _, _, ops = _setup(m1=12, m2=5, L=0.0)
+    rows, _ = certificate_case_small_y(ops, 0.2)
     for row in rows[1:-1]:
         nu = row.nu
         evaluated = 0.5 * nu * (
@@ -390,15 +386,15 @@ def test_small_y_evaluated_b_form():
 @pytest.mark.parametrize("y", [0.0, 0.1, -0.25, 0.49, -0.49])
 @pytest.mark.parametrize("L", [0.0, 10.0])
 def test_small_y_certificate_holds(y, L):
-    _, grid, _ = _setup(m1=10, m2=5, L=L)
-    rows, check = certificate_case_small_y(transformed_operators(grid), y)
+    _, _, ops = _setup(m1=10, m2=5, L=L)
+    rows, check = certificate_case_small_y(ops, y)
     assert check.holds
     two_y2 = 2.0 * y**2
     eps_by_row = {row.i: row.eps for row in rows}
     for row in rows:
         if row.i == 1:
             weighted = row.alpha + row.gamma_mag / eps_by_row[2]
-        elif row.i == grid.m1:
+        elif row.i == ops.grid.m1:
             weighted = row.alpha + row.eps * row.beta_mag
         else:
             weighted = row.alpha + row.eps * row.beta_mag + row.gamma_mag / eps_by_row[row.i + 1]
@@ -436,19 +432,18 @@ def test_unit_circle_real_part_estimate():
 
 @pytest.mark.parametrize("sigma,rho,L", [(0.1, 1.0, 0.0), (0.2, -1.0, 10.0)])
 def test_family_condition_implies_block_log_norm(sigma, rho, L):
-    params, grid, ops = _setup(m1=8, m2=4, sigma=sigma, rho=rho, L=L)
-    checks = check_symbol_conditions(params, transformed_operators(grid), zeta_samples=16)
+    _, _, ops = _setup(m1=8, m2=4, sigma=sigma, rho=rho, L=L)
+    checks = check_symbol_conditions(ops)
     family = [c for c in checks if c.name.startswith("tridiag_family_cond")]
     assert all(c.holds for c in family)
-    B, _, _ = diffusion_block_reduction(params, ops, transformed_operators(grid))
+    B, _, _ = diffusion_block_reduction(ops)
     assert log_norm_2(B) <= 1e-8 * max(1.0, np.abs(B).max())
 
 
 @pytest.mark.parametrize("y", [0.3, 0.7, 2.0])
 def test_log_norm_inf_dominates_real_spectrum(y):
-    _, grid, _ = _setup(m1=9, m2=4, L=10.0)
-    t_ops = transformed_operators(grid)
-    T = t_ops.diff_1d + (0.5 + 2j * y) * t_ops.adv_1d
+    _, _, ops = _setup(m1=9, m2=4, L=10.0)
+    T = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
     lam = float(np.linalg.eigvals(T).real.max())
     assert lam <= log_norm_inf(T) + 1e-10
 
@@ -458,8 +453,8 @@ def test_log_norm_inf_dominates_real_spectrum(y):
 # ---------------------------------------------------------------------------
 
 def test_certificate_report_format():
-    _, grid, _ = _setup(m1=5, m2=4)
-    rows, check = certificate_case_small_y(transformed_operators(grid), 0.2)
+    _, _, ops = _setup(m1=5, m2=4)
+    rows, check = certificate_case_small_y(ops, 0.2)
     text = format_certificate_report(rows, [check])
     lines = text.strip().split("\n")
     assert len(lines) == len(rows) + 1
