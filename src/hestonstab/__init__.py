@@ -29,6 +29,7 @@ from .operators import (
     build_operators,
     build_stencils,
     forward_shift,
+    operator_block,
     tridiag,
 )
 from .stability import (
@@ -80,6 +81,7 @@ __all__ = [
     "log_norm_inf",
     "make_grid",
     "max_norm_over_t",
+    "operator_block",
     "run_sweep",
     "scaling_diagonal",
     "spectral_norm",

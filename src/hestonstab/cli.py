@@ -26,7 +26,7 @@ import numpy as np
 
 from .experiments import SweepConfig, SweepRecord, compare_L_effect, run_sweep
 from .grid import HestonParams, make_grid
-from .operators import build_operators
+from .operators import BLOCK_NAMES, build_operators, operator_block
 from .stability import (
     BoundCheck,
     DEFAULT_Y_SAMPLES,
@@ -42,8 +42,6 @@ from .stability import (
 )
 
 __all__ = ["parse_args", "write_csv", "emit_plot_data", "main"]
-
-_OPERATOR_NAMES = ("full", "diffusion", "adv-s", "adv-v", "diff-ss", "mixed-sv", "diff-vv")
 
 _DEFAULT_T_SAMPLES = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -104,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ops = sub.add_parser("operators", help="assemble operators and dump one as text")
     _add_param_flags(p_ops)
     _add_grid_flags(p_ops)
-    p_ops.add_argument("--which", choices=_OPERATOR_NAMES, default="full", help="matrix to dump")
+    p_ops.add_argument("--which", choices=BLOCK_NAMES, default="full", help="matrix to dump")
     p_ops.add_argument("--out", default=None, help="output file (default stdout)")
 
     p_check = sub.add_parser("check", help="advection and diffusion stability checks")
@@ -226,7 +224,7 @@ def _print_checks(checks: Sequence[BoundCheck]) -> bool:
 
 
 def _run_operators(ns: argparse.Namespace) -> int:
-    matrix = getattr(build_operators(ns.params, ns.grid), ns.which.replace("-", "_"))
+    matrix = operator_block(build_operators(ns.params, ns.grid), ns.which)
     # 17 significant digits round-trip every float64 entry
     np.savetxt(sys.stdout if ns.out is None else ns.out, matrix, fmt="%.17g")
     if ns.out is not None:

@@ -122,16 +122,20 @@ def _n_samples(span: float, step: float) -> int:
     return int(math.floor(span / step + 1e-9))
 
 
-def _scan_norms(A: np.ndarray) -> tuple:
-    """Coarse scan plus refinement of max_t ||e^{tA}||_2; returns (max, argmax).
+def max_norm_over_t(A):
+    """Estimated maximum of ||e^{tA}||_2 and its location t_argmax in [0, _T_MAX].
 
-    The coarse pass samples powers of e^{(step) A} at k (step) <= t_max and
-    stops at the first contractive one (see the module docstring).  Each
-    refinement level re-expands around the running argmax with a ten times
-    finer step, clamped to [0, t_max].  The spectral norms are Lanczos
-    values, each warm-started from the previous Ritz vector.  The span,
-    step and level count are read from the module constants at each call.
+    Returns (max_value, t_argmax).  The coarse pass samples powers of
+    e^{(step) A} at k (step) <= _T_MAX and stops at the first contractive one
+    (see the module docstring); the maximum is then over all t >= 0, and over
+    [0, _T_MAX] otherwise.  Each refinement level re-expands around the
+    running argmax with a ten times finer step, clamped to [0, _T_MAX].  The
+    spectral norms are Lanczos values, each warm-started from the previous
+    Ritz vector.  The span, step and level count are read from the module
+    constants at each call.  The D-scaled maximum of the diffusion block
+    needs no scan: mu_D <= 0 fixes it at 1 (see ``run_sweep``).
     """
+    A = np.asarray(A, dtype=float)
     t_max, coarse_step, refine_levels = _T_MAX, _COARSE_STEP, _REFINE_LEVELS
     P = start = np.eye(A.shape[0])
     best, _, v = _sigma_max_lanczos(P)
@@ -172,17 +176,6 @@ def _expm_at(A: np.ndarray, t: float) -> np.ndarray:
         return expm(A, t)
     except OverflowError as err:
         raise OverflowError(f"semigroup norm scan overflowed at t = {t:g}: {err}") from err
-
-
-def max_norm_over_t(A):
-    """Estimated maximum of ||e^{tA}||_2 and its location t_argmax in [0, _T_MAX].
-
-    Returns (max_value, t_argmax).  The maximum is over all t >= 0 when the
-    coarse pass reaches a contractive sample by _T_MAX, and over [0, _T_MAX]
-    otherwise.  The D-scaled maximum of the diffusion block needs no scan:
-    mu_D <= 0 fixes it at 1 (see ``run_sweep``).
-    """
-    return _scan_norms(np.asarray(A, dtype=float))
 
 
 def _sweep_bound(L: float, m1: int, S: float, m2: int) -> float:

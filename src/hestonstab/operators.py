@@ -1,11 +1,10 @@
 """Finite-difference stencils and the Kronecker-assembled Heston operators.
 
 The five PDE terms (price advection, variance advection, price diffusion,
-mixed derivative, variance diffusion) map to five m x m matrices built as
-Kronecker products of 1-D stencils with the grid scaling diagonals.
-``build_operators`` is the one assembly per grid: it also carries the
-scaled price-direction operators that the certificate chain reads, and the
-2-D blocks are formed from those operators.
+mixed derivative, variance diffusion) map to five m x m blocks, each a scalar
+times a Kronecker product of 1-D operators.  ``build_operators`` assembles a
+grid once and keeps what the analysis reads; ``operator_block`` forms any
+other block on demand.
 """
 
 from __future__ import annotations
@@ -19,11 +18,16 @@ from .grid import GridSpec, HestonParams
 __all__ = [
     "StencilSet",
     "OperatorSet",
+    "BLOCK_NAMES",
     "tridiag",
     "forward_shift",
     "build_stencils",
     "build_operators",
+    "operator_block",
 ]
+
+#: The dense blocks ``operator_block`` forms, by their ``operators --which`` names.
+BLOCK_NAMES = ("full", "diffusion", "adv-s", "adv-v", "diff-ss", "mixed-sv", "diff-vv")
 
 
 def tridiag(n: int, lower: float, diag: float, upper: float) -> np.ndarray:
@@ -71,13 +75,6 @@ def build_stencils(grid: GridSpec) -> StencilSet:
 class OperatorSet:
     """One grid's semi-discrete Heston operators, with the ``params`` they were built for.
 
-    adv_s discretizes r*s*u_s, adv_v discretizes kappa*(eta - v)*u_v,
-    diff_ss discretizes (1/2)*s^2*v*u_ss, mixed_sv discretizes
-    rho*sigma*s*v*u_sv, diff_vv discretizes (1/2)*sigma^2*v*u_vv.
-    ``full`` is their sum minus the r*I reaction term; ``diffusion`` is
-    diff_ss + mixed_sv + diff_vv (the part covered by the contractivity
-    result).
-
     The price-direction operators read by the certificate chain are
 
         adv_sym  = Ds^{1/2} d1_s Ds^{1/2}   (antisymmetric)
@@ -85,14 +82,13 @@ class OperatorSet:
         adv_1d   = Ds d1_s                  (discrete s*u_s)
         diff_1d  = (1/2) Ds^2 d2_s          (discrete (1/2)*s^2*u_ss)
 
-    and the 2-D blocks are built from them: diff_ss = Dv (x) diff_1d,
-    mixed_sv = rho sigma (Dv d1_v) (x) adv_1d.
-
-    adv_s = I2 (x) adv_s_factor and adv_v = adv_v_factor (x) I1, with the 1-D
-    factors r adv_1d (m1 x m1) and kappa (eta I - Dv) d1_v (m2 x m2).  As
-    e^{t(I (x) B)} = I (x) e^{tB}, ||I (x) X||_2 = ||X||_2 and
-    mu2[I (x) X] = mu2[X] (likewise for X (x) I), the advection checks run
-    on the factors; the dense blocks serve ``full`` and the ``operators`` dump.
+    ``operator_block`` forms the 2-D blocks from them: adv_s discretizes r*s*u_s,
+    adv_v kappa*(eta - v)*u_v, diff_ss (1/2)*s^2*v*u_ss, mixed_sv rho*sigma*s*v*u_sv
+    and diff_vv (1/2)*sigma^2*v*u_vv.  Only ``diffusion`` = diff_ss + mixed_sv +
+    diff_vv, the part covered by the contractivity result, is kept.  As
+    adv_s = I2 (x) adv_s_factor, adv_v = adv_v_factor (x) I1, e^{t(I (x) B)} =
+    I (x) e^{tB}, ||I (x) X||_2 = ||X||_2 and mu2[I (x) X] = mu2[X] (likewise
+    for X (x) I), the advection checks run on the factors.
     """
 
     params: HestonParams
@@ -103,13 +99,39 @@ class OperatorSet:
     diff_1d: np.ndarray
     adv_s_factor: np.ndarray
     adv_v_factor: np.ndarray
-    adv_s: np.ndarray
-    adv_v: np.ndarray
-    diff_ss: np.ndarray
-    mixed_sv: np.ndarray
-    diff_vv: np.ndarray
-    full: np.ndarray
     diffusion: np.ndarray
+
+
+def _form(params, grid, adv_1d, diff_1d, adv_s_factor, adv_v_factor, names) -> np.ndarray:
+    """The sum of the 2-D blocks ``names``, left to right, accumulated in place."""
+    st, Dv, I1 = build_stencils(grid), np.diag(grid.v_points), np.eye(grid.m1)
+    terms = {  # name: (coefficient or None for 1, left, right) of coefficient * kron(left, right)
+        "adv-s": (None, np.eye(grid.m2), adv_s_factor),
+        "adv-v": (None, adv_v_factor, I1),
+        "diff-ss": (None, Dv, diff_1d),
+        "mixed-sv": (params.rho * params.sigma, Dv @ st.d1_v, adv_1d),
+        "diff-vv": (0.5 * np.float64(params.sigma) ** 2, Dv @ st.d2_v, I1),
+    }
+    total = None
+    for coef, left, right in (terms[name] for name in names):
+        block = np.kron(left, right)
+        if coef is not None:
+            block *= coef
+        total = block if total is None else np.add(total, block, out=total)
+    return total
+
+
+def operator_block(ops: OperatorSet, which: str) -> np.ndarray:
+    """The block ``which`` (one of ``BLOCK_NAMES``); full = adv_s + adv_v + diffusion - r*I."""
+    if which == "diffusion":
+        return ops.diffusion
+    pieces = (ops.params, ops.grid, ops.adv_1d, ops.diff_1d, ops.adv_s_factor, ops.adv_v_factor)
+    if which != "full":
+        return _form(*pieces, (which,))
+    full = _form(*pieces, ("adv-s", "adv-v"))
+    full += ops.diffusion
+    full[np.diag_indices_from(full)] -= ops.params.r
+    return full
 
 
 def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
@@ -118,10 +140,10 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
     Raises ValueError if the antisymmetry of adv_sym or the identity
     (1/2)(diff_sym + diff_sym^T) = Ds^{-1/2} (2 diff_1d + adv_1d) Ds^{1/2}
     fails beyond roundoff, which would signal an assembly bug, and
-    OverflowError if an entry of the assembled operator is not finite.
+    OverflowError if the full operator, not only a block of it, has a non-finite entry.
     """
-    # an overflow shows up as a non-finite entry of full, checked below; np.float64 turns an
-    # overflowing sigma^2 into inf instead of raising
+    # an overflow shows up as a non-finite entry of the full operator, formed and checked
+    # below; np.float64 turns an overflowing sigma^2 into inf instead of raising
     with np.errstate(over="ignore", invalid="ignore"):
         st = build_stencils(grid)
         s = grid.s_points
@@ -140,35 +162,12 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
         if np.abs(sym_part - other).max() > 1e-11 * scale:
             raise ValueError("symmetric-part identity violated; assembly bug")
 
-        Dv = np.diag(grid.v_points)
-        I1 = np.eye(grid.m1)
-        I2 = np.eye(grid.m2)
         adv_s_factor = params.r * adv_1d
-        adv_v_factor = params.kappa * ((params.eta * I2 - Dv) @ st.d1_v)
-        adv_s = np.kron(I2, adv_s_factor)
-        adv_v = np.kron(adv_v_factor, I1)
-        diff_ss = np.kron(Dv, diff_1d)
-        mixed_sv = params.rho * params.sigma * np.kron(Dv @ st.d1_v, adv_1d)
-        diff_vv = 0.5 * np.float64(params.sigma) ** 2 * np.kron(Dv @ st.d2_v, I1)
-
-        diffusion = diff_ss + mixed_sv + diff_vv
-        full = adv_s + adv_v + diffusion - params.r * np.eye(grid.m)
-    if not np.all(np.isfinite(full)):
-        raise OverflowError("operator assembly overflowed: the operator has non-finite entries")
-    return OperatorSet(
-        params=params,
-        grid=grid,
-        adv_sym=adv_sym,
-        diff_sym=diff_sym,
-        adv_1d=adv_1d,
-        diff_1d=diff_1d,
-        adv_s_factor=adv_s_factor,
-        adv_v_factor=adv_v_factor,
-        adv_s=adv_s,
-        adv_v=adv_v,
-        diff_ss=diff_ss,
-        mixed_sv=mixed_sv,
-        diff_vv=diff_vv,
-        full=full,
-        diffusion=diffusion,
-    )
+        adv_v_factor = params.kappa * ((params.eta * np.eye(grid.m2) - np.diag(grid.v_points)) @ st.d1_v)
+        diffusion = _form(params, grid, adv_1d, diff_1d, adv_s_factor, adv_v_factor,
+                          ("diff-ss", "mixed-sv", "diff-vv"))
+        ops = OperatorSet(params, grid, adv_sym, diff_sym, adv_1d, diff_1d,
+                          adv_s_factor, adv_v_factor, diffusion)
+        if not np.all(np.isfinite(operator_block(ops, "full"))):
+            raise OverflowError("operator assembly overflowed: the operator has non-finite entries")
+    return ops

@@ -307,7 +307,7 @@ def test_main_sweep_failed_case_exits_3(monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise OverflowError("semigroup norm scan overflowed at t = 7")
 
-    monkeypatch.setattr(experiments, "_scan_norms", overflow)
+    monkeypatch.setattr(experiments, "max_norm_over_t", overflow)
     code = main(["sweep", "--m2-values", "3", "--sigma-values", "0.1", "--rho-values", "0",
                  "--L-values", "0"])
     out = capsys.readouterr().out
@@ -315,18 +315,45 @@ def test_main_sweep_failed_case_exits_3(monkeypatch, capsys):
     assert "FAIL sweep[m2=3,L=0,sigma=0.1,rho=0]: semigroup norm scan overflowed at t = 7" in out
 
 
+_ASSEMBLY_OVERFLOW = "operator assembly overflowed: the operator has non-finite entries"
+
+
 @pytest.mark.parametrize("command", ["operators", "check", "certificate"])
-@pytest.mark.parametrize("sigma", ["1e154", "1e155"])
-def test_overflowing_assembly_exits_3(command, sigma, capsys):
-    code = main([command, "--m2", "3", "--sigma", sigma])
-    err = capsys.readouterr().err
+# 3e153 with kappa = 1.2e308: every block is finite and only their sum overflows
+@pytest.mark.parametrize("sigma,kappa", [("1e154", "2"), ("1e155", "2"), ("3e153", "1.2e308")],
+                         ids=["1e154", "1e155", "3e153-kappa1.2e308"])
+def test_overflowing_assembly_exits_3(command, sigma, kappa, capsys):
+    blocks = ("full", "diffusion", "adv-s", "adv-v", "diff-ss", "mixed-sv", "diff-vv")
+    dumps = [["--which", w] for w in blocks] if command == "operators" else [[]]
+    for which in dumps:
+        code = main([command, "--m2", "3", "--sigma", sigma, "--kappa", kappa, *which])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {_ASSEMBLY_OVERFLOW}\n"
+
+
+def test_sweep_sum_only_overflow_is_a_failed_case(capsys):
+    code = main(["sweep", "--m2-values", "3", "--sigma-values", "3e153", "--rho-values", "0",
+                 "--L-values", "0", "--kappa", "1.2e308"])
     assert code == 3
-    assert err == "numerical failure: operator assembly overflowed: the operator has non-finite entries\n"
+    assert f"FAIL sweep[m2=3,L=0,sigma=3e+153,rho=0]: {_ASSEMBLY_OVERFLOW}" in capsys.readouterr().out
 
 
 def test_main_numerical_failure_exit_code(capsys):
-    # t large enough that the advection exponential overflows double range
-    code = main(["check", "--m2", "3", "--t-samples", "0,1e7"])
+    # t large enough that the squaring phase of the advection exponential overflows double range
+    code = main(["check", "--m2", "3", "--t-samples", "0,1e308"])
     err = capsys.readouterr().err
     assert code == 3
-    assert "numerical failure" in err
+    assert err == "numerical failure: matrix exponential overflowed during squaring: ||tA||_1 = 2.5e+307\n"
+
+
+def test_check_exp_bound_past_double_range_holds(capsys):
+    # e^{t kappa/2} at t = 800 exceeds every double; the norms on the left stay finite
+    code = main(["check", "--m2", "3", "--t-samples", "0,800"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    row = next(line for line in captured.out.splitlines() if line.startswith("PASS adv_v_exp_bound[t=800]:"))
+    assert row.endswith(" rhs=inf margin=inf")
+    assert "FAIL" not in captured.out

@@ -10,6 +10,7 @@ from hestonstab import (
     build_stencils,
     forward_shift,
     make_grid,
+    operator_block,
     tridiag,
 )
 
@@ -56,7 +57,8 @@ def test_advection_s_symmetrization():
     params, grid = _grid(m1=5, m2=4)
     ops = build_operators(params, grid)
     expected = -params.r * np.kron(np.eye(grid.m2), pair_average(grid.m1))
-    np.testing.assert_allclose(ops.adv_s + ops.adv_s.T, expected, atol=1e-14 * params.r)
+    adv_s = operator_block(ops, "adv-s")
+    np.testing.assert_allclose(adv_s + adv_s.T, expected, atol=1e-14 * params.r)
 
 
 @pytest.mark.parametrize("eta", [0.04, 3.7])
@@ -64,13 +66,14 @@ def test_advection_v_symmetrization_any_eta(eta):
     params, grid = _grid(m1=4, m2=5, eta=eta)
     ops = build_operators(params, grid)
     expected = params.kappa * np.kron(pair_average(grid.m2), np.eye(grid.m1))
-    np.testing.assert_allclose(ops.adv_v + ops.adv_v.T, expected, atol=1e-12 * params.kappa)
+    adv_v = operator_block(ops, "adv-v")
+    np.testing.assert_allclose(adv_v + adv_v.T, expected, atol=1e-12 * params.kappa)
 
 
 def test_zero_correlation_kills_mixed_term():
     params, grid = _grid(rho=0.0)
     ops = build_operators(params, grid)
-    assert np.count_nonzero(ops.mixed_sv) == 0
+    assert np.count_nonzero(operator_block(ops, "mixed-sv")) == 0
 
 
 def test_price_diffusion_row_pattern():
@@ -80,7 +83,7 @@ def test_price_diffusion_row_pattern():
     assert grid.ds == pytest.approx(1.0) and grid.dv == pytest.approx(1.0)
     ops = build_operators(params, grid)
     # node (i=2, j=2) sits at flat index (2-1)*3 + 2 = 5 (1-based)
-    row = ops.diff_ss[4]
+    row = operator_block(ops, "diff-ss")[4]
     expected = np.zeros(9)
     expected[3:6] = 0.5 * grid.v_points[1] * grid.s_points[1] ** 2 * np.array([1.0, -2.0, 1.0])
     np.testing.assert_allclose(row, expected, atol=1e-14)
@@ -101,8 +104,8 @@ def test_sparsity_budgets():
     params, grid = _grid(m1=7, m2=6, rho=0.9)
     ops = build_operators(params, grid)
     m = grid.m
-    for name, cap in (("adv_s", 3), ("adv_v", 3), ("diff_ss", 3), ("mixed_sv", 9), ("diff_vv", 3)):
-        A = getattr(ops, name)
+    for name, cap in (("adv-s", 3), ("adv-v", 3), ("diff-ss", 3), ("mixed-sv", 9), ("diff-vv", 3)):
+        A = operator_block(ops, name)
         assert np.count_nonzero(A) <= cap * m
         assert (A != 0).sum(axis=1).max() <= cap
 
@@ -110,9 +113,13 @@ def test_sparsity_budgets():
 def test_operator_sums():
     params, grid = _grid()
     ops = build_operators(params, grid)
-    total = ops.adv_s + ops.adv_v + ops.diff_ss + ops.mixed_sv + ops.diff_vv - params.r * np.eye(grid.m)
-    np.testing.assert_array_equal(ops.full, total)
-    np.testing.assert_array_equal(ops.diffusion, ops.diff_ss + ops.mixed_sv + ops.diff_vv)
+    adv_s, adv_v, diff_ss, mixed_sv, diff_vv, full = (
+        operator_block(ops, name) for name in ("adv-s", "adv-v", "diff-ss", "mixed-sv", "diff-vv", "full")
+    )
+    total = adv_s + adv_v + diff_ss + mixed_sv + diff_vv - params.r * np.eye(grid.m)
+    np.testing.assert_array_equal(full, total)
+    np.testing.assert_array_equal(ops.diffusion, diff_ss + mixed_sv + diff_vv)
+    np.testing.assert_array_equal(operator_block(ops, "diffusion"), ops.diffusion)
 
 
 def test_commutator_integer_grid_is_exact():
@@ -159,9 +166,9 @@ def test_blocks_equal_the_diagonal_scaled_products(m1, m2, extra):
     Ds, Dv = np.diag(grid.s_points), np.diag(grid.v_points)
     np.testing.assert_array_equal(ops.adv_1d, Ds @ st.d1_s)
     np.testing.assert_array_equal(ops.adv_s_factor, params.r * (Ds @ st.d1_s))
-    np.testing.assert_array_equal(ops.diff_ss, 0.5 * np.kron(Dv, Ds @ Ds @ st.d2_s))
+    np.testing.assert_array_equal(operator_block(ops, "diff-ss"), 0.5 * np.kron(Dv, Ds @ Ds @ st.d2_s))
     np.testing.assert_array_equal(
-        ops.mixed_sv, params.rho * params.sigma * np.kron(Dv @ st.d1_v, Ds @ st.d1_s)
+        operator_block(ops, "mixed-sv"), params.rho * params.sigma * np.kron(Dv @ st.d1_v, Ds @ st.d1_s)
     )
 
 
@@ -181,9 +188,8 @@ def test_dump_matrix_roundtrip(tmp_path, capsys):
     params, grid = _grid(m1=6, m2=3, L=7.3, S=613.1)
     ops = build_operators(params, grid)
     argv = ["--m1", "6", "--m2", "3", "--L", "7.3", "--S", "613.1", "--rho", str(BASE["rho"])]
-    for which, M in [("full", ops.full), ("diffusion", ops.diffusion), ("adv-s", ops.adv_s),
-                     ("adv-v", ops.adv_v), ("diff-ss", ops.diff_ss), ("mixed-sv", ops.mixed_sv),
-                     ("diff-vv", ops.diff_vv)]:
+    for which in ("full", "diffusion", "adv-s", "adv-v", "diff-ss", "mixed-sv", "diff-vv"):
+        M = operator_block(ops, which)
         path = tmp_path / f"{which}.txt"
         assert main(["operators", "--which", which, *argv, "--out", str(path)]) == 0
         capsys.readouterr()

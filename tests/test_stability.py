@@ -22,6 +22,7 @@ from hestonstab import (
     log_norm_D,
     log_norm_inf,
     make_grid,
+    operator_block,
     scaling_diagonal,
     symbol_matrix_hat,
 )
@@ -54,8 +55,9 @@ def test_advection_bounds_small_grid_values():
 def test_advection_bounds_match_jacobi_oracle():
     params, grid, ops = _setup(m1=4, m2=3)
     c_s, c_v = check_advection_bounds(ops)
-    assert c_s.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_s + ops.adv_s.T)), abs=1e-8)
-    assert c_v.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_v + ops.adv_v.T)), abs=1e-8)
+    adv_s, adv_v = operator_block(ops, "adv-s"), operator_block(ops, "adv-v")
+    assert c_s.lhs == pytest.approx(hermitian_lambda_max(0.5 * (adv_s + adv_s.T)), abs=1e-8)
+    assert c_v.lhs == pytest.approx(hermitian_lambda_max(0.5 * (adv_v + adv_v.T)), abs=1e-8)
 
 
 def test_advection_log_norm_monotone_in_mesh():
@@ -75,16 +77,17 @@ def test_advection_log_norm_monotone_in_mesh():
 )
 def test_advection_factors_give_the_dense_blocks_results(m1, m2, extra):
     params, grid, ops = _setup(m1=m1, m2=m2, **extra)
-    np.testing.assert_array_equal(ops.adv_s, np.kron(np.eye(m2), ops.adv_s_factor))
-    np.testing.assert_array_equal(ops.adv_v, np.kron(ops.adv_v_factor, np.eye(m1)))
+    adv_s, adv_v = operator_block(ops, "adv-s"), operator_block(ops, "adv-v")
+    np.testing.assert_array_equal(adv_s, np.kron(np.eye(m2), ops.adv_s_factor))
+    np.testing.assert_array_equal(adv_v, np.kron(ops.adv_v_factor, np.eye(m1)))
 
     c_s, c_v = check_advection_bounds(ops)
-    assert c_s.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_s + ops.adv_s.T)), abs=1e-10)
-    assert c_v.lhs == pytest.approx(hermitian_lambda_max(0.5 * (ops.adv_v + ops.adv_v.T)), abs=1e-10)
+    assert c_s.lhs == pytest.approx(hermitian_lambda_max(0.5 * (adv_s + adv_s.T)), abs=1e-10)
+    assert c_v.lhs == pytest.approx(hermitian_lambda_max(0.5 * (adv_v + adv_v.T)), abs=1e-10)
 
     t_samples = [0.0, 0.5, 2.0, 10.0]
-    for factor, block, omega in ((ops.adv_s_factor, ops.adv_s, 0.5 * params.r),
-                                 (ops.adv_v_factor, ops.adv_v, 0.5 * params.kappa)):
+    for factor, block, omega in ((ops.adv_s_factor, adv_s, 0.5 * params.r),
+                                 (ops.adv_v_factor, adv_v, 0.5 * params.kappa)):
         on_factor = check_exp_bound(factor, omega, t_samples)
         on_block = check_exp_bound(block, omega, t_samples)
         assert [c.name for c in on_factor] == [c.name for c in on_block]
@@ -99,7 +102,7 @@ def test_advection_factors_give_the_dense_blocks_results(m1, m2, extra):
 
 def test_exp_bound_advection():
     params, grid, ops = _setup(m1=4, m2=3)
-    checks = check_exp_bound(ops.adv_s, omega=0.5 * params.r, t_samples=[0.0, 1.0, 10.0])
+    checks = check_exp_bound(operator_block(ops, "adv-s"), omega=0.5 * params.r, t_samples=[0.0, 1.0, 10.0])
     assert all(c.holds for c in checks)
 
 
