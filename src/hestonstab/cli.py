@@ -75,15 +75,19 @@ def _int_list(text: str) -> tuple:
 
 
 def _add_param_flags(p: argparse.ArgumentParser, with_rho_sigma_L: bool = True) -> None:
-    p.add_argument("--r", type=float, default=0.05, help="interest rate (default 0.05)")
-    p.add_argument("--kappa", type=float, default=2.0, help="mean-reversion rate (default 2)")
-    p.add_argument("--eta", type=float, default=0.04, help="long-term mean variance (default 0.04)")
+    ref = SweepConfig()  # the reference model's r, kappa, eta, S and V
+    for flag, default, text in (
+        ("--r", ref.r, "interest rate"),
+        ("--kappa", ref.kappa, "mean-reversion rate"),
+        ("--eta", ref.eta, "long-term mean variance"),
+    ):
+        p.add_argument(flag, type=float, default=default, help=f"{text} (default {default:g})")
     if with_rho_sigma_L:
         p.add_argument("--sigma", type=float, default=0.2, help="volatility-of-variance (default 0.2)")
         p.add_argument("--rho", type=float, default=0.0, help="correlation in [-1, 1] (default 0)")
         p.add_argument("--L", type=float, default=0.0, help="lower barrier (default 0)")
-    p.add_argument("--S", type=float, default=800.0, help="price truncation (default 800)")
-    p.add_argument("--V", type=float, default=5.0, help="variance truncation (default 5)")
+    p.add_argument("--S", type=float, default=ref.S, help=f"price truncation (default {ref.S:g})")
+    p.add_argument("--V", type=float, default=ref.V, help=f"variance truncation (default {ref.V:g})")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -125,10 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="norm-growth parameter sweep")
     _add_param_flags(p_sweep, with_rho_sigma_L=False)
-    p_sweep.add_argument("--m2-values", type=_int_list, default=(5, 7, 9, 11, 13, 15))
-    p_sweep.add_argument("--sigma-values", type=_float_list, default=(0.1, 0.2))
-    p_sweep.add_argument("--rho-values", type=_float_list, default=(-1.0, 0.0, 1.0))
-    p_sweep.add_argument("--L-values", type=_float_list, default=(0.0, 10.0))
+    ref = SweepConfig()
+    p_sweep.add_argument("--m2-values", type=_int_list, default=ref.m2_values)
+    p_sweep.add_argument("--sigma-values", type=_float_list, default=ref.sigma_values)
+    p_sweep.add_argument("--rho-values", type=_float_list, default=ref.rho_values)
+    p_sweep.add_argument("--L-values", type=_float_list, default=ref.L_values)
     p_sweep.add_argument("--full", action="store_true", help="extend meshes to m2 = 25")
     p_sweep.add_argument("--tol", type=float, default=1e-6, help="bound-check tolerance")
     p_sweep.add_argument("--out", default=None, help="CSV output path")

@@ -12,8 +12,11 @@ where P_k = e^{k (step) A}.  Every later t = u + j k (step) with
 so the maximum over all t >= 0, past the scan's span included, is the
 maximum over [0, k (step)).  The Lanczos value is only a lower bound on a
 norm, so the stop is confirmed by a dense SVD.  Each refinement level
-starts from the sample the previous pass kept at t_best - h, so a case
-computes one exponential per step size.
+divides the step by four and starts from the sample the previous pass kept
+at t_best - h, so a case needs one exponential per step size.  The steps
+(step) / 4^l differ by powers of two, so every sample t is exact in binary
+and ``expm_samples`` forms all of them from one Pade evaluation and one
+squaring chain once ||(step) A / 4^l||_1 > 1 at the finest level.
 
 The scaled-norm maximum needs no scan.  Each grid's logarithmic norm
 mu_D = mu_D[diffusion] is computed once; mu_D <= 0 gives
@@ -30,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import HestonParams, make_grid, scaling_diagonal
-from .linalg import _sigma_max_lanczos, expm, log_norm_D, spectral_norm
+from .linalg import _sigma_max_lanczos, expm_samples, log_norm_D, spectral_norm
 from .operators import build_operators
 from .stability import BoundCheck
 
@@ -43,10 +46,10 @@ __all__ = [
 ]
 
 
-# The scan's span, coarse step and number of tenfold refinements.
+# The scan's span, coarse step and number of fourfold refinements.
 _T_MAX = 100.0
 _COARSE_STEP = 1.0
-_REFINE_LEVELS = 2
+_REFINE_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -117,11 +120,6 @@ class SweepRecord:
     error: str = ""
 
 
-def _n_samples(span: float, step: float) -> int:
-    """Number of steps j >= 1 with j * step <= span, up to rounding in the quotient."""
-    return int(math.floor(span / step + 1e-9))
-
-
 def max_norm_over_t(A):
     """Estimated maximum of ||e^{tA}||_2 and its location t_argmax in [0, _T_MAX].
 
@@ -129,7 +127,8 @@ def max_norm_over_t(A):
     e^{(step) A} at k (step) <= _T_MAX and stops at the first contractive one
     (see the module docstring); the maximum is then over all t >= 0, and over
     [0, _T_MAX] otherwise.  Each refinement level re-expands around the
-    running argmax with a ten times finer step, clamped to [0, _T_MAX].  The
+    running argmax with a four times finer step, clamped to [0, _T_MAX]; the
+    step matrices of all levels come from one ``expm_samples`` call.  The
     spectral norms are Lanczos values, each warm-started from the previous
     Ritz vector.  The span, step and level count are read from the module
     constants at each call.  The D-scaled maximum of the diffusion block
@@ -137,24 +136,25 @@ def max_norm_over_t(A):
     """
     A = np.asarray(A, dtype=float)
     t_max, coarse_step, refine_levels = _T_MAX, _COARSE_STEP, _REFINE_LEVELS
+    steps = [coarse_step / 4.0**level for level in range(refine_levels + 1)]
+    step_matrices = dict(expm_samples(A, steps))
     P = start = np.eye(A.shape[0])
     best, _, v = _sigma_max_lanczos(P)
     t_best = 0.0
-    lo, h, n_steps = 0.0, coarse_step, _n_samples(t_max, coarse_step)
+    lo, hi = 0.0, t_max
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(refine_levels + 1):
+        for level, h in enumerate(steps):
             if level:
-                lo, hi, h = max(0.0, t_best - h), min(t_max, t_best + h), h / 10.0
-                n_steps = _n_samples(hi - lo, h)
+                h_prev = steps[level - 1]
+                lo, hi = max(0.0, t_best - h_prev), min(t_max, t_best + h_prev)
                 # the sample at lo, taken before: its evaluation only refreshes the warm start
                 P = start
                 _, _, v = _sigma_max_lanczos(P, v0=v)
-            step_matrix = _expm_at(A, h)
-            # the argmax is sample j_best of this pass (0, or a multiple of 10 if carried over);
+            # the argmax is sample j_best of this pass (0, or a multiple of 4 if carried over);
             # the sample before it starts the next level ('start' is the identity at t_best = 0)
-            j_best = round((t_best - lo) / h)
-            for j in range(1, n_steps + 1):
-                prev, P = P, P @ step_matrix
+            j_best = int((t_best - lo) / h)
+            for j in range(1, int((hi - lo) / h) + 1):
+                prev, P = P, P @ step_matrices[level]
                 _check_finite(P, lo + j * h)
                 sigma, _, v = _sigma_max_lanczos(P, v0=v)
                 if sigma > best:
@@ -169,13 +169,6 @@ def max_norm_over_t(A):
 def _check_finite(P: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(P)):
         raise OverflowError(f"semigroup norm scan overflowed at t = {t:g}")
-
-
-def _expm_at(A: np.ndarray, t: float) -> np.ndarray:
-    try:
-        return expm(A, t)
-    except OverflowError as err:
-        raise OverflowError(f"semigroup norm scan overflowed at t = {t:g}: {err}") from err
 
 
 def _sweep_bound(L: float, m1: int, S: float, m2: int) -> float:

@@ -143,7 +143,7 @@ def log_norm_2(A) -> float:
     A = _as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    return lambda_max_hermitian(0.5 * (A + A.conj().T))
+    return float(np.linalg.eigvalsh(0.5 * (A + A.conj().T))[-1])
 
 
 def _scale_similar(M: np.ndarray, d) -> np.ndarray:
@@ -244,7 +244,8 @@ def expm_samples(A, ts: Iterable[float]) -> Iterator[tuple[int, np.ndarray]]:
     # scaled-matrix key -> [(squarings, index, t, ||tA||_1)], in order of first appearance
     groups: dict = {}
     for i, t in enumerate(ts):
-        norm1 = float(np.abs(t * A).sum(axis=0).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            norm1 = float(np.abs(t * A).sum(axis=0).max())
         if not math.isfinite(norm1):
             raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
         if norm1 == 0.0:

@@ -46,7 +46,7 @@ CASES = {
        for w in _OPERATORS},
     "sweep": ["sweep", "--m2-values", "5,7", "--sigma-values", "0.2", "--rho-values=-1,1",
               "--L-values", "0,10", "--out", "sweep.csv", "--plot-dir", "series"],
-    # t_argmax = 2.62: the first refinement level starts from a coarse sample, not from I
+    # t_argmax = 2.625: the first refinement level starts from a coarse sample, not from I
     "sweep-m2_9_sigma0.1_rho1_V1": ["sweep", "--m2-values", "9", "--sigma-values", "0.1",
                                     "--rho-values", "1", "--L-values", "0", "--V", "1",
                                     "--out", "sweep.csv"],

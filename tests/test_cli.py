@@ -1,7 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from hestonstab import BoundCheck, HestonParams, SweepRecord, build_operators, experiments, make_grid
+from hestonstab import (
+    BoundCheck,
+    HestonParams,
+    SweepConfig,
+    SweepRecord,
+    build_operators,
+    experiments,
+    make_grid,
+)
 from hestonstab.cli import emit_plot_data, main, parse_args, write_csv
 
 
@@ -16,6 +26,7 @@ def test_sweep_defaults_match_reference_sets():
     assert cfg.sweep.rho_values == (-1.0, 0.0, 1.0)
     assert cfg.sweep.L_values == (0.0, 10.0)
     assert cfg.sweep.S == 800.0 and cfg.sweep.V == 5.0
+    assert cfg.sweep == SweepConfig()
 
 
 def test_sweep_full_flag_extends_meshes():
@@ -341,11 +352,18 @@ def test_sweep_sum_only_overflow_is_a_failed_case(capsys):
 
 
 def test_main_numerical_failure_exit_code(capsys):
-    # t large enough that the squaring phase of the advection exponential overflows double range
-    code = main(["check", "--m2", "3", "--t-samples", "0,1e308"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err == "numerical failure: matrix exponential overflowed during squaring: ||tA||_1 = 2.5e+307\n"
+    for m2, message in (
+        # the squaring phase of the advection exponential overflows double range
+        ("3", "matrix exponential overflowed during squaring: ||tA||_1 = 2.5e+307"),
+        # ||tA||_1 itself overflows, and no numpy warning comes ahead of the message
+        ("5", "matrix exponential overflowed: ||tA||_1 = inf"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--m2", m2, "--t-samples", "0,1e308"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"numerical failure: {message}\n"
 
 
 def test_check_exp_bound_past_double_range_holds(capsys):

@@ -12,6 +12,7 @@ from hestonstab import (
     compare_L_effect,
     experiments,
     expm,
+    linalg,
     make_grid,
     max_norm_over_t,
     run_sweep,
@@ -44,7 +45,7 @@ def test_max_norm_refinement_is_monotone(monkeypatch):
     monkeypatch.setattr(experiments, "_T_MAX", 20.0)
     monkeypatch.setattr(experiments, "_REFINE_LEVELS", 0)
     coarse, _ = max_norm_over_t(diffusion)
-    monkeypatch.setattr(experiments, "_REFINE_LEVELS", 2)
+    monkeypatch.setattr(experiments, "_REFINE_LEVELS", 3)
     refined, t_at = max_norm_over_t(diffusion)
     assert refined >= coarse - 1e-12
     assert 0.0 <= t_at <= 5.0
@@ -150,7 +151,7 @@ def test_sweep_overflowing_assembly_is_a_failed_case(sigma):
 
 def test_sweep_case_call_counts(monkeypatch):
     """One m2 = 5 case: one scan cut at the first contractive coarse sample."""
-    calls = {"expm": 0, "lanczos": 0}
+    calls = {"lanczos": 0}
     sampled = []  # t of every sample after t = 0, in scan order
     real_check = experiments._check_finite
 
@@ -165,7 +166,6 @@ def test_sweep_case_call_counts(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(experiments, "expm", counted("expm", experiments.expm))
     monkeypatch.setattr(
         experiments, "_sigma_max_lanczos", counted("lanczos", experiments._sigma_max_lanczos)
     )
@@ -180,13 +180,30 @@ def test_sweep_case_call_counts(monkeypatch):
     levels = experiments._REFINE_LEVELS
     assert sampled[:k_cut] == [float(k) for k in range(1, k_cut + 1)]
     assert max(sampled[k_cut:]) <= k_cut
-    # one exponential per step size: e^{A}, e^{0.1 A}, e^{0.01 A}
-    assert calls["expm"] <= 1 + levels
-    # the coarse samples up to the cut, then per level one warm-start refresh and <= 20 samples
-    assert calls["lanczos"] <= (k_cut + 1) + levels * (1 + 20)
+    # the coarse samples up to the cut, then per level one warm-start refresh and <= 8 samples
+    assert calls["lanczos"] <= (k_cut + 1) + levels * (1 + 8)
 
 
-def _reference_scan(A, t_max=100.0, levels=2):
+def test_sweep_case_shares_one_pade_evaluation(monkeypatch):
+    """e^{A}, e^{A/4}, e^{A/16} and e^{A/64} come from one call and one Pade evaluation."""
+    calls = {"expm_samples": 0, "pade13": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(experiments, "expm_samples", counted("expm_samples", experiments.expm_samples))
+    monkeypatch.setattr(linalg, "_pade13", counted("pade13", linalg._pade13))
+    cfg = SweepConfig(m2_values=(5,), sigma_values=(0.1,), rho_values=(1.0,), L_values=(0.0,))
+    (rec,) = run_sweep(cfg)
+    assert rec.error == ""
+    assert calls == {"expm_samples": 1, "pade13": 1}
+
+
+def _reference_scan(A, t_max=100.0, levels=3):
     """The scan's grids with no cutoff and no kept matrices: an SVD of ``expm`` at every sample."""
 
     def norm(t):
@@ -196,8 +213,8 @@ def _reference_scan(A, t_max=100.0, levels=2):
     t_best = float(np.argmax(norms))
     best, h = norms[int(t_best)], 1.0
     for _ in range(levels):
-        lo, hi, h = max(0.0, t_best - h), min(t_max, t_best + h), h / 10.0
-        for j in range(1, round((hi - lo) / h) + 1):
+        lo, hi, h = max(0.0, t_best - h), min(t_max, t_best + h), h / 4.0
+        for j in range(1, int((hi - lo) / h) + 1):
             value = norm(lo + j * h)
             if value > best:
                 best, t_best = value, lo + j * h
@@ -247,18 +264,18 @@ def test_scan_samples_are_the_semigroup_at_their_t(monkeypatch):
     monkeypatch.setattr(experiments, "_T_MAX", 10.0)
     value, t_at = max_norm_over_t(np.array([[1.0]]))
     assert (value, t_at) == (10.0, 2.0)
-    assert len(sampled) == 10 + 20 + 20
+    assert len(sampled) == 10 + 3 * 8
     for t, p in sampled:
         assert p == pytest.approx(math.exp(t), rel=1e-12)
 
 
 def test_max_norm_samples_stay_within_t_max(monkeypatch):
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    monkeypatch.setattr(experiments, "_T_MAX", 2.6)
+    monkeypatch.setattr(experiments, "_T_MAX", 2.625)
     value, t_at = max_norm_over_t(A)
-    assert t_at == 2.6
-    # e^{2.6 A} = [[1, 2.6], [0, 1]]
-    assert value == pytest.approx(unit_upper_shear_sigma_max(2.6), rel=1e-12)
+    assert t_at == 2.625
+    # e^{2.625 A} = [[1, 2.625], [0, 1]]
+    assert value == pytest.approx(unit_upper_shear_sigma_max(2.625), rel=1e-12)
 
 
 def test_sweep_bound_formula(small_sweep):
