@@ -151,7 +151,7 @@ def test_sweep_overflowing_assembly_is_a_failed_case(sigma):
 
 def test_sweep_case_call_counts(monkeypatch):
     """One m2 = 5 case: one scan cut at the first contractive coarse sample."""
-    calls = {"lanczos": 0}
+    calls = {"expm_samples": 0, "pade13": 0, "lanczos": 0}
     sampled = []  # t of every sample after t = 0, in scan order
     real_check = experiments._check_finite
 
@@ -166,6 +166,8 @@ def test_sweep_case_call_counts(monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(experiments, "expm_samples", counted("expm_samples", experiments.expm_samples))
+    monkeypatch.setattr(linalg, "_pade13", counted("pade13", linalg._pade13))
     monkeypatch.setattr(
         experiments, "_sigma_max_lanczos", counted("lanczos", experiments._sigma_max_lanczos)
     )
@@ -173,6 +175,8 @@ def test_sweep_case_call_counts(monkeypatch):
     cfg = SweepConfig(m2_values=(5,), sigma_values=(0.1,), rho_values=(1.0,), L_values=(0.0,))
     (rec,) = run_sweep(cfg)
     assert rec.error == ""
+    # e^{A}, e^{A/4}, e^{A/16} and e^{A/64} from one call and one Pade evaluation
+    assert (calls["expm_samples"], calls["pade13"]) == (1, 1)
     params = HestonParams(**dict(BASE, sigma=0.1, rho=1.0))
     grid = make_grid(params, 10, 5)
     A = build_operators(params, grid).diffusion
@@ -182,25 +186,6 @@ def test_sweep_case_call_counts(monkeypatch):
     assert max(sampled[k_cut:]) <= k_cut
     # the coarse samples up to the cut, then per level one warm-start refresh and <= 8 samples
     assert calls["lanczos"] <= (k_cut + 1) + levels * (1 + 8)
-
-
-def test_sweep_case_shares_one_pade_evaluation(monkeypatch):
-    """e^{A}, e^{A/4}, e^{A/16} and e^{A/64} come from one call and one Pade evaluation."""
-    calls = {"expm_samples": 0, "pade13": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(experiments, "expm_samples", counted("expm_samples", experiments.expm_samples))
-    monkeypatch.setattr(linalg, "_pade13", counted("pade13", linalg._pade13))
-    cfg = SweepConfig(m2_values=(5,), sigma_values=(0.1,), rho_values=(1.0,), L_values=(0.0,))
-    (rec,) = run_sweep(cfg)
-    assert rec.error == ""
-    assert calls == {"expm_samples": 1, "pade13": 1}
 
 
 def _reference_scan(A, t_max=100.0, levels=3):
