@@ -28,7 +28,6 @@ from .operators import (
     StencilSet,
     build_operators,
     build_stencils,
-    forward_shift,
     operator_block,
     tridiag,
 )
@@ -45,7 +44,6 @@ from .stability import (
     check_symbol_conditions,
     diffusion_block_reduction,
     format_certificate_report,
-    symbol_matrix_hat,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +72,6 @@ __all__ = [
     "expm",
     "expm_samples",
     "format_certificate_report",
-    "forward_shift",
     "lambda_max_hermitian",
     "log_norm_2",
     "log_norm_D",
@@ -85,6 +82,5 @@ __all__ = [
     "run_sweep",
     "scaling_diagonal",
     "spectral_norm",
-    "symbol_matrix_hat",
     "tridiag",
 ]

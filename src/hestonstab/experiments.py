@@ -129,18 +129,18 @@ def max_norm_over_t(A):
     [0, _T_MAX] otherwise.  Each refinement level re-expands around the
     running argmax with a four times finer step, clamped to [0, _T_MAX]; the
     step matrices of all levels come from one ``expm_samples`` call.  The
-    spectral norms are Lanczos values, each warm-started from the previous
-    Ritz vector.  The span, step and level count are read from the module
-    constants at each call.  The D-scaled maximum of the diffusion block
-    needs no scan: mu_D <= 0 fixes it at 1 (see ``run_sweep``).
+    t = 0 sample is ||I||_2 = 1 exactly; the other spectral norms are Lanczos
+    values, each warm-started from the previous Ritz vector.  The span, step
+    and level count are read from the module constants at each call.  The
+    D-scaled maximum of the diffusion block needs no scan: mu_D <= 0 fixes
+    it at 1 (see ``run_sweep``).
     """
     A = np.asarray(A, dtype=float)
     t_max, coarse_step, refine_levels = _T_MAX, _COARSE_STEP, _REFINE_LEVELS
     steps = [coarse_step / 4.0**level for level in range(refine_levels + 1)]
     step_matrices = dict(expm_samples(A, steps))
     P = start = np.eye(A.shape[0])
-    best, _, v = _sigma_max_lanczos(P)
-    t_best = 0.0
+    best, t_best, v = 1.0, 0.0, None
     lo, hi = 0.0, t_max
     with np.errstate(over="ignore", invalid="ignore"):
         for level, h in enumerate(steps):

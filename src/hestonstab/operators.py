@@ -20,7 +20,6 @@ __all__ = [
     "OperatorSet",
     "BLOCK_NAMES",
     "tridiag",
-    "forward_shift",
     "build_stencils",
     "build_operators",
     "operator_block",
@@ -38,11 +37,6 @@ def tridiag(n: int, lower: float, diag: float, upper: float) -> np.ndarray:
     T[idx + 1, idx] = lower
     T[idx, idx + 1] = upper
     return T
-
-
-def forward_shift(n: int) -> np.ndarray:
-    """Forward shift matrix: ones on the first superdiagonal."""
-    return np.eye(n, k=1)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .linalg import (
     log_norm_inf,
     spectral_norm,
 )
-from .operators import OperatorSet, forward_shift
+from .operators import OperatorSet
 
 __all__ = [
     "BoundCheck",
@@ -38,7 +38,6 @@ __all__ = [
     "check_advection_bounds",
     "check_exp_bound",
     "check_diffusion_contractivity",
-    "symbol_matrix_hat",
     "check_block_toeplitz_symbol_bound",
     "diffusion_block_reduction",
     "check_symbol_conditions",
@@ -190,19 +189,10 @@ def check_diffusion_contractivity(ops: OperatorSet, t_samples: Sequence[float], 
     return mu_check, scaled_checks, spectral_checks
 
 
-def symbol_matrix_hat(B0, B1, zeta: complex) -> np.ndarray:
-    """One-sided companion symbol B0 + 2 zeta B1 of the block tridiagonal form.
-
-    It has the Hermitian part of the full symbol B0 + zeta B1 + zeta^{-1} B1^T.
-    """
-    zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-12:
-        raise ValueError(f"zeta must have unit modulus, got |zeta| = {abs(zeta)!r}")
-    B0 = np.asarray(B0, dtype=float)
-    B1 = np.asarray(B1, dtype=float)
-    if B0.shape != B1.shape or B0.shape[0] != B0.shape[1]:
-        raise ValueError("B0 and B1 must be square matrices of equal dimension")
-    return B0 + 2.0 * zeta * B1
+def _block_toeplitz(B0: np.ndarray, B1: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Block tridiagonal Toeplitz matrix I (x) B0 + E (x) B1 + E^T (x) B1^T, E the forward shift."""
+    E = np.eye(n_blocks, k=1)
+    return np.kron(np.eye(n_blocks), B0) + np.kron(E, B1) + np.kron(E.T, B1.T)
 
 
 def check_block_toeplitz_symbol_bound(
@@ -215,23 +205,27 @@ def check_block_toeplitz_symbol_bound(
 
     Assembles B = I (x) B0 + E (x) B1 + E^T (x) B1^T with n_blocks blocks and
     checks mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] over the DEFAULT_ZETA_SAMPLES
-    roots of unity.  The check tolerance adds the sampling slack 2 ||B1||_2
-    times the maximal chord distance to a sample, since the sampled maximum
-    can fall below the true maximum over the circle by at most that much.
+    roots of unity; the one-sided companion B0 + 2 zeta B1 has the Hermitian
+    part of the full symbol B0 + zeta B1 + zeta^{-1} B1^T.  The check tolerance
+    adds the sampling slack 2 ||B1||_2 times the maximal chord distance to a
+    sample, since the sampled maximum can fall below the true maximum over the
+    circle by at most that much.  Raises ValueError unless n_blocks >= 2 and
+    B0, B1 are square matrices of equal size.
     """
     if n_blocks < 2:
         raise ValueError(f"need at least 2 blocks, got {n_blocks}")
     zeta_samples = DEFAULT_ZETA_SAMPLES
     B0 = np.asarray(B0, dtype=float)
     B1 = np.asarray(B1, dtype=float)
-    E = forward_shift(n_blocks)
-    ident = np.eye(n_blocks)
-    B = np.kron(ident, B0) + np.kron(E, B1) + np.kron(E.T, B1.T)
-    lhs = log_norm_2(B)
+    if B0.ndim != 2 or B0.shape[0] != B0.shape[1] or B1.shape != B0.shape:
+        raise ValueError(
+            f"B0 and B1 must be square matrices of equal size, got shapes {B0.shape} and {B1.shape}"
+        )
+    lhs = log_norm_2(_block_toeplitz(B0, B1, n_blocks))
     rhs = -np.inf
     for k in range(zeta_samples):
         zeta = cmath.exp(2j * math.pi * k / zeta_samples)
-        rhs = max(rhs, log_norm_2(symbol_matrix_hat(B0, B1, zeta)))
+        rhs = max(rhs, log_norm_2(B0 + 2.0 * zeta * B1))
     slack = 2.0 * spectral_norm(B1) * 2.0 * math.sin(math.pi / (2 * zeta_samples))
     scale = max(1.0, float(np.abs(B0).max()), float(np.abs(B1).max()))
     return BoundCheck("block_toeplitz_symbol_bound", lhs, rhs, slack + tol * scale)
@@ -244,9 +238,9 @@ def diffusion_block_reduction(ops: OperatorSet):
     diagonal similarity that removes the variance scaling and symmetrizes
     the price scaling, B0 = (1/2)(diff_sym - 2 sv^2 I) is the diagonal
     block, and B1 = (1/2)(rho sv adv_sym + sv^2 I) the off-diagonal block,
-    with sv = sigma / dv.  The block assembly
-    I (x) B0 + E (x) B1 + E^T (x) B1^T must reproduce B elementwise to
-    roundoff; a mismatch raises, signalling an assembly bug.
+    with sv = sigma / dv.  The block tridiagonal Toeplitz assembly of B0 and
+    B1 must reproduce B elementwise to roundoff; a mismatch raises,
+    signalling an assembly bug.
     """
     grid = ops.grid
     sv = ops.params.sigma / grid.dv
@@ -259,8 +253,7 @@ def diffusion_block_reduction(ops: OperatorSet):
     right = np.kron(np.ones(grid.m2), rt_s)
     B = ops.diffusion * right[None, :] * left[:, None]
 
-    E = forward_shift(grid.m2)
-    blocks = np.kron(np.eye(grid.m2), B0) + np.kron(E, B1) + np.kron(E.T, B1.T)
+    blocks = _block_toeplitz(B0, B1, grid.m2)
     scale = max(1.0, float(np.abs(B).max()))
     mismatch = float(np.abs(B - blocks).max())
     if mismatch > 1e-10 * scale:
@@ -392,65 +385,44 @@ def certificate_case_small_y(ops: OperatorSet, y: float, tol: float = 1e-8):
     which for these weights reduces to nu_i^3 - (3/4) nu_i^2 - (3/2) nu_i - 9/16
     >= 0, true for nu_i >= 2.  The closed
     form for a_i is cross-checked against its defining bracket to 1e-12
-    (both evaluated in extended precision); a mismatch raises.  Boundary
-    rows are handled with their one-sided expressions.  Returns the per-row
-    data and the overall check that the weighted row maximum is at most
-    2 y^2.
+    (both evaluated in extended precision) on interior rows; a mismatch
+    raises.  A boundary row uses the interior expressions with its missing
+    neighbour's term set to 0, and reports a from the bracket.  Returns the
+    per-row data and the overall check that the weighted row maximum is at
+    most 2 y^2.
     """
     if abs(y) >= 0.5:
         raise ValueError(f"this certificate covers |y| < 1/2, got y = {y}")
-    grid = ops.grid
-    nu64, alpha, beta_mag, gamma_mag = _family_entries(grid, y)
-    # Weight ratios eps_j = (nu_j - 1/2)(nu_j + 1/2) / nu_j^2, indexed like the rows (eps[0]
-    # unused), in extended precision because the bracket expressions below cancel heavily.
+    nu64, alpha, beta_mag, gamma_mag = _family_entries(ops.grid, y)
+    # Weight ratios eps_j = (nu_j - 1/2)(nu_j + 1/2) / nu_j^2 in extended precision, because the
+    # brackets below cancel heavily.  Row i reads its lower neighbour's ratio eps_i (0 on row 1)
+    # and its upper neighbour's eps_{i+1} (infinite on row m1), so a missing neighbour adds 0.
     nu = nu64.astype(np.longdouble)
     eps = (nu - 0.5) * (nu + 0.5) / nu**2
-    m1 = grid.m1
-
-    rows = []
-    weighted = np.empty(m1)
-    for i in range(m1):
-        k = i + 1  # 1-based row index
-        nui = nu[i]
-        if k == 1:
-            a_br = 0.5 * nui * (-2.0 * nui + (nui + 0.5) / eps[1])
-            b = 0.5 * nui * (1.0 / (eps[1] * (nui + 0.5)))
-            a = float(a_br)
-            w = alpha[i] + gamma_mag[i] / float(eps[1])
-            eps_i = None
-        elif k == m1:
-            a_br = 0.5 * nui * (-2.0 * nui + eps[i] * (nui - 0.5))
-            b = 0.5 * nui * (eps[i] / (nui - 0.5))
-            a = float(a_br)
-            w = alpha[i] + float(eps[i]) * beta_mag[i]
-            eps_i = float(eps[i])
-        else:
-            a_br = 0.5 * nui * (-2.0 * nui + eps[i] * (nui - 0.5) + (nui + 0.5) / eps[i + 1])
-            b = 0.5 * nui * (eps[i] / (nui - 0.5) + 1.0 / (eps[i + 1] * (nui + 0.5)))
-            a_closed = float(-(nui - 0.75) / (8.0 * nui * (nui + 1.5)))
-            if abs(float(a_br) - a_closed) > 1e-12:
-                raise ArithmeticError(
-                    f"row {k}: weight coefficient closed form {a_closed!r} "
-                    f"disagrees with bracket {float(a_br)!r}"
-                )
-            a = a_closed
-            w = alpha[i] + float(eps[i]) * beta_mag[i] + gamma_mag[i] / float(eps[i + 1])
-            eps_i = float(eps[i])
-        weighted[i] = w
-        rows.append(
-            CertificateRow(
-                i=k,
-                nu=float(nu64[i]),
-                alpha=float(alpha[i]),
-                beta_mag=float(beta_mag[i]),
-                gamma_mag=float(gamma_mag[i]),
-                y=y,
-                eps=eps_i,
-                a=a,
-                a_bracket=float(a_br),
-                b=float(b),
-            )
+    eps_lo, eps_up = np.concatenate(([0.0], eps[1:])), np.append(eps[1:], np.inf)
+    a_bracket = (0.5 * nu * (-2.0 * nu + eps_lo * (nu - 0.5) + (nu + 0.5) / eps_up)).astype(float)
+    b = (0.5 * nu * (eps_lo / (nu - 0.5) + 1.0 / (eps_up * (nu + 0.5)))).astype(float)
+    a_closed = (-(nu - 0.75) / (8.0 * nu * (nu + 1.5))).astype(float)
+    bad = np.flatnonzero(np.abs(a_bracket[1:-1] - a_closed[1:-1]) > 1e-12)
+    if bad.size:
+        i = bad[0] + 1
+        raise ArithmeticError(
+            f"row {i + 1}: weight coefficient closed form {float(a_closed[i])!r} "
+            f"disagrees with bracket {float(a_bracket[i])!r}"
         )
+    a = a_bracket.copy()
+    a[1:-1] = a_closed[1:-1]
+    eps_lo, eps_up = eps_lo.astype(float), eps_up.astype(float)
+    weighted = alpha + eps_lo * beta_mag + gamma_mag / eps_up
+    columns = zip(
+        nu64.tolist(), alpha.tolist(), beta_mag.tolist(), gamma_mag.tolist(),
+        [None, *eps_lo[1:].tolist()], a.tolist(), a_bracket.tolist(), b.tolist(),
+    )
+    rows = [
+        CertificateRow(i=i, nu=nu_i, alpha=al, beta_mag=be, gamma_mag=ga, y=y,
+                       eps=eps_i, a=a_i, a_bracket=a_br, b=b_i)
+        for i, (nu_i, al, be, ga, eps_i, a_i, a_br, b_i) in enumerate(columns, start=1)
+    ]
     check = BoundCheck(
         "family_weighted_row_bound[small_y]", float(weighted.max()), 2.0 * y**2, tol
     )

@@ -140,6 +140,34 @@ def cubic_value(nu: float) -> float:
     return nu**3 - 0.75 * nu**2 - 1.5 * nu - 0.5625
 
 
+def small_y_row_coefficients(nu) -> list:
+    """(eps, a, a_bracket, b) of each small-y certificate row, one row at a time.
+
+    Written from the row formulas in 80-bit scalars: eps_j = (nu_j - 1/2)(nu_j + 1/2) / nu_j^2,
+    a_bracket = (nu/2)(-2 nu + eps_i (nu - 1/2) + (nu + 1/2) / eps_{i+1}) and
+    b = (nu/2)(eps_i / (nu - 1/2) + 1 / (eps_{i+1} (nu + 1/2))), each without the
+    term of a missing neighbour (the lower one on row 1, the upper one on row m1);
+    a is the closed form -(nu - 3/4) / (8 nu (nu + 3/2)) on interior rows and
+    the bracket on boundary rows, and eps is None on row 1.
+    """
+    nu = [np.longdouble(x) for x in nu]
+    eps = [(x - 0.5) * (x + 0.5) / x**2 for x in nu]
+    rows = []
+    for i, x in enumerate(nu):
+        has_lower, has_upper = i > 0, i < len(nu) - 1
+        bracket, b = -2.0 * x, 0.0
+        if has_lower:
+            bracket += eps[i] * (x - 0.5)
+            b += eps[i] / (x - 0.5)
+        if has_upper:
+            bracket += (x + 0.5) / eps[i + 1]
+            b += 1.0 / (eps[i + 1] * (x + 0.5))
+        a_bracket = float(0.5 * x * bracket)
+        a = float(-(x - 0.75) / (8.0 * x * (x + 1.5))) if has_lower and has_upper else a_bracket
+        rows.append((float(eps[i]) if has_lower else None, a, a_bracket, float(0.5 * x * b)))
+    return rows
+
+
 def loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x)."""
     lx = np.log(np.asarray(xs, dtype=float))

@@ -23,10 +23,14 @@ BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
 
 def test_max_norm_monotone_decay(monkeypatch):
+    # the maximum sits at t = 0, where ||e^{0 A}||_2 = ||I||_2 is exactly 1
+    params = HestonParams(**dict(BASE, sigma=0.2, rho=-1.0, L=0.0))
+    diffusion = build_operators(params, make_grid(params, 10, 5)).diffusion
     monkeypatch.setattr(experiments, "_T_MAX", 20.0)
-    value, t_at = max_norm_over_t(-np.eye(3))
-    assert value == pytest.approx(1.0, abs=1e-10)
-    assert t_at == 0.0
+    for A in (-np.eye(3), diffusion):
+        value, t_at = max_norm_over_t(A)
+        assert value == 1.0
+        assert t_at == 0.0
 
 
 def test_max_norm_nilpotent_growth_closed_form(monkeypatch):

@@ -8,7 +8,6 @@ from hestonstab import (
     HestonParams,
     build_operators,
     build_stencils,
-    forward_shift,
     make_grid,
     operator_block,
     tridiag,
@@ -34,14 +33,6 @@ def test_second_difference_half_width():
     assert grid.ds == pytest.approx(0.5)
     st = build_stencils(grid)
     np.testing.assert_allclose(st.d2_s, 4.0 * tridiag(3, 1.0, -2.0, 1.0), rtol=1e-15)
-
-
-def test_shift_matrix_identity():
-    for n in (3, 4, 7):
-        E = forward_shift(n)
-        assert np.count_nonzero(E) == n - 1
-        np.testing.assert_array_equal(np.diag(E, k=1), np.ones(n - 1))
-        np.testing.assert_array_equal(E @ E.T, np.diag([1.0] * (n - 1) + [0.0]))
 
 
 def test_stencil_symmetries():

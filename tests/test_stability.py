@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import cubic_value, hermitian_lambda_max, quartic_value, symbol_matrix
+from _oracles import (
+    cubic_value,
+    hermitian_lambda_max,
+    quartic_value,
+    small_y_row_coefficients,
+    symbol_matrix,
+)
 from hestonstab import (
     HestonParams,
     build_operators,
@@ -24,7 +30,6 @@ from hestonstab import (
     make_grid,
     operator_block,
     scaling_diagonal,
-    symbol_matrix_hat,
 )
 from hestonstab import stability
 
@@ -176,7 +181,7 @@ def test_symbol_and_companion_share_log_norm(seed):
     for k in range(16):
         zeta = cmath.exp(2j * math.pi * k / 16)
         full = log_norm_2(symbol_matrix(B0, B1, zeta))
-        hat = log_norm_2(symbol_matrix_hat(B0, B1, zeta))
+        hat = log_norm_2(B0 + 2.0 * zeta * B1)  # the companion the symbol bound samples
         assert full == pytest.approx(hat, abs=1e-9)
 
 
@@ -207,6 +212,12 @@ def test_block_toeplitz_bound_on_reduction_blocks():
 def test_block_toeplitz_bound_input_validation():
     with pytest.raises(ValueError):
         check_block_toeplitz_symbol_bound(np.eye(2), np.eye(2), n_blocks=1)
+    with pytest.raises(ValueError, match=r"shapes \(2, 2\) and \(3, 3\)"):
+        check_block_toeplitz_symbol_bound(np.eye(2), np.eye(3), n_blocks=3)
+    with pytest.raises(ValueError, match=r"shapes \(2, 3\) and \(2, 3\)"):
+        check_block_toeplitz_symbol_bound(np.ones((2, 3)), np.ones((2, 3)), n_blocks=3)
+    with pytest.raises(ValueError, match=r"shapes \(2,\) and \(2,\)"):
+        check_block_toeplitz_symbol_bound(np.ones(2), np.ones(2), n_blocks=3)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +386,8 @@ def test_certificate_row_invariants(L):
 
 
 def test_small_y_evaluated_b_form():
-    # b_i also equals (nu/2) [ (nu + 1/2)/nu^2 + (nu+1)^2 / ((nu+1/2)^2 (nu+3/2)) ]
+    # b_i also equals (nu/2) [ (nu + 1/2)/nu^2 + (nu+1)^2 / ((nu+1/2)^2 (nu+3/2)) ]: the
+    # lower neighbour's term, then the upper one's; row 1 has only the upper, row m1 the lower
     _, _, ops = _setup(m1=12, m2=5, L=0.0)
     rows, _ = certificate_case_small_y(ops, 0.2)
     for row in rows[1:-1]:
@@ -384,6 +396,38 @@ def test_small_y_evaluated_b_form():
             (nu + 0.5) / nu**2 + (nu + 1.0) ** 2 / ((nu + 0.5) ** 2 * (nu + 1.5))
         )
         assert row.b == pytest.approx(evaluated, rel=1e-10)
+    first, last = rows[0], rows[-1]
+    nu = first.nu
+    b_first = 0.5 * nu * (nu + 1.0) ** 2 / ((nu + 0.5) ** 2 * (nu + 1.5))
+    a_first = 0.5 * nu * (-2.0 * nu + (nu + 1.0) ** 2 / (nu + 1.5))
+    assert (first.b, first.a) == (pytest.approx(b_first, rel=1e-10), pytest.approx(a_first, rel=1e-10))
+    nu = last.nu
+    b_last = 0.5 * nu * (nu + 0.5) / nu**2
+    a_last = 0.5 * nu * (-2.0 * nu + (nu - 0.5) ** 2 * (nu + 0.5) / nu**2)
+    assert (last.b, last.a) == (pytest.approx(b_last, rel=1e-10), pytest.approx(a_last, rel=1e-10))
+    # a boundary row has no closed form to report, so a is its bracket
+    assert (first.a, last.a) == (first.a_bracket, last.a_bracket)
+    assert first.eps is None
+    assert last.eps == pytest.approx((nu - 0.5) * (nu + 0.5) / nu**2, rel=1e-15)
+
+
+@pytest.mark.parametrize("m1,L", [(3, 0.0), (4, 10.0), (7, 0.0), (26, 10.0)])
+def test_small_y_rows_match_row_by_row_reference(m1, L):
+    # same arithmetic in the same precision and order, so equal to the last bit
+    _, grid, ops = _setup(m1=m1, m2=4, L=L)
+    rows, _ = certificate_case_small_y(ops, 0.2)
+    expected = small_y_row_coefficients(grid.s_points / grid.ds)
+    assert [(row.eps, row.a, row.a_bracket, row.b) for row in rows] == expected
+
+
+def test_small_y_bracket_mismatch_names_first_bad_row():
+    # nu_{i+1} = nu_i + 1 underlies the closed form; moving s_4 breaks it from row 3 on
+    _, grid, ops = _setup(m1=6, m2=4, L=0.0)
+    s_points = grid.s_points.copy()
+    s_points[3] += 0.3 * grid.ds
+    moved = dataclasses.replace(ops, grid=dataclasses.replace(grid, s_points=s_points))
+    with pytest.raises(ArithmeticError, match="^row 3: weight coefficient closed form"):
+        certificate_case_small_y(moved, 0.2)
 
 
 @pytest.mark.parametrize("y", [0.0, 0.1, -0.25, 0.49, -0.49])
@@ -394,6 +438,7 @@ def test_small_y_certificate_holds(y, L):
     assert check.holds
     two_y2 = 2.0 * y**2
     eps_by_row = {row.i: row.eps for row in rows}
+    row_sums = []
     for row in rows:
         if row.i == 1:
             weighted = row.alpha + row.gamma_mag / eps_by_row[2]
@@ -408,6 +453,8 @@ def test_small_y_certificate_holds(y, L):
             assert cubic_value(row.nu) >= 0.0
         assert weighted <= row.a + row.b * two_y2 + 1e-10
         assert row.a + row.b * two_y2 <= two_y2 + 1e-10
+        row_sums.append(weighted)
+    assert check.lhs == max(row_sums)
 
 
 # ---------------------------------------------------------------------------
