@@ -195,10 +195,6 @@ def write_csv(records: Sequence, path, kind: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _fmt_name(value: float) -> str:
-    return f"{value:g}"
-
-
 def emit_plot_data(records: Sequence[SweepRecord], path) -> None:
     """Write one two-column series file (m2, max_norm2) per (sigma, rho, L).
 
@@ -211,11 +207,10 @@ def emit_plot_data(records: Sequence[SweepRecord], path) -> None:
     for rec in records:
         series.setdefault((rec.sigma, rec.rho, rec.L), []).append(rec)
     for (sigma, rho, L), recs in sorted(series.items()):
-        fname = f"sigma{_fmt_name(sigma)}_rho{_fmt_name(rho)}_L{_fmt_name(L)}.dat"
-        recs = sorted(recs, key=lambda r: r.m2)
+        fname = f"sigma{sigma:g}_rho{rho:g}_L{L:g}.dat"
         with open(os.path.join(path, fname), "w", newline="\n") as fh:
             fh.write("# m2 max_norm2\n")
-            for rec in recs:
+            for rec in sorted(recs, key=lambda r: r.m2):
                 fh.write(f"{rec.m2} {rec.max_norm2:.17g}\n")
 
 

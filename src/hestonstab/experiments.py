@@ -10,10 +10,11 @@ The coarse pass stops at the first integer k >= 1 with ||P_k||_2 <= 1,
 where P_k = e^{k (step) A}.  Every later t = u + j k (step) with
 0 <= u < k (step) has ||e^{tA}||_2 <= ||e^{uA}||_2 ||P_k||_2^j <= ||e^{uA}||_2,
 so the maximum over all t >= 0, past the scan's span included, is the
-maximum over [0, k (step)).  The Lanczos value is only a lower bound on a
-norm, so the stop is confirmed by a dense SVD.  Each refinement level
-divides the step by four and starts from the sample the previous pass kept
-at t_best - h, so a case needs one exponential per step size.  The steps
+maximum over [0, k (step)).  A Lanczos norm is only a lower bound, so
+above the order where the scan switches from dense SVDs to Lanczos the stop
+is confirmed by an SVD.  Each refinement level divides the step by four and
+starts from the sample the previous pass kept at t_best - h, so a case
+needs one exponential per step size.  The steps
 (step) / 4^l differ by powers of two, so every sample t is exact in binary
 and ``expm_samples`` forms all of them from one Pade evaluation and one
 squaring chain once ||(step) A / 4^l||_1 > 1 at the finest level.
@@ -50,6 +51,8 @@ __all__ = [
 _T_MAX = 100.0
 _COARSE_STEP = 1.0
 _REFINE_LEVELS = 3
+# Below this matrix order a dense SVD per scan sample is cheaper than warm Lanczos.
+_DENSE_BELOW = 150
 
 
 @dataclass(frozen=True)
@@ -128,40 +131,51 @@ def max_norm_over_t(A):
     (see the module docstring); the maximum is then over all t >= 0, and over
     [0, _T_MAX] otherwise.  Each refinement level re-expands around the
     running argmax with a four times finer step, clamped to [0, _T_MAX]; the
-    step matrices of all levels come from one ``expm_samples`` call.  The
-    t = 0 sample is ||I||_2 = 1 exactly; the other spectral norms are Lanczos
-    values, each warm-started from the previous Ritz vector.  The span, step
-    and level count are read from the module constants at each call.  The
-    D-scaled maximum of the diffusion block needs no scan: mu_D <= 0 fixes
-    it at 1 (see ``run_sweep``).
+    step matrices of all levels come from one ``expm_samples`` call.  No t is
+    evaluated twice: t = 0 is ||I||_2 = 1 exactly, and a level skips the
+    running argmax and a last t that an earlier pass sampled.  Each norm is
+    a dense SVD below order _DENSE_BELOW, and above it a Lanczos value
+    warm-started from the Ritz vector of the sample before.  The module
+    constants are read at each call.  The D-scaled maximum of the diffusion
+    block needs no scan: mu_D <= 0 fixes it at 1 (see ``run_sweep``).
     """
     A = np.asarray(A, dtype=float)
-    t_max, coarse_step, refine_levels = _T_MAX, _COARSE_STEP, _REFINE_LEVELS
-    steps = [coarse_step / 4.0**level for level in range(refine_levels + 1)]
+    dense = A.shape[0] < _DENSE_BELOW
+    steps = [_COARSE_STEP / 4.0**level for level in range(_REFINE_LEVELS + 1)]
     step_matrices = dict(expm_samples(A, steps))
     P = start = np.eye(A.shape[0])
-    best, t_best, v = 1.0, 0.0, None
-    lo, hi = 0.0, t_max
+    best, t_best, t_last = 1.0, 0.0, 0.0
+    v = v_start = v_best = None  # Lanczos warm starts: current, at 'start', at the argmax
+    lo, hi = 0.0, _T_MAX
     with np.errstate(over="ignore", invalid="ignore"):
         for level, h in enumerate(steps):
             if level:
                 h_prev = steps[level - 1]
-                lo, hi = max(0.0, t_best - h_prev), min(t_max, t_best + h_prev)
-                # the sample at lo, taken before: its evaluation only refreshes the warm start
-                P = start
-                _, _, v = _sigma_max_lanczos(P, v0=v)
+                lo, hi = max(0.0, t_best - h_prev), min(_T_MAX, t_best + h_prev)
+                P, v = start, v_start
             # the argmax is sample j_best of this pass (0, or a multiple of 4 if carried over);
             # the sample before it starts the next level ('start' is the identity at t_best = 0)
             j_best = int((t_best - lo) / h)
-            for j in range(1, int((hi - lo) / h) + 1):
-                prev, P = P, P @ step_matrices[level]
-                _check_finite(P, lo + j * h)
-                sigma, _, v = _sigma_max_lanczos(P, v0=v)
+            n_samples = int((hi - lo) / h)
+            if lo + n_samples * h <= t_last:  # the previous pass sampled this pass's last t
+                n_samples -= 1
+            for j in range(1, n_samples + 1):
+                prev, v_prev = P, v
+                P = P @ step_matrices[level]
+                t_last = lo + j * h
+                _check_finite(P, t_last)
+                if j == j_best:
+                    v = v_best
+                    continue
+                if dense:
+                    sigma = spectral_norm(P)
+                else:
+                    sigma, _, v = _sigma_max_lanczos(P, v0=v)
                 if sigma > best:
-                    best, t_best, j_best, start = sigma, lo + j * h, j, prev
+                    best, t_best, j_best, start, v_start, v_best = sigma, t_last, j, prev, v_prev, v
                 elif j + 1 == j_best:
-                    start = P
-                if not level and sigma <= 1.0 and spectral_norm(P) <= 1.0:
+                    start, v_start = P, v
+                if not level and sigma <= 1.0 and (dense or spectral_norm(P) <= 1.0):
                     break
     return best, t_best
 
@@ -184,13 +198,7 @@ def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
     error message and the sweep continues; any other error propagates.
     """
     cfg = config or SweepConfig()
-    combos = sorted(
-        (L, sigma, rho, m2)
-        for L in cfg.L_values
-        for sigma in cfg.sigma_values
-        for rho in cfg.rho_values
-        for m2 in cfg.m2_values
-    )
+    combos = sorted(itertools.product(cfg.L_values, cfg.sigma_values, cfg.rho_values, cfg.m2_values))
     records = []
     for L, sigma, rho, m2 in combos:
         m1 = 2 * m2
@@ -239,9 +247,7 @@ def compare_L_effect(
     max_norm2 at most that of the record at L_low.  Raises if any
     combination lacks one of the two barrier values.
     """
-    by_key = {}
-    for rec in records:
-        by_key[(rec.sigma, rec.rho, rec.m2, rec.L)] = rec
+    by_key = {(rec.sigma, rec.rho, rec.m2, rec.L): rec for rec in records}
     keys = sorted({(rec.sigma, rec.rho, rec.m2) for rec in records})
     missing = []
     checks = []

@@ -4,12 +4,12 @@ logarithmic norms, and the matrix exponential.
 All operations accept real or complex matrices.  The norm and eigenvalue
 functions return a float from a dense LAPACK solve (``svd`` /
 ``eigvalsh``).  The sweep's norm scan evaluates the spectral norm of many
-nearby matrices; for it a private, warm-started Lanczos kernel on X*X
-(``_sigma_max_lanczos``) carries the previous Ritz vector from sample to
-sample, tests its top Ritz pair after the first step and then every fourth
-(not on every step, where the tridiagonal ``eigh`` would cost more than the
-step's two matrix-vector products), and falls back to a dense SVD, with no
-Ritz vector to carry, when its step budget runs out.
+nearby matrices; above a moderate order a private, warm-started Lanczos
+kernel on X*X (``_sigma_max_lanczos``) carries the previous Ritz vector
+from sample to sample, tests its top Ritz pair after the first step and
+then every fourth (an ``eigh`` on every step would cost more than the
+step's two matrix-vector products) and may run as many steps as X*X has
+columns; only a breakdown or an exhausted Krylov space ends in a dense SVD.
 
 ``expm_samples`` evaluates e^{tA} at several t by scaling and squaring.
 Samples whose scaled matrices tA / 2^s are equal (same mantissa of t, same
@@ -36,8 +36,6 @@ __all__ = [
     "expm_samples",
 ]
 
-#: Step budget of the scan's Lanczos kernel before it falls back to an SVD.
-_LANCZOS_STEPS = 40
 #: Acceptance test of the scan's Lanczos kernel: Ritz residual <= tol * theta.
 _LANCZOS_TOL = 1e-10
 #: The kernel tests its top Ritz pair after step 1 and then after every this many steps.
@@ -86,13 +84,13 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
     matrix-vector products, so X*X is never formed, and the Krylov basis is
     fully reorthogonalised.  The top Ritz pair is tested after step 1 (so a
     converged warm start costs one step), after every
-    ``_LANCZOS_TEST_EVERY``-th step, at a breakdown and at the step cap, and
-    accepted once its residual is at most ``_LANCZOS_TOL * theta`` with
-    theta > 0; its vector is the warm start ``v0`` of the next call on a
-    nearby matrix.  After ``_LANCZOS_STEPS`` steps without acceptance, or a
-    breakdown at theta = 0 (a warm start inside the null space), a dense SVD
-    gives the value.  The vector is None when there is none to carry: the
-    value came from the SVD, or X = 0.
+    ``_LANCZOS_TEST_EVERY``-th step, at a breakdown and at step n (the order
+    of X*X), and accepted once its residual is at most ``_LANCZOS_TOL *
+    theta`` with theta > 0; its vector is the warm start ``v0`` of the next
+    call on a nearby matrix.  Without acceptance after n steps (an exhausted
+    Krylov space), or at a breakdown at theta = 0 (a warm start inside the
+    null space), a dense SVD gives the value.  The vector is None when there
+    is none to carry: the value came from the SVD, or X = 0.
     """
     X = _as_matrix(X)
     ncols = X.shape[1]
@@ -101,20 +99,19 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
     nv = np.linalg.norm(v0) if v0 is not None and v0.shape == (ncols,) else 0.0
     v = v0 / nv if nv > 0 else _start_vector(ncols, np.iscomplexobj(X))
 
-    steps = min(_LANCZOS_STEPS, ncols)
-    Q = np.empty((steps, ncols), dtype=np.result_type(X, v))
+    Q = np.empty((ncols, ncols), dtype=np.result_type(X, v))
     Q[0] = v
-    alpha = np.zeros(steps)
-    beta = np.zeros(steps)
+    alpha = np.zeros(ncols)
+    beta = np.zeros(ncols)
     Xh = X.conj().T
-    for k in range(steps):
+    for k in range(ncols):
         w = Xh @ (X @ Q[k])
         alpha[k] = float(np.real(np.vdot(Q[k], w)))
         basis = Q[: k + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
             w = w - basis.T @ (basis.conj() @ w)
         beta[k] = float(np.linalg.norm(w))
-        last = beta[k] == 0.0 or k + 1 == steps
+        last = beta[k] == 0.0 or k + 1 == ncols
         if k == 0 or (k + 1) % _LANCZOS_TEST_EVERY == 0 or last:
             T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
             thetas, S = np.linalg.eigh(T)

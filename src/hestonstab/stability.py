@@ -153,7 +153,8 @@ def _exp_or_inf(x: float) -> float:
 
 def check_exp_bound(A, omega: float, t_samples: Sequence[float], tol: float = 1e-8):
     """Check ||e^{tA}||_2 <= e^{t omega} (inf past the double range) at each sampled t >= 0."""
-    lhs = {i: spectral_norm(E) for i, E in expm_samples(A, t_samples)}
+    # e^{0A} = I has norm exactly 1: no SVD
+    lhs = {i: spectral_norm(E) if t_samples[i] else 1.0 for i, E in expm_samples(A, t_samples)}
     return [
         BoundCheck(f"exp_bound[t={t:g}]", lhs[i], _exp_or_inf(t * omega), tol)
         for i, t in enumerate(t_samples)
@@ -167,6 +168,7 @@ def check_diffusion_contractivity(ops: OperatorSet, t_samples: Sequence[float], 
     checks): mu_D[diffusion] <= 0 with tolerance tol * max-entry scale, then
     ||e^{t diffusion}||_D <= 1 and
     ||e^{t diffusion}||_2 <= sqrt(cond D) = sqrt(s_m1 v_m2 / (s_1 v_1)) at each t.
+    At t = 0 both norms are those of I, exactly 1, and take no SVD.
     """
     d = scaling_diagonal(ops.grid)
     A = ops.diffusion
@@ -175,7 +177,7 @@ def check_diffusion_contractivity(ops: OperatorSet, t_samples: Sequence[float], 
 
     ratio = math.sqrt(d.max() / d.min())
     norms = {
-        i: (spectral_norm(_scale_similar(E, d)), spectral_norm(E))
+        i: (spectral_norm(_scale_similar(E, d)), spectral_norm(E)) if t_samples[i] else (1.0, 1.0)
         for i, E in expm_samples(A, t_samples)
     }
     scaled_checks = [

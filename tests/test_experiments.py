@@ -154,9 +154,10 @@ def test_sweep_overflowing_assembly_is_a_failed_case(sigma):
 
 
 def test_sweep_case_call_counts(monkeypatch):
-    """One m2 = 5 case: one scan cut at the first contractive coarse sample."""
-    calls = {"expm_samples": 0, "pade13": 0, "lanczos": 0}
+    """One m2 = 5 case: one scan cut at the first contractive coarse sample, no t evaluated twice."""
+    calls = {"expm_samples": 0, "pade13": 0}
     sampled = []  # t of every sample after t = 0, in scan order
+    evaluated = []  # t of every norm evaluation, by either kernel
     real_check = experiments._check_finite
 
     def check(P, t):
@@ -170,26 +171,38 @@ def test_sweep_case_call_counts(monkeypatch):
 
         return wrapper
 
+    def norm_at_last_sample(fn):
+        def wrapper(*args, **kwargs):
+            evaluated.append(sampled[-1])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
     monkeypatch.setattr(experiments, "expm_samples", counted("expm_samples", experiments.expm_samples))
     monkeypatch.setattr(linalg, "_pade13", counted("pade13", linalg._pade13))
+    monkeypatch.setattr(experiments, "spectral_norm", norm_at_last_sample(experiments.spectral_norm))
     monkeypatch.setattr(
-        experiments, "_sigma_max_lanczos", counted("lanczos", experiments._sigma_max_lanczos)
+        experiments, "_sigma_max_lanczos", norm_at_last_sample(experiments._sigma_max_lanczos)
     )
     monkeypatch.setattr(experiments, "_check_finite", check)
-    cfg = SweepConfig(m2_values=(5,), sigma_values=(0.1,), rho_values=(1.0,), L_values=(0.0,))
+    cfg = SweepConfig(m2_values=(5,), sigma_values=(0.2,), rho_values=(1.0,), L_values=(0.0,))
     (rec,) = run_sweep(cfg)
     assert rec.error == ""
     # e^{A}, e^{A/4}, e^{A/16} and e^{A/64} from one call and one Pade evaluation
     assert (calls["expm_samples"], calls["pade13"]) == (1, 1)
-    params = HestonParams(**dict(BASE, sigma=0.1, rho=1.0))
+    params = HestonParams(**dict(BASE, sigma=0.2, rho=1.0))
     grid = make_grid(params, 10, 5)
     A = build_operators(params, grid).diffusion
     k_cut = next(k for k in range(1, 101) if np.linalg.svd(expm(A, k), compute_uv=False)[0] <= 1.0)
-    levels = experiments._REFINE_LEVELS
-    assert sampled[:k_cut] == [float(k) for k in range(1, k_cut + 1)]
-    assert max(sampled[k_cut:]) <= k_cut
-    # the coarse samples up to the cut, then per level one warm-start refresh and <= 8 samples
-    assert calls["lanczos"] <= (k_cut + 1) + levels * (1 + 8)
+    assert (k_cut, rec.t_argmax) == (1, 5 / 64)
+    # coarse: t = 1, evaluated once (its SVD also confirms the cut); levels 1 and 2 keep
+    # t_best = 0 and sample [0, h_prev] less h_prev, sampled before; level 3 samples
+    # [0, 1/8] around t_best = 1/16 less 1/8, and does not evaluate 1/16 again
+    earlier = [1.0] + [j / 4 for j in range(1, 4)] + [j / 16 for j in range(1, 4)]
+    last = [j / 64 for j in range(1, 8)]
+    assert sampled == earlier + last
+    assert evaluated == earlier + [t for t in last if t != 1 / 16]
+    assert len(set(evaluated)) == len(evaluated) == 1 + 3 + 3 + 6
 
 
 def _reference_scan(A, t_max=100.0, levels=3):
@@ -223,13 +236,16 @@ def test_certified_cutoff_changes_nothing(rho, sigma, L, m2):
     A = build_operators(params, grid).diffusion
     ref_value, ref_t, norms = _reference_scan(A)
     k_cut = next(k for k in range(1, 101) if norms[k] <= 1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_REFINE_LEVELS", 0)
-        _, coarse_argmax = max_norm_over_t(A)
-    assert coarse_argmax == float(np.argmax(norms))
-    value, t_at = max_norm_over_t(A)
-    assert abs(t_at - ref_t) <= 1e-11 * max(ref_t, 1.0)
-    assert abs(value - ref_value) <= 1e-11 * ref_value
+    # both norm kernels: dense SVDs at every order, then Lanczos at every order
+    for dense_below in (math.inf, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_DENSE_BELOW", dense_below)
+            value, t_at = max_norm_over_t(A)
+            mp.setattr(experiments, "_REFINE_LEVELS", 0)
+            _, coarse_argmax = max_norm_over_t(A)
+        assert coarse_argmax == float(np.argmax(norms))
+        assert abs(t_at - ref_t) <= 1e-11 * max(ref_t, 1.0)
+        assert abs(value - ref_value) <= 1e-11 * ref_value
     # the sampled maximum bounds the semigroup past the cut and past t_max
     for t in (k_cut, 100.0, 1000.0):
         assert np.linalg.svd(expm(A, t), compute_uv=False)[0] <= value * (1 + 1e-12)
@@ -237,25 +253,35 @@ def test_certified_cutoff_changes_nothing(rho, sigma, L, m2):
 
 def test_scan_samples_are_the_semigroup_at_their_t(monkeypatch):
     """Each refinement level starts from the kept sample at t_best - h, also when the argmax
-    carried over from the coarse pass survives the first level."""
+    carried over from the coarse pass survives the first level; no t is evaluated twice, and
+    every evaluation is warm-started from the Ritz vector of the sample one step before it."""
     sampled = []
+    evaluated = []  # (t, t of the sample whose vector is the warm start, 0 for none)
 
     def check(P, t):
         sampled.append((t, P[0, 0]))
 
     def peak_at_2(P, v0=None):
-        # a stand-in norm of P = e^{t [1]} with its maximum exactly at the coarse sample t = 2
+        # a stand-in norm of P = e^{t [1]} with its maximum exactly at the coarse sample t = 2;
+        # its "Ritz vector" records the t it was taken at
         t = math.log(P[0, 0])
-        return 10.0 - (t - 2.0) ** 2, 1, None
+        evaluated.append((t, 0.0 if v0 is None else v0[0]))
+        return 10.0 - (t - 2.0) ** 2, 1, np.array([t])
 
     monkeypatch.setattr(experiments, "_check_finite", check)
     monkeypatch.setattr(experiments, "_sigma_max_lanczos", peak_at_2)
+    monkeypatch.setattr(experiments, "_DENSE_BELOW", 0)
     monkeypatch.setattr(experiments, "_T_MAX", 10.0)
     value, t_at = max_norm_over_t(np.array([[1.0]]))
     assert (value, t_at) == (10.0, 2.0)
-    assert len(sampled) == 10 + 3 * 8
+    # per level 8 samples, the last of them (t_best + h_prev) sampled before
+    assert len(sampled) == 10 + 3 * 7
     for t, p in sampled:
         assert p == pytest.approx(math.exp(t), rel=1e-12)
+    ts = [round(t, 12) for t, _ in evaluated]
+    assert len(set(ts)) == len(ts) == 10 + 3 * 6
+    steps = [1.0] * 10 + [1 / 4] * 6 + [1 / 16] * 6 + [1 / 64] * 6
+    assert [t - warm for t, warm in evaluated] == pytest.approx(steps, abs=1e-12)
 
 
 def test_max_norm_samples_stay_within_t_max(monkeypatch):

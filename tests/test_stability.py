@@ -113,6 +113,7 @@ def test_exp_bound_advection():
 
 def test_exp_bound_zero_matrix_is_tight():
     checks = check_exp_bound(np.zeros((3, 3)), omega=0.0, t_samples=[0.0, 2.0])
+    assert checks[0].lhs == 1.0
     for c in checks:
         assert c.lhs == pytest.approx(1.0, abs=1e-12)
         assert c.rhs == 1.0
@@ -135,15 +136,24 @@ def test_exp_bound_rejects_negative_t():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, -1.0])
-def test_diffusion_contractivity(rho):
+def test_diffusion_contractivity(rho, monkeypatch):
     params, grid, ops = _setup(m1=10, m2=5, rho=rho)
+    svds = []
+    real_norm = stability.spectral_norm
+
+    def counted(E):
+        svds.append(E.shape)
+        return real_norm(E)
+
+    monkeypatch.setattr(stability, "spectral_norm", counted)
     mu_check, scaled, spectral = check_diffusion_contractivity(ops, [0.0, 0.5, 2.0])
     assert mu_check.holds
     assert mu_check.lhs <= 1e-8 * np.abs(ops.diffusion).max()
     assert all(c.holds for c in scaled)
     assert all(c.holds for c in spectral)
-    # t = 0 gives the identity, scaled norm exactly 1 up to roundoff
-    assert scaled[0].lhs == pytest.approx(1.0, abs=1e-12)
+    # t = 0 gives the identity: both norms are exactly 1, with no SVD
+    assert scaled[0].lhs == spectral[0].lhs == 1.0
+    assert len(svds) == 4
     ratio = math.sqrt(
         grid.s_points[-1] * grid.v_points[-1] / (grid.s_points[0] * grid.v_points[0])
     )
