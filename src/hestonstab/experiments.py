@@ -11,13 +11,13 @@ where P_k = e^{k (step) A}.  Every later t = u + j k (step) with
 0 <= u < k (step) has ||e^{tA}||_2 <= ||e^{uA}||_2 ||P_k||_2^j <= ||e^{uA}||_2,
 so the maximum over all t >= 0, past the scan's span included, is the
 maximum over [0, k (step)).  A Lanczos norm is only a lower bound, so
-above the order where the scan switches from dense SVDs to Lanczos the stop
-is confirmed by an SVD.  Each refinement level divides the step by four and
-starts from the sample the previous pass kept at t_best - h, so a case
-needs one exponential per step size.  The steps
-(step) / 4^l differ by powers of two, so every sample t is exact in binary
-and ``expm_samples`` forms all of them from one Pade evaluation and one
-squaring chain once ||(step) A / 4^l||_1 > 1 at the finest level.
+above the order where the scan switches from dense norms to Lanczos the
+stop is confirmed by a dense norm.  Each refinement level divides the step
+by four and starts from the sample the previous pass kept at t_best - h,
+so a case needs one exponential per step size.  The steps (step) / 4^l
+differ by powers of two, so every sample t is exact in binary and
+``expm_samples`` forms all of them from one Pade evaluation and one
+squaring chain once ||(step) A / 4^l||_1 > theta_13 / 2 at the finest level.
 
 The scaled-norm maximum needs no scan.  Each grid's logarithmic norm
 mu_D = mu_D[diffusion] is computed once; mu_D <= 0 gives
@@ -51,7 +51,7 @@ __all__ = [
 _T_MAX = 100.0
 _COARSE_STEP = 1.0
 _REFINE_LEVELS = 3
-# Below this matrix order a dense SVD per scan sample is cheaper than warm Lanczos.
+# Below this matrix order a dense spectral_norm per scan sample is cheaper than warm Lanczos.
 _DENSE_BELOW = 150
 
 
@@ -134,8 +134,8 @@ def max_norm_over_t(A):
     step matrices of all levels come from one ``expm_samples`` call.  No t is
     evaluated twice: t = 0 is ||I||_2 = 1 exactly, and a level skips the
     running argmax and a last t that an earlier pass sampled.  Each norm is
-    a dense SVD below order _DENSE_BELOW, and above it a Lanczos value
-    warm-started from the Ritz vector of the sample before.  The module
+    a dense ``spectral_norm`` below order _DENSE_BELOW, and above it a Lanczos
+    value warm-started from the Ritz vector of the sample before.  The module
     constants are read at each call.  The D-scaled maximum of the diffusion
     block needs no scan: mu_D <= 0 fixes it at 1 (see ``run_sweep``).
     """

@@ -2,16 +2,18 @@
 logarithmic norms, and the matrix exponential.
 
 All operations accept real or complex matrices.  The norm and eigenvalue
-functions return a float from a dense LAPACK solve (``svd`` /
-``eigvalsh``).  The sweep's norm scan evaluates the spectral norm of many
-nearby matrices; above a moderate order a private, warm-started Lanczos
-kernel on X*X (``_sigma_max_lanczos``) carries the previous Ritz vector
-from sample to sample, tests its top Ritz pair after the first step and
-then every fourth (an ``eigh`` on every step would cost more than the
-step's two matrix-vector products) and may run as many steps as X*X has
-columns; only a breakdown or an exhausted Krylov space ends in a dense SVD.
+functions return a float from one dense ``eigvalsh``; the spectral norm
+solves the Gram matrix of its argument scaled by a power of two.  The
+sweep's norm scan evaluates the spectral norm of many nearby matrices;
+above a moderate order a private, warm-started Lanczos kernel on X*X
+(``_sigma_max_lanczos``) carries the previous Ritz vector from sample to
+sample, tests its top Ritz pair after the first step and then every fourth
+(an ``eigh`` on every step would cost more than the step's two
+matrix-vector products) and may run as many steps as X*X has columns; only
+a breakdown or an exhausted Krylov space ends in a dense SVD.
 
-``expm_samples`` evaluates e^{tA} at several t by scaling and squaring.
+``expm_samples`` evaluates e^{tA} at several t by scaling and squaring,
+with the fewest squarings s that bring ||tA / 2^s||_1 within theta_13.
 Samples whose scaled matrices tA / 2^s are equal (same mantissa of t, same
 binary exponent of t minus squaring count s) share one Pade evaluation and
 one squaring chain, and each is taken from the chain after its own s
@@ -40,6 +42,8 @@ __all__ = [
 _LANCZOS_TOL = 1e-10
 #: The kernel tests its top Ritz pair after step 1 and then after every this many steps.
 _LANCZOS_TEST_EVERY = 4
+#: Largest ||X||_1 with r_13(X) = e^X to double precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
+_THETA13 = 5.371920351148152
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -127,12 +131,19 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
 
 
 def spectral_norm(A) -> float:
-    """Largest singular value of A by a dense LAPACK SVD.
+    """Largest singular value 2^e sqrt(lambda_max(B*B)) of A by one dense eigensolve.
 
-    Square or rectangular, real or complex input.
+    Square or rectangular, real or complex input.  B = A / 2^e, 2^e the power of two nearest
+    the largest entry, is exact and keeps B*B (B B* if A is wide) clear of over- and underflow.
     """
     A = _as_matrix(A)
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    top = float(np.abs(A).max())
+    if top == 0.0:
+        return 0.0
+    e = max(math.frexp(top)[1], -1023)  # 2^-e stays finite for subnormal entries
+    B = A * math.ldexp(1.0, -e)
+    G = B @ B.conj().T if B.shape[0] < B.shape[1] else B.conj().T @ B
+    return math.ldexp(math.sqrt(float(np.linalg.eigvalsh(G)[-1])), e)
 
 
 def log_norm_2(A) -> float:
@@ -214,13 +225,13 @@ def expm_samples(A, ts: Iterable[float]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (index, e^{t A}) for every t of ``ts``, by scaling and squaring with Pade order 13.
 
     Each t gets the squaring count s, the smallest s >= 0 with
-    ||tA||_1 <= 2^s, read exactly off ``math.frexp``.  Samples with the
-    same scaled matrix tA / 2^s -- t = m 2^e with the same mantissa m and
-    the same e - s, such as 0.5, 1 and 2 once ||0.5 A||_1 > 1 -- share one
-    Pade evaluation, and each is yielded from one squaring chain once its
-    own s squarings are done.  Multiplying by a power of two is exact
-    (absent subnormal entries), so every result is bitwise the one a call
-    with that t alone gives.  Results come in chain order, not in the
+    ||tA||_1 = t ||A||_1 <= theta_13 2^s, read off ``math.frexp``.  Samples
+    with the same scaled matrix tA / 2^s -- t = m 2^e with the same mantissa
+    m and the same e - s, such as 0.5, 1 and 2 once ||0.5 A||_1 > theta_13 / 2
+    -- share one Pade evaluation, and each is yielded from one squaring chain
+    once its own s squarings are done.  Multiplying by a power of two is
+    exact (absent subnormal entries), so every result is bitwise the one a
+    call with that t alone gives.  Results come in chain order, not in the
     order of ``ts``; a yielded matrix is the chain's working matrix and
     must not be modified in place.
 
@@ -238,17 +249,18 @@ def expm_samples(A, ts: Iterable[float]) -> Iterator[tuple[int, np.ndarray]]:
             raise ValueError(f"t must be finite and nonnegative, got {t}")
     A = A.astype(np.complex128 if np.iscomplexobj(A) else np.float64, copy=False)
 
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        norm_a = float(np.abs(A).sum(axis=0).max())
     # scaled-matrix key -> [(squarings, index, t, ||tA||_1)], in order of first appearance
     groups: dict = {}
     for i, t in enumerate(ts):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            norm1 = float(np.abs(t * A).sum(axis=0).max())
+        norm1 = t * norm_a if t else 0.0
         if not math.isfinite(norm1):
             raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
         if norm1 == 0.0:
             key, squarings = None, 0
         else:
-            mant, exp = math.frexp(norm1)
+            mant, exp = math.frexp(norm1 / _THETA13)
             squarings = max(0, exp - (mant == 0.5))
             t_mant, t_exp = math.frexp(t)
             key = (t_mant, t_exp - squarings)

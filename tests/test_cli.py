@@ -352,15 +352,17 @@ def test_sweep_sum_only_overflow_is_a_failed_case(capsys):
 
 
 def test_main_numerical_failure_exit_code(capsys):
-    for m2, message in (
+    for args, message in (
         # the squaring phase of the advection exponential overflows double range
-        ("3", "matrix exponential overflowed during squaring: ||tA||_1 = 2.5e+307"),
+        (["--m2", "3"], "matrix exponential overflowed during squaring: ||tA||_1 = 2.5e+307"),
+        # adv_s has a purely imaginary spectrum, but 1020 squarings amplify its rounding to overflow
+        (["--m2", "5"], "matrix exponential overflowed during squaring: ||tA||_1 = 4.5e+307"),
         # ||tA||_1 itself overflows, and no numpy warning comes ahead of the message
-        ("5", "matrix exponential overflowed: ||tA||_1 = inf"),
+        (["--m2", "5", "--r", "0.25"], "matrix exponential overflowed: ||tA||_1 = inf"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["check", "--m2", m2, "--t-samples", "0,1e308"])
+            code = main(["check", *args, "--t-samples", "0,1e308"])
         err = capsys.readouterr().err
         assert code == 3
         assert err == f"numerical failure: {message}\n"

@@ -62,6 +62,31 @@ def test_spectral_norm_transpose_invariance(seed):
     assert spectral_norm(A) == pytest.approx(spectral_norm(A.T), abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "shape,complex_,size",
+    [
+        ((8, 8), False, 1e200),  # an unscaled Gram matrix overflows
+        ((8, 8), True, 1e-200),  # ... or underflows to zero
+        ((5, 9), True, 1.0),  # wide: the Gram matrix of the 5 rows
+        ((9, 5), True, 1.0),
+        ((7, 3), False, 3e-5),
+    ],
+)
+def test_spectral_norm_matches_svd(shape, complex_, size):
+    rng = np.random.default_rng(sum(shape))
+    A = rng.standard_normal(shape)
+    if complex_:
+        A = A + 1j * rng.standard_normal(shape)
+    A = A * size
+    expected = float(np.linalg.svd(A, compute_uv=False)[0])
+    assert abs(spectral_norm(A) - expected) <= 1e-14 * expected
+
+
+def test_spectral_norm_of_zero_is_exactly_zero():
+    assert spectral_norm(np.zeros((4, 6))) == 0.0
+    assert spectral_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+
+
 def test_lambda_max_uniform_negative_shift():
     assert lambda_max_hermitian(-3.0 * np.eye(4)) == pytest.approx(-3.0, abs=1e-12)
 
@@ -346,12 +371,12 @@ def _one_at_a_time(A, ts):
 
 
 def _count_pade(monkeypatch) -> list:
-    """Record the shape of every Pade evaluation made from here on."""
+    """Record the argument of every Pade evaluation made from here on."""
     calls = []
     real = linalg._pade13
 
     def counted(X):
-        calls.append(X.shape)
+        calls.append(X)
         return real(X)
 
     monkeypatch.setattr(linalg, "_pade13", counted)
@@ -387,10 +412,37 @@ def test_expm_samples_unscaled_t_beside_its_dyadic_multiples(monkeypatch):
     ts = [t * 2.0**k for k in range(7)]  # ||tA||_1 = 0.25 ... 16
     pade = _count_pade(monkeypatch)
     got = dict(expm_samples(A, ts))
-    # t and 2t scale to themselves; 4t ... 64t share the scaled matrix 4tA
-    assert len(pade) == 3
+    # t, 2t, 4t and 8t (||tA||_1 <= 2 < theta_13) each take a Pade evaluation and no squaring;
+    # 16t, 32t and 64t share the scaled matrix 16tA, its Pade evaluation and one squaring chain
+    assert len(pade) == 5
     for i, E in _one_at_a_time(A, ts).items():
         assert np.array_equal(got[i], E), ts[i]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_expm_scales_the_pade_argument_into_theta13(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((6, 6))
+    norm_a = float(np.abs(A).sum(axis=0).max())
+    theta = linalg._THETA13
+    pade = _count_pade(monkeypatch)
+    for target in (0.01, 1.0, 5.3, 5.5, 7.0, 11.0, 20.0, 150.0, 400.0):  # ||tA||_1
+        expm(A, target / norm_a)
+        x = float(np.abs(pade[-1]).sum(axis=0).max())
+        squarings = round(math.log2(target / x))
+        assert x <= theta
+        assert squarings == 0 or x > theta / 2, target
+
+
+def test_expm_unsquared_near_theta13_matches_taylor_oracle(monkeypatch):
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((6, 6))
+    t = 5.0 / float(np.abs(A).sum(axis=0).max())  # ||tA||_1 = 5 <= theta_13: no squaring
+    pade = _count_pade(monkeypatch)
+    E = expm(A, t)
+    assert len(pade) == 1 and np.array_equal(pade[0], t * A)
+    T = taylor_expm(A, t)
+    assert np.abs(E - T).max() <= 1e-10 * max(1.0, np.abs(T).max())
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
@@ -415,7 +467,7 @@ def test_expm_samples_default_t_samples_make_two_pade_evaluations(monkeypatch):
     got = dict(expm_samples(A, (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)))
     assert sorted(got) == list(range(6))
     # {0} is the identity; {0.5, 1, 2} and {5, 10} each share one Pade evaluation
-    assert calls == [(338, 338)] * 2
+    assert [X.shape for X in calls] == [(338, 338)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,21 @@ def test_block_toeplitz_bound_on_reduction_blocks():
     assert check.holds
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_toeplitz_rhs_matches_every_sample_solved(seed):
+    # the bound solves k = 0 ... 32 only; the conjugate samples must give the same maximum
+    rng = np.random.default_rng(seed)
+    B0 = rng.standard_normal((6, 6))
+    B1 = rng.standard_normal((6, 6))
+    direct = max(
+        float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1])
+        for M in (B0 + 2.0 * cmath.exp(2j * math.pi * k / 64) * B1 for k in range(64))
+    )
+    check = check_block_toeplitz_symbol_bound(B0, B1, n_blocks=3)
+    scale = max(1.0, float(np.abs(B0).max()), float(np.abs(B1).max()))
+    assert abs(check.rhs - direct) <= 1e-12 * scale
+
+
 def test_block_toeplitz_bound_input_validation():
     with pytest.raises(ValueError):
         check_block_toeplitz_symbol_bound(np.eye(2), np.eye(2), n_blocks=1)
@@ -285,6 +300,29 @@ def test_symbol_condition_at_zeta_one_has_zero_rhs():
     assert len(at_one) == 1
     assert at_one[0].rhs == 0.0
     assert at_one[0].lhs <= at_one[0].tol
+
+
+@pytest.mark.parametrize("rho", [-0.7, 1.0])
+def test_symbol_conditions_match_every_sample_solved(rho):
+    # one solve per zeta and per y, against the values shared between conjugate samples
+    params, grid, ops = _setup(m1=8, m2=5, rho=rho)
+    sv = params.sigma / grid.dv
+    sym_part = 0.5 * (ops.diff_sym + ops.diff_sym.T)
+    scale = max(1.0, float(np.abs(ops.diff_sym).max()))
+    checks = check_symbol_conditions(ops)
+    for k in range(64):
+        im = cmath.exp(2j * math.pi * k / 64).imag
+        herm = sym_part + 2j * im * rho * sv * ops.adv_sym
+        T = ops.diff_1d + 0.5 * ops.adv_1d + 1j * im * rho * sv * ops.adv_1d
+        check_a, check_b = checks[2 * k], checks[2 * k + 1]
+        assert check_a.name == f"scaled_symbol_cond[zeta={k}/64]"
+        assert abs(check_a.lhs - float(np.linalg.eigvalsh(herm)[-1])) <= 1e-12 * scale
+        assert abs(check_b.lhs - float(np.linalg.eigvals(T).real.max())) <= 1e-12 * scale
+    family = checks[128:]
+    assert len(family) == len(stability.DEFAULT_Y_SAMPLES)
+    for check, y in zip(family, stability.DEFAULT_Y_SAMPLES):
+        T = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
+        assert abs(check.lhs - float(np.linalg.eigvals(T).real.max())) <= 1e-12 * scale
 
 
 def test_family_condition_at_y_zero():
