@@ -133,7 +133,7 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
 def spectral_norm(A) -> float:
     """Largest singular value 2^e sqrt(lambda_max(B*B)) of A by one dense eigensolve.
 
-    Square or rectangular, real or complex input.  B = A / 2^e, 2^e the power of two nearest
+    Square or rectangular, real or complex input.  B = A / 2^e, 2^e the power of two just above
     the largest entry, is exact and keeps B*B (B B* if A is wide) clear of over- and underflow.
     """
     A = _as_matrix(A)
