@@ -130,11 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="norm-growth parameter sweep")
     _add_param_flags(p_sweep, with_rho_sigma_L=False)
     ref = SweepConfig()
-    p_sweep.add_argument("--m2-values", type=_int_list, default=ref.m2_values)
+    meshes = p_sweep.add_mutually_exclusive_group()
+    meshes.add_argument("--m2-values", type=_int_list, default=ref.m2_values)
+    meshes.add_argument("--full", action="store_true", help="extend meshes to m2 = 25")
     p_sweep.add_argument("--sigma-values", type=_float_list, default=ref.sigma_values)
     p_sweep.add_argument("--rho-values", type=_float_list, default=ref.rho_values)
     p_sweep.add_argument("--L-values", type=_float_list, default=ref.L_values)
-    p_sweep.add_argument("--full", action="store_true", help="extend meshes to m2 = 25")
     p_sweep.add_argument("--tol", type=float, default=1e-6, help="bound-check tolerance")
     p_sweep.add_argument("--out", default=None, help="CSV output path")
     p_sweep.add_argument("--plot-dir", default=None, help="directory for plot series files")

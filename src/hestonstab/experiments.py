@@ -4,7 +4,7 @@ For each parameter combination the maximum over t >= 0 of the spectral norm
 of e^{t (diffusion)} is estimated by coarse sampling at integer multiples of
 a step followed by local grid refinement around the running argmax, and
 compared against the truncation-dependent bound
-sqrt((L + m1 S) / (m1 L + S) * m2).
+sqrt(cond D) = sqrt((L + m1 S) / (m1 L + S) * m2).
 
 The coarse pass stops at the first integer k >= 1 with ||P_k||_2 <= 1,
 where P_k = e^{k (step) A}.  Every later t = u + j k (step) with
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import HestonParams, make_grid, scaling_diagonal
+from .grid import HestonParams, _sqrt_cond, make_grid, scaling_diagonal
 from .linalg import _sigma_max_lanczos, expm_samples, log_norm_D, spectral_norm
 from .operators import build_operators
 from .stability import BoundCheck
@@ -103,9 +103,9 @@ class SweepRecord:
     ``max_norm2`` estimates max_t ||e^{t diffusion}||_2 with its location
     ``t_argmax``; ``max_normD`` is the same maximum in the scaled norm,
     which the certificate mu_D <= 0 fixes at exactly 1 (attained at t = 0);
-    ``bound`` is sqrt((L + m1 S) / (m1 L + S) * m2).  A failed case, a
-    positive mu_D included, carries its error message in ``error`` with NaN
-    values.
+    ``bound`` is sqrt(cond D) = sqrt((L + m1 S) / (m1 L + S) * m2).  A
+    failed case, a positive mu_D included, carries its error message in
+    ``error`` with NaN values.
     """
 
     m2: int
@@ -135,9 +135,10 @@ def max_norm_over_t(A):
     evaluated twice: t = 0 is ||I||_2 = 1 exactly, and a level skips the
     running argmax and a last t that an earlier pass sampled.  Each norm is
     a dense ``spectral_norm`` below order _DENSE_BELOW, and above it a Lanczos
-    value warm-started from the Ritz vector of the sample before.  The module
-    constants are read at each call.  The D-scaled maximum of the diffusion
-    block needs no scan: mu_D <= 0 fixes it at 1 (see ``run_sweep``).
+    value warm-started from the Ritz vector of the last sample evaluated.
+    The module constants are read at each call.  The D-scaled maximum of the
+    diffusion block needs no scan: mu_D <= 0 fixes it at 1 (see
+    ``run_sweep``).
     """
     A = np.asarray(A, dtype=float)
     dense = A.shape[0] < _DENSE_BELOW
@@ -145,14 +146,14 @@ def max_norm_over_t(A):
     step_matrices = dict(expm_samples(A, steps))
     P = start = np.eye(A.shape[0])
     best, t_best, t_last = 1.0, 0.0, 0.0
-    v = v_start = v_best = None  # Lanczos warm starts: current, at 'start', at the argmax
+    v = None  # Ritz vector of the last sample evaluated: the next Lanczos warm start
     lo, hi = 0.0, _T_MAX
     with np.errstate(over="ignore", invalid="ignore"):
         for level, h in enumerate(steps):
             if level:
                 h_prev = steps[level - 1]
                 lo, hi = max(0.0, t_best - h_prev), min(_T_MAX, t_best + h_prev)
-                P, v = start, v_start
+                P = start
             # the argmax is sample j_best of this pass (0, or a multiple of 4 if carried over);
             # the sample before it starts the next level ('start' is the identity at t_best = 0)
             j_best = int((t_best - lo) / h)
@@ -160,21 +161,20 @@ def max_norm_over_t(A):
             if lo + n_samples * h <= t_last:  # the previous pass sampled this pass's last t
                 n_samples -= 1
             for j in range(1, n_samples + 1):
-                prev, v_prev = P, v
+                prev = P
                 P = P @ step_matrices[level]
                 t_last = lo + j * h
                 _check_finite(P, t_last)
                 if j == j_best:
-                    v = v_best
                     continue
                 if dense:
                     sigma = spectral_norm(P)
                 else:
                     sigma, _, v = _sigma_max_lanczos(P, v0=v)
                 if sigma > best:
-                    best, t_best, j_best, start, v_start, v_best = sigma, t_last, j, prev, v_prev, v
+                    best, t_best, j_best, start = sigma, t_last, j, prev
                 elif j + 1 == j_best:
-                    start, v_start = P, v
+                    start = P
                 if not level and sigma <= 1.0 and (dense or spectral_norm(P) <= 1.0):
                     break
     return best, t_best
@@ -183,10 +183,6 @@ def max_norm_over_t(A):
 def _check_finite(P: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(P)):
         raise OverflowError(f"semigroup norm scan overflowed at t = {t:g}")
-
-
-def _sweep_bound(L: float, m1: int, S: float, m2: int) -> float:
-    return math.sqrt((L + m1 * S) / (m1 * L + S) * m2)
 
 
 def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
@@ -202,12 +198,13 @@ def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
     records = []
     for L, sigma, rho, m2 in combos:
         m1 = 2 * m2
-        bound = _sweep_bound(L, m1, cfg.S, m2)
         params = cfg._params(sigma, rho, L)
         grid = make_grid(params, m1, m2)
+        d = scaling_diagonal(grid)
+        bound = _sqrt_cond(d)
         try:
             diffusion = build_operators(params, grid).diffusion
-            mu = log_norm_D(diffusion, scaling_diagonal(grid))
+            mu = log_norm_D(diffusion, d)
             if mu > 0:
                 raise ArithmeticError(f"diffusion is not contractive in the D-norm: mu_D = {mu:.6g} > 0")
             max_norm2, t_argmax = max_norm_over_t(diffusion)

@@ -118,3 +118,8 @@ def scaling_diagonal(grid: GridSpec) -> np.ndarray:
     Entry (j - 1) * m1 + i (1-based) equals v_j * s_i.
     """
     return np.kron(grid.v_points, grid.s_points)
+
+
+def _sqrt_cond(d: np.ndarray) -> float:
+    """sqrt(cond D) for the positive diagonal d of D; ||X||_2 <= sqrt(cond D) ||X||_D."""
+    return math.sqrt(d.max() / d.min())

@@ -1,16 +1,16 @@
 """Core numerical kernels: spectral norm, extreme Hermitian eigenvalue,
 logarithmic norms, and the matrix exponential.
 
-All operations accept real or complex matrices.  The norm and eigenvalue
-functions return a float from one dense ``eigvalsh``; the spectral norm
-solves the Gram matrix of its argument scaled by a power of two.  The
-sweep's norm scan evaluates the spectral norm of many nearby matrices;
-above a moderate order a private, warm-started Lanczos kernel on X*X
-(``_sigma_max_lanczos``) carries the previous Ritz vector from sample to
-sample, tests its top Ritz pair after the first step and then every fourth
-(an ``eigh`` on every step would cost more than the step's two
-matrix-vector products) and may run as many steps as X*X has columns; only
-a breakdown or an exhausted Krylov space ends in a dense SVD.
+All public operations accept real or complex matrices.  The norm and
+eigenvalue functions return a float from one dense ``eigvalsh``; the
+spectral norm solves the Gram matrix of its argument scaled by a power of
+two.  The sweep's norm scan evaluates the spectral norm of many nearby real
+matrices; above a moderate order a private, warm-started Lanczos kernel on
+X^T X (``_sigma_max_lanczos``) starts from the Ritz vector of the scan's
+last sample, tests its top Ritz pair every fourth step (an ``eigh`` on
+every step would cost more than the step's two matrix-vector products) and
+may run as many steps as X^T X has columns; only a breakdown or an
+exhausted Krylov space ends in a dense ``spectral_norm``.
 
 ``expm_samples`` evaluates e^{tA} at several t by scaling and squaring,
 with the fewest squarings s that bring ||tA / 2^s||_1 within theta_13.
@@ -40,7 +40,7 @@ __all__ = [
 
 #: Acceptance test of the scan's Lanczos kernel: Ritz residual <= tol * theta.
 _LANCZOS_TOL = 1e-10
-#: The kernel tests its top Ritz pair after step 1 and then after every this many steps.
+#: The kernel tests its top Ritz pair after every this many steps.
 _LANCZOS_TEST_EVERY = 4
 #: Largest ||X||_1 with r_13(X) = e^X to double precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
 _THETA13 = 5.371920351148152
@@ -53,14 +53,6 @@ def _as_matrix(A) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
     return A
-
-
-def _start_vector(n: int, complex_: bool) -> np.ndarray:
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    if complex_:
-        v = v + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
 
 
 def lambda_max_hermitian(H) -> float:
@@ -82,41 +74,37 @@ def lambda_max_hermitian(H) -> float:
 
 
 def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
-    """Largest singular value of X by warm-started Lanczos on X*X.
+    """Largest singular value of a real matrix X by warm-started Lanczos on X^T X.
 
     Returns (sigma, steps, ritz_vector_or_None).  Each step costs two
-    matrix-vector products, so X*X is never formed, and the Krylov basis is
-    fully reorthogonalised.  The top Ritz pair is tested after step 1 (so a
-    converged warm start costs one step), after every
+    matrix-vector products, so X^T X is never formed, and the Krylov basis
+    is fully reorthogonalised.  The top Ritz pair is tested after every
     ``_LANCZOS_TEST_EVERY``-th step, at a breakdown and at step n (the order
-    of X*X), and accepted once its residual is at most ``_LANCZOS_TOL *
+    of X^T X), and accepted once its residual is at most ``_LANCZOS_TOL *
     theta`` with theta > 0; its vector is the warm start ``v0`` of the next
     call on a nearby matrix.  Without acceptance after n steps (an exhausted
     Krylov space), or at a breakdown at theta = 0 (a warm start inside the
-    null space), a dense SVD gives the value.  The vector is None when there
-    is none to carry: the value came from the SVD, or X = 0.
+    null space, or X = 0), ``spectral_norm(X)`` gives the value and the
+    vector is None.
     """
     X = _as_matrix(X)
     ncols = X.shape[1]
-    if not np.any(X):
-        return 0.0, 0, None
-    nv = np.linalg.norm(v0) if v0 is not None and v0.shape == (ncols,) else 0.0
-    v = v0 / nv if nv > 0 else _start_vector(ncols, np.iscomplexobj(X))
+    if v0 is None or v0.shape != (ncols,) or not np.linalg.norm(v0) > 0:
+        v0 = np.random.default_rng(0).standard_normal(ncols)
 
-    Q = np.empty((ncols, ncols), dtype=np.result_type(X, v))
-    Q[0] = v
+    Q = np.empty((ncols, ncols))
+    Q[0] = v0 / np.linalg.norm(v0)
     alpha = np.zeros(ncols)
     beta = np.zeros(ncols)
-    Xh = X.conj().T
     for k in range(ncols):
-        w = Xh @ (X @ Q[k])
-        alpha[k] = float(np.real(np.vdot(Q[k], w)))
+        w = X.T @ (X @ Q[k])
+        alpha[k] = Q[k] @ w
         basis = Q[: k + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
-            w = w - basis.T @ (basis.conj() @ w)
-        beta[k] = float(np.linalg.norm(w))
+            w = w - basis.T @ (basis @ w)
+        beta[k] = np.linalg.norm(w)
         last = beta[k] == 0.0 or k + 1 == ncols
-        if k == 0 or (k + 1) % _LANCZOS_TEST_EVERY == 0 or last:
+        if (k + 1) % _LANCZOS_TEST_EVERY == 0 or last:
             T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
             thetas, S = np.linalg.eigh(T)
             theta = float(thetas[-1])
@@ -127,7 +115,7 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
             break
         Q[k + 1] = w / beta[k]
 
-    return float(np.linalg.svd(X, compute_uv=False)[0]), k + 1, None
+    return spectral_norm(X), k + 1, None
 
 
 def spectral_norm(A) -> float:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, scaling_diagonal
+from .grid import GridSpec, _sqrt_cond, scaling_diagonal
 from .linalg import (
     _scale_similar,
     expm_samples,
@@ -175,7 +175,7 @@ def check_diffusion_contractivity(ops: OperatorSet, t_samples: Sequence[float], 
     scale = float(np.abs(A).max())
     mu_check = BoundCheck("diffusion_log_norm_D", log_norm_D(A, d), 0.0, tol * scale)
 
-    ratio = math.sqrt(d.max() / d.min())
+    ratio = _sqrt_cond(d)
     norms = {
         i: (spectral_norm(_scale_similar(E, d)), spectral_norm(E)) if t_samples[i] else (1.0, 1.0)
         for i, E in expm_samples(A, t_samples)

@@ -50,6 +50,9 @@ CASES = {
     "sweep-m2_9_sigma0.1_rho1_V1": ["sweep", "--m2-values", "9", "--sigma-values", "0.1",
                                     "--rho-values", "1", "--L-values", "0", "--V", "1",
                                     "--out", "sweep.csv"],
+    # n = 338: the scan's Lanczos path, above the order where it leaves dense norms
+    "sweep-m2_13_sigma0.1_rho1_L0": ["sweep", "--m2-values", "13", "--sigma-values", "0.1",
+                                     "--rho-values", "1", "--L-values", "0", "--out", "sweep.csv"],
     # unsorted t samples: several groups that differ by powers of two, and lone samples
     "check-m2_4_t-samples": ["check", "--m2", "4", "--t-samples",
                              "2,0,0.25,3,0.5,40,1,5,7.5,10,20", "--out", "check.csv"],

@@ -89,10 +89,11 @@ def test_invalid_param_exits_with_usage_error(argv, message, capsys):
         (["sweep", "--L-values", "0,10,0.0"], "repeated value 0.0 in the float list"),
         (["sweep", "--m2-values", "3,3"], "repeated value 3 in the integer list '3,3'"),
         (["check", "--t-samples", "1,1"], "repeated value 1.0 in the float list '1,1'"),
+        (["sweep", "--full", "--m2-values", "5"], "not allowed with argument --full"),
     ],
     ids=["t-neg", "t-nan", "t-inf", "check-tol-nan", "certificate-tol-inf", "sweep-tol-neg-inf",
          "empty-m2", "empty-sigma", "empty-rho", "empty-L", "empty-t",
-         "repeat-L", "repeat-L-after-cast", "repeat-m2", "repeat-t"],
+         "repeat-L", "repeat-L-after-cast", "repeat-m2", "repeat-t", "full-with-m2"],
 )
 def test_bad_sample_tolerance_or_list_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,7 @@ from hestonstab import (
     make_grid,
     max_norm_over_t,
     run_sweep,
+    spectral_norm,
 )
 from hestonstab.cli import main
 
@@ -254,7 +255,7 @@ def test_certified_cutoff_changes_nothing(rho, sigma, L, m2):
 def test_scan_samples_are_the_semigroup_at_their_t(monkeypatch):
     """Each refinement level starts from the kept sample at t_best - h, also when the argmax
     carried over from the coarse pass survives the first level; no t is evaluated twice, and
-    every evaluation is warm-started from the Ritz vector of the sample one step before it."""
+    every evaluation is warm-started from the Ritz vector of the evaluation before it."""
     sampled = []
     evaluated = []  # (t, t of the sample whose vector is the warm start, 0 for none)
 
@@ -278,10 +279,39 @@ def test_scan_samples_are_the_semigroup_at_their_t(monkeypatch):
     assert len(sampled) == 10 + 3 * 7
     for t, p in sampled:
         assert p == pytest.approx(math.exp(t), rel=1e-12)
-    ts = [round(t, 12) for t, _ in evaluated]
+    ts = [t for t, _ in evaluated]
     assert len(set(ts)) == len(ts) == 10 + 3 * 6
-    steps = [1.0] * 10 + [1 / 4] * 6 + [1 / 16] * 6 + [1 / 64] * 6
-    assert [t - warm for t, warm in evaluated] == pytest.approx(steps, abs=1e-12)
+    assert [warm for _, warm in evaluated] == [0.0, *ts[:-1]]
+
+
+def test_no_path_calls_dense_svd(monkeypatch):
+    """The scan's Lanczos fallback is bitwise ``spectral_norm``, so a scan whose every Lanczos
+    call falls back gives the dense path's result; neither the scan nor ``check`` reaches
+    np.linalg.svd."""
+
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    fallbacks = []
+    kernel = experiments._sigma_max_lanczos
+
+    def recorded(X, v0=None):
+        sigma, steps, vec = kernel(X, v0)
+        fallbacks.append((vec, steps, sigma == spectral_norm(X)))
+        return sigma, steps, vec
+
+    params = HestonParams(**dict(BASE, sigma=0.2, rho=1.0))
+    A = build_operators(params, make_grid(params, 6, 3)).diffusion
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(experiments, "_DENSE_BELOW", math.inf)
+    dense = max_norm_over_t(A)
+    monkeypatch.setattr(experiments, "_DENSE_BELOW", 0)
+    monkeypatch.setattr(experiments, "_sigma_max_lanczos", recorded)
+    # no Ritz pair is accepted (with 0, a Ritz residual that is exactly 0 still would be)
+    monkeypatch.setattr(linalg, "_LANCZOS_TOL", -1.0)
+    assert max_norm_over_t(A) == dense
+    assert fallbacks and all(f == (None, A.shape[0], True) for f in fallbacks)
+    assert main(["check", "--m2", "3"]) == 0
 
 
 def test_max_norm_samples_stay_within_t_max(monkeypatch):
