@@ -21,7 +21,9 @@ squaring chain once ||(step) A / 4^l||_1 > theta_13 / 2 at the finest level.
 
 The scaled-norm maximum needs no scan.  Each grid's logarithmic norm
 mu_D = mu_D[diffusion] is computed once; mu_D <= 0 gives
-||e^{tA}||_D <= e^{t mu_D} <= 1 = ||I||_D, so the maximum is 1 at t = 0.
+||e^{tA}||_D <= e^{t mu_D} <= 1 = ||I||_D, so the maximum is 1 at t = 0,
+and ||e^{tA}||_2 <= sqrt(cond D) for every t >= 0.  A case passes on that
+certificate; a scan above sqrt(cond D) contradicts it and fails the case.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ _COARSE_STEP = 1.0
 _REFINE_LEVELS = 3
 # Below this matrix order a dense spectral_norm per scan sample is cheaper than warm Lanczos.
 _DENSE_BELOW = 150
+# Rounding allowance of the scan's consistency check against the certified bound sqrt(cond D).
+_BOUND_TOL = 1e-6
+# Rounding allowance of the barrier comparison of two scan maxima.
+_BARRIER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,11 +107,12 @@ class SweepRecord:
     """One sweep data point.
 
     ``max_norm2`` estimates max_t ||e^{t diffusion}||_2 with its location
-    ``t_argmax``; ``max_normD`` is the same maximum in the scaled norm,
-    which the certificate mu_D <= 0 fixes at exactly 1 (attained at t = 0);
-    ``bound`` is sqrt(cond D) = sqrt((L + m1 S) / (m1 L + S) * m2).  A
-    failed case, a positive mu_D included, carries its error message in
-    ``error`` with NaN values.
+    ``t_argmax``; ``bound`` is sqrt(cond D) = sqrt((L + m1 S) / (m1 L + S) * m2).
+    A case passes once its certificate mu_D <= 0 holds and the scan stays
+    within that bound, which the certificate proves for every t.  A failed
+    case, a positive mu_D or a scan above the bound included, carries its
+    error message in ``error`` with NaN values.  ``max_normD`` and
+    ``within_bound`` follow from ``error`` alone.
     """
 
     m2: int
@@ -117,10 +124,18 @@ class SweepRecord:
     V: float
     max_norm2: float
     t_argmax: float
-    max_normD: float
     bound: float
-    within_bound: bool
     error: str = ""
+
+    @property
+    def max_normD(self) -> float:
+        """The scaled-norm maximum, which mu_D <= 0 fixes at 1 (attained at t = 0)."""
+        return math.nan if self.error else 1.0
+
+    @property
+    def within_bound(self) -> bool:
+        """Whether the case passed: its certificate holds and its scan stayed within ``bound``."""
+        return not self.error
 
 
 def max_norm_over_t(A):
@@ -185,12 +200,13 @@ def _check_finite(P: np.ndarray, t: float) -> None:
         raise OverflowError(f"semigroup norm scan overflowed at t = {t:g}")
 
 
-def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
+def run_sweep(config: SweepConfig | None = None) -> list:
     """Run the full parameter sweep; one record per combination.
 
     Combinations are evaluated in deterministic order sorted by
-    (L, sigma, rho, m2).  A case that fails numerically, or whose diffusion
-    block is not contractive in the D-norm (mu_D > 0), is recorded with its
+    (L, sigma, rho, m2).  A case that fails numerically, whose diffusion
+    block is not contractive in the D-norm (mu_D > 0), or whose scan exceeds
+    the bound that mu_D <= 0 proves (a scan fault), is recorded with its
     error message and the sweep continues; any other error propagates.
     """
     cfg = config or SweepConfig()
@@ -208,36 +224,21 @@ def run_sweep(config: SweepConfig | None = None, tol: float = 1e-6) -> list:
             if mu > 0:
                 raise ArithmeticError(f"diffusion is not contractive in the D-norm: mu_D = {mu:.6g} > 0")
             max_norm2, t_argmax = max_norm_over_t(diffusion)
-            max_normD, error = 1.0, ""
+            if not max_norm2 <= bound + _BOUND_TOL:
+                raise ArithmeticError(
+                    f"semigroup norm scan exceeds the certified bound: "
+                    f"max_norm2 = {max_norm2:.9g} > sqrt(cond D) = {bound:.9g}"
+                )
+            error = ""
         except (OverflowError, ArithmeticError, np.linalg.LinAlgError) as err:
-            max_norm2 = t_argmax = max_normD = math.nan
+            max_norm2 = t_argmax = math.nan
             error = str(err)
-        records.append(
-            SweepRecord(
-                m2=m2,
-                m1=m1,
-                L=L,
-                sigma=sigma,
-                rho=rho,
-                S=cfg.S,
-                V=cfg.V,
-                max_norm2=max_norm2,
-                t_argmax=t_argmax,
-                max_normD=max_normD,
-                bound=bound,
-                within_bound=max_norm2 <= bound + tol,
-                error=error,
-            )
-        )
+        records.append(SweepRecord(m2=m2, m1=m1, L=L, sigma=sigma, rho=rho, S=cfg.S, V=cfg.V,
+                                   max_norm2=max_norm2, t_argmax=t_argmax, bound=bound, error=error))
     return records
 
 
-def compare_L_effect(
-    records: Sequence[SweepRecord],
-    L_low: float = 0.0,
-    L_high: float = 10.0,
-    tol: float = 1e-8,
-) -> list:
+def compare_L_effect(records: Sequence[SweepRecord], L_low: float = 0.0, L_high: float = 10.0) -> list:
     """Check that the raised barrier never increases the norm maximum.
 
     For every matched (sigma, rho, m2) pair the record at L_high must have
@@ -254,14 +255,8 @@ def compare_L_effect(
         if low is None or high is None:
             missing.append((sigma, rho, m2))
             continue
-        checks.append(
-            BoundCheck(
-                f"barrier_effect[sigma={sigma:g},rho={rho:g},m2={m2}]",
-                high.max_norm2,
-                low.max_norm2,
-                tol,
-            )
-        )
+        name = f"barrier_effect[sigma={sigma:g},rho={rho:g},m2={m2}]"
+        checks.append(BoundCheck(name, high.max_norm2, low.max_norm2, _BARRIER_TOL))
     if missing:
         raise ValueError(f"missing matched barrier pairs for combinations: {missing}")
     return checks

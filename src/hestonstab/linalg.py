@@ -44,6 +44,8 @@ _LANCZOS_TOL = 1e-10
 _LANCZOS_TEST_EVERY = 4
 #: Largest ||X||_1 with r_13(X) = e^X to double precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
 _THETA13 = 5.371920351148152
+#: Largest ||tA||_1 that ``expm_samples`` accepts, 1/eps: past it rounding tA can change e^{tA} by O(1).
+_RESOLVED_NORM = 2.0**52
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -224,8 +226,10 @@ def expm_samples(A, ts: Iterable[float]) -> Iterator[tuple[int, np.ndarray]]:
     must not be modified in place.
 
     Every t is validated before any work: a negative or non-finite t
-    raises ValueError.  Raises OverflowError when a result grows beyond the
-    representable range, identifying the size of that sample's problem.
+    raises ValueError, an overflowing ||tA||_1 OverflowError, and
+    ||tA||_1 > 2^52 ArithmeticError.  Raises OverflowError when a result
+    grows beyond the representable range, identifying the size of that
+    sample's problem.
     """
     A = _as_matrix(A)
     n, nc = A.shape
@@ -245,6 +249,10 @@ def expm_samples(A, ts: Iterable[float]) -> Iterator[tuple[int, np.ndarray]]:
         norm1 = t * norm_a if t else 0.0
         if not math.isfinite(norm1):
             raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
+        if norm1 > _RESOLVED_NORM:
+            raise ArithmeticError(
+                f"matrix exponential is not resolved in double precision: ||tA||_1 = {norm1:.6g} > 2^52"
+            )
         if norm1 == 0.0:
             key, squarings = None, 0
         else:

@@ -79,7 +79,7 @@ def test_invalid_param_exits_with_usage_error(argv, message, capsys):
         (["check", "--m2", "3", "--t-samples", "inf"], "--t-samples must be finite and >= 0, got inf"),
         (["check", "--m2", "3", "--tol", "nan"], "--tol must be finite, got nan"),
         (["certificate", "--m2", "3", "--tol", "inf"], "--tol must be finite, got inf"),
-        (["sweep", "--m2-values", "3", "--tol=-inf"], "--tol must be finite, got -inf"),
+        (["sweep", "--m2-values", "3", "--tol=-inf"], "unrecognized arguments: --tol=-inf"),
         (["sweep", "--m2-values="], "non-empty"),
         (["sweep", "--sigma-values="], "non-empty"),
         (["sweep", "--rho-values="], "non-empty"),
@@ -135,8 +135,7 @@ def test_sweep_list_flags():
 def _record(m2=5, L=0.0, sigma=0.1, rho=0.0, max_norm2=1.25):
     return SweepRecord(
         m2=m2, m1=2 * m2, L=L, sigma=sigma, rho=rho, S=800.0, V=5.0,
-        max_norm2=max_norm2, t_argmax=1.5, max_normD=1.0,
-        bound=10.0, within_bound=True,
+        max_norm2=max_norm2, t_argmax=1.5, bound=10.0,
     )
 
 
@@ -352,12 +351,15 @@ def test_sweep_sum_only_overflow_is_a_failed_case(capsys):
     assert f"FAIL sweep[m2=3,L=0,sigma=3e+153,rho=0]: {_ASSEMBLY_OVERFLOW}" in capsys.readouterr().out
 
 
+_UNRESOLVED = "matrix exponential is not resolved in double precision"
+
+
 def test_main_numerical_failure_exit_code(capsys):
     for args, message in (
-        # the squaring phase of the advection exponential overflows double range
-        (["--m2", "3"], "matrix exponential overflowed during squaring: ||tA||_1 = 2.5e+307"),
-        # adv_s has a purely imaginary spectrum, but 1020 squarings amplify its rounding to overflow
-        (["--m2", "5"], "matrix exponential overflowed during squaring: ||tA||_1 = 4.5e+307"),
+        # ||tA||_1 > 2^52 is refused before any Pade work, where squaring would overflow
+        (["--m2", "3"], f"{_UNRESOLVED}: ||tA||_1 = 2.5e+307 > 2^52"),
+        # and where 1020 squarings of adv_s's purely imaginary spectrum would amplify rounding
+        (["--m2", "5"], f"{_UNRESOLVED}: ||tA||_1 = 4.5e+307 > 2^52"),
         # ||tA||_1 itself overflows, and no numpy warning comes ahead of the message
         (["--m2", "5", "--r", "0.25"], "matrix exponential overflowed: ||tA||_1 = inf"),
     ):
@@ -367,6 +369,18 @@ def test_main_numerical_failure_exit_code(capsys):
         err = capsys.readouterr().err
         assert code == 3
         assert err == f"numerical failure: {message}\n"
+
+
+def test_check_refuses_t_past_double_resolution(capsys):
+    # ||t adv_s_factor||_1 = 4.5e17 > 2^52: the scaling and squaring result would be noise (2.95e8
+    # for a norm that stays below about 2.5), so the run fails before printing a value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", "--t-samples", "0,1e18"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {_UNRESOLVED}: ||tA||_1 = 4.5e+17 > 2^52\n"
 
 
 def test_check_exp_bound_past_double_range_holds(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from _oracles import loglog_slope, unit_upper_shear_sigma_max
 from hestonstab import (
     HestonParams,
     SweepConfig,
+    SweepRecord,
     build_operators,
     compare_L_effect,
     experiments,
@@ -109,6 +111,34 @@ def test_sweep_positive_mu_D_is_a_failed_case(monkeypatch, capsys):
         "FAIL sweep[m2=3,L=0,sigma=0.1,rho=0]: "
         "diffusion is not contractive in the D-norm: mu_D = 0.25 > 0"
     ) in out
+
+
+def test_sweep_scan_above_the_certified_bound_is_a_failed_case(monkeypatch, capsys):
+    # mu_D <= 0 proves max_t ||e^{tA}||_2 <= sqrt(cond D); a bound of 0.5 < ||I||_2 makes the
+    # scan contradict it, which must fail the case (exit 3), not print a within-bound verdict
+    monkeypatch.setattr(experiments, "_sqrt_cond", lambda d: 0.5)
+    cfg = SweepConfig(m2_values=(3,), sigma_values=(0.1,), rho_values=(0.0,), L_values=(0.0,))
+    (rec,) = run_sweep(cfg)
+    message = "semigroup norm scan exceeds the certified bound: max_norm2 = 1 > sqrt(cond D) = 0.5"
+    assert rec.error == message
+    assert rec.bound == 0.5
+    assert math.isnan(rec.max_norm2) and math.isnan(rec.t_argmax) and math.isnan(rec.max_normD)
+    assert not rec.within_bound
+    code = main(["sweep", "--m2-values", "3", "--sigma-values", "0.1", "--rho-values", "0",
+                 "--L-values", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out == f"FAIL sweep[m2=3,L=0,sigma=0.1,rho=0]: {message}\n"
+
+
+def test_sweep_record_derives_max_normD_and_within_bound_from_error():
+    names = [f.name for f in dataclasses.fields(SweepRecord)]
+    assert "max_normD" not in names and "within_bound" not in names
+    ok = SweepRecord(m2=3, m1=6, L=0.0, sigma=0.1, rho=0.0, S=800.0, V=5.0,
+                     max_norm2=1.0, t_argmax=0.0, bound=4.0)
+    failed = dataclasses.replace(ok, max_norm2=math.nan, t_argmax=math.nan, error="broken")
+    assert ok.max_normD == 1.0 and ok.within_bound is True
+    assert math.isnan(failed.max_normD) and failed.within_bound is False
 
 
 def test_sweep_assembly_error_propagates(monkeypatch):

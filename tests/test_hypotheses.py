@@ -1,11 +1,15 @@
-"""Property test of the theorem's hypotheses over the whole parameter box.
+"""Property tests of the theorem's hypotheses over the whole parameter box.
 
 Every link of the certificate chain must hold for any correlation in
 [-1, 1], any barrier 0 <= L < S, other truncations S and V, and price and
-variance mesh counts drawn independently (so m1 != 2 m2 is covered).
+variance mesh counts drawn independently (so m1 != 2 m2 is covered).  The
+semigroup norm the sweep scans must stay within the bound sqrt(cond D)
+that the chain's mu_D <= 0 proves, off the sweep's box too.
 """
 
-from hypothesis import given, settings, strategies as st
+import math
+
+from hypothesis import given, settings, strategies as st, target
 import numpy as np
 
 from hestonstab import (
@@ -20,6 +24,7 @@ from hestonstab import (
     diffusion_block_reduction,
     log_norm_D,
     make_grid,
+    max_norm_over_t,
     scaling_diagonal,
 )
 
@@ -54,3 +59,31 @@ def test_certificate_chain_holds_on_the_parameter_box(rho, sigma, S, L_fraction,
         else:
             _, check = certificate_case_small_y(ops, y)
         assert check.holds, (y, check)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    m1=st.integers(3, 24),
+    m2=st.integers(3, 12),
+    rho=st.floats(-1.0, 1.0),
+    sigma=st.floats(0.05, 2.0),
+    kappa=st.floats(0.1, 10.0),
+    eta=st.floats(0.01, 0.5),
+    S=st.floats(50.0, 2000.0),
+    V=st.floats(0.5, 10.0),
+    L_fraction=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+)
+def test_semigroup_norm_stays_within_sqrt_cond_D_on_the_box(m1, m2, rho, sigma, kappa, eta, S, V, L_fraction):
+    params = HestonParams(
+        r=0.05, kappa=kappa, eta=eta, sigma=sigma, rho=rho, L=L_fraction * S, S=S, V=V
+    )
+    grid = make_grid(params, m1, m2)
+    d = scaling_diagonal(grid)
+    diffusion = build_operators(params, grid).diffusion
+    bound = math.sqrt(d.max() / d.min())
+
+    assert log_norm_D(diffusion, d) <= 0.0
+    max_norm2, _ = max_norm_over_t(diffusion)
+    # steer the search toward the scan's worst margin against the certified bound
+    target(max_norm2 / bound, label="max_norm2 / sqrt(cond D)")
+    assert max_norm2 <= bound

@@ -455,6 +455,16 @@ def test_expm_samples_overflow_raises():
         dict(expm_samples(np.array([[1e300]]), [1e10]))
 
 
+def test_expm_samples_refuses_t_norm_past_2_52_before_any_pade_work(monkeypatch):
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # ||A||_1 = 1; e^{tA} is a rotation for every t
+    assert np.all(np.isfinite(expm(A, 2.0**52)))  # the largest t accepted
+    monkeypatch.setattr(linalg, "_pade13", lambda X: pytest.fail("Pade evaluated"))
+    t = math.nextafter(2.0**52, math.inf)
+    samples = expm_samples(A, [0.0, 1.0, t])
+    with pytest.raises(ArithmeticError, match=r"\|\|tA\|\|_1 = 4\.5036e\+15 > 2\^52$"):
+        next(samples)
+
+
 def test_expm_samples_default_t_samples_make_two_pade_evaluations(monkeypatch):
     calls = _count_pade(monkeypatch)
     params = HestonParams(**dict(BASE, rho=0.0), L=0.0, S=800.0, V=5.0)
