@@ -118,21 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=_DEFAULT_T_SAMPLES,
         help="comma-separated t values (default 0,0.5,1,2,5,10)",
     )
-    p_check.add_argument("--tol", type=float, default=1e-8, help="check tolerance")
     p_check.add_argument("--out", default=None, help="CSV output for the checks")
 
     p_cert = sub.add_parser("certificate", help="contractivity certificate chain for one grid")
     _add_param_flags(p_cert)
     _add_grid_flags(p_cert)
-    p_cert.add_argument("--tol", type=float, default=1e-8, help="check tolerance")
     p_cert.add_argument("--out", default=None, help="text report output path")
 
     p_sweep = sub.add_parser("sweep", help="norm-growth parameter sweep")
     _add_param_flags(p_sweep, with_rho_sigma_L=False)
     ref = SweepConfig()
-    meshes = p_sweep.add_mutually_exclusive_group()
-    meshes.add_argument("--m2-values", type=_int_list, default=ref.m2_values)
-    meshes.add_argument("--full", action="store_true", help="extend meshes to m2 = 25")
+    p_sweep.add_argument("--m2-values", type=_int_list, default=ref.m2_values)
     p_sweep.add_argument("--sigma-values", type=_float_list, default=ref.sigma_values)
     p_sweep.add_argument("--rho-values", type=_float_list, default=ref.rho_values)
     p_sweep.add_argument("--L-values", type=_float_list, default=ref.L_values)
@@ -145,7 +141,7 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse argv and build the run's inputs; exits with code 2 on error.
 
     ``operators``, ``check`` and ``certificate`` get ``params`` and ``grid``;
-    ``sweep`` gets ``sweep``, a SweepConfig with ``--full`` resolved.
+    ``sweep`` gets ``sweep``, a SweepConfig.
     """
     parser = build_parser()
     ns = parser.parse_args(list(argv))
@@ -153,7 +149,7 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     try:
         if ns.command == "sweep":
             ns.sweep = SweepConfig(
-                m2_values=SweepConfig.full_m2_values() if ns.full else ns.m2_values,
+                m2_values=ns.m2_values,
                 sigma_values=ns.sigma_values,
                 rho_values=ns.rho_values,
                 L_values=ns.L_values,
@@ -162,8 +158,6 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         else:
             ns.params = HestonParams(sigma=ns.sigma, rho=ns.rho, L=ns.L, **shared)
             ns.grid = make_grid(ns.params, 2 * ns.m2 if ns.m1 is None else ns.m1, ns.m2)
-        if not math.isfinite(getattr(ns, "tol", 0.0)):
-            raise ValueError(f"--tol must be finite, got {ns.tol}")
         bad = [t for t in getattr(ns, "t_samples", ()) if not 0.0 <= t < math.inf]
         if bad:
             raise ValueError(f"--t-samples must be finite and >= 0, got {bad[0]}")
@@ -235,14 +229,14 @@ def _run_operators(ns: argparse.Namespace) -> int:
 def _run_check(ns: argparse.Namespace) -> int:
     params = ns.params
     ops = build_operators(params, ns.grid)
-    checks = list(check_advection_bounds(ops, tol=ns.tol))
+    checks = list(check_advection_bounds(ops))
     for name, factor, omega in (
         ("adv_s", ops.adv_s_factor, 0.5 * params.r),
         ("adv_v", ops.adv_v_factor, 0.5 * params.kappa),
     ):
-        for c in check_exp_bound(factor, omega, ns.t_samples, tol=ns.tol):
+        for c in check_exp_bound(factor, omega, ns.t_samples):
             checks.append(BoundCheck(f"{name}_{c.name}", c.lhs, c.rhs, c.tol))
-    mu_check, scaled, spectral = check_diffusion_contractivity(ops, ns.t_samples, tol=ns.tol)
+    mu_check, scaled, spectral = check_diffusion_contractivity(ops, ns.t_samples)
     checks.append(mu_check)
     checks.extend(scaled)
     checks.extend(spectral)
@@ -254,15 +248,15 @@ def _run_check(ns: argparse.Namespace) -> int:
 
 def _run_certificate(ns: argparse.Namespace) -> int:
     ops = build_operators(ns.params, ns.grid)
-    checks = check_symbol_conditions(ops, tol=ns.tol)
+    checks = check_symbol_conditions(ops)
     rows = []
     for y in DEFAULT_Y_SAMPLES:
         certify = certificate_case_large_y if abs(y) >= 0.5 else certificate_case_small_y
-        y_rows, check = certify(ops, y, tol=ns.tol)
+        y_rows, check = certify(ops, y)
         rows.extend(y_rows)
         checks.append(check)
     _, B0, B1 = diffusion_block_reduction(ops)
-    checks.append(check_block_toeplitz_symbol_bound(B0, B1, ns.grid.m2, tol=ns.tol))
+    checks.append(check_block_toeplitz_symbol_bound(B0, B1, ns.grid.m2))
     ok = _print_checks(checks)
     if ns.out is not None:
         with open(ns.out, "w", newline="\n") as fh:

@@ -66,7 +66,7 @@ class SweepConfig:
     """Parameter sets for the sweep; defaults reproduce the reference runs.
 
     The default mesh list stops at m2 = 15 so a full sweep finishes in
-    minutes; ``full_m2_values`` extends to the largest feasible size.
+    minutes.
     Construction raises ValueError unless every list is non-empty, every
     m2 is at least 3 and every (sigma, rho, L) combination is a valid
     ``HestonParams``.
@@ -96,10 +96,6 @@ class SweepConfig:
         return HestonParams(
             r=self.r, kappa=self.kappa, eta=self.eta, sigma=sigma, rho=rho, L=L, S=self.S, V=self.V
         )
-
-    @staticmethod
-    def full_m2_values() -> tuple:
-        return tuple(range(5, 26, 2))
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,11 @@ DEFAULT_Y_SAMPLES = (
 #: Number of unit-circle samples (roots of unity) of the symbol checks.
 DEFAULT_ZETA_SAMPLES = 64
 
+# Rounding allowance of every check, relative to the check's own scale.
+_CHECK_TOL = 1e-8
+# Rounding allowance of the block-Toeplitz bound, on top of its sampling slack.
+_TOEPLITZ_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -113,12 +118,12 @@ class CertificateRow:
     theta: Optional[float] = None
 
 
-def check_advection_bounds(ops: OperatorSet, tol: float = 1e-8):
+def check_advection_bounds(ops: OperatorSet):
     """Log-norm bounds for the two advection blocks of ``ops``.
 
-    Returns checks mu2[adv_s] <= r/2 and mu2[adv_v] <= kappa/2, taken on the
-    1-D factors without forming a 2-D block.  That is exact: the Hermitian part
-    of I (x) X is I (x) He(X), with the spectrum of He(X), so
+    Returns checks mu2[adv_s] <= r/2 and mu2[adv_v] <= kappa/2, each up to
+    1e-8, taken on the 1-D factors without forming a 2-D block.  That is exact:
+    the Hermitian part of I (x) X is I (x) He(X), with the spectrum of He(X), so
     mu2[I (x) X] = mu2[X (x) I] = mu2[X].  They are also compared against
     their sharp closed forms (r/2)cos(pi/(m1+1)) and (kappa/2)cos(pi/(m2+1));
     disagreement beyond 1e-8 raises, since those values are exact for these
@@ -139,8 +144,8 @@ def check_advection_bounds(ops: OperatorSet, tol: float = 1e-8):
             f"variance advection log norm {mu_v!r} deviates from sharp value {sharp_v!r}"
         )
     return (
-        BoundCheck("advection_s_log_norm", mu_s, 0.5 * params.r, tol),
-        BoundCheck("advection_v_log_norm", mu_v, 0.5 * params.kappa, tol),
+        BoundCheck("advection_s_log_norm", mu_s, 0.5 * params.r, _CHECK_TOL),
+        BoundCheck("advection_v_log_norm", mu_v, 0.5 * params.kappa, _CHECK_TOL),
     )
 
 
@@ -151,29 +156,30 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def check_exp_bound(A, omega: float, t_samples: Sequence[float], tol: float = 1e-8):
-    """Check ||e^{tA}||_2 <= e^{t omega} (inf past the double range) at each sampled t >= 0."""
+def check_exp_bound(A, omega: float, t_samples: Sequence[float]):
+    """Check ||e^{tA}||_2 <= e^{t omega} (inf past the double range) up to 1e-8 at each sampled t >= 0."""
     # e^{0A} = I has norm exactly 1: no eigensolve
     lhs = {i: spectral_norm(E) if t_samples[i] else 1.0 for i, E in expm_samples(A, t_samples)}
     return [
-        BoundCheck(f"exp_bound[t={t:g}]", lhs[i], _exp_or_inf(t * omega), tol)
+        BoundCheck(f"exp_bound[t={t:g}]", lhs[i], _exp_or_inf(t * omega), _CHECK_TOL)
         for i, t in enumerate(t_samples)
     ]
 
 
-def check_diffusion_contractivity(ops: OperatorSet, t_samples: Sequence[float], tol: float = 1e-8):
+def check_diffusion_contractivity(ops: OperatorSet, t_samples: Sequence[float]):
     """Contractivity of the diffusion part in the scaled norm on ``ops.grid``.
 
     Returns (log-norm check, per-t scaled-norm checks, per-t spectral-norm
-    checks): mu_D[diffusion] <= 0 with tolerance tol * max-entry scale, then
-    ||e^{t diffusion}||_D <= 1 and
-    ||e^{t diffusion}||_2 <= sqrt(cond D) = sqrt(s_m1 v_m2 / (s_1 v_1)) at each t.
+    checks): mu_D[diffusion] <= 0 up to 1e-8 times the largest entry, then
+    ||e^{t diffusion}||_D <= 1 up to 1e-8 and
+    ||e^{t diffusion}||_2 <= sqrt(cond D) = sqrt(s_m1 v_m2 / (s_1 v_1)) up to
+    1e-8 max(1, sqrt(cond D)) at each t.
     At t = 0 both norms are those of I, exactly 1, and take no eigensolve.
     """
     d = scaling_diagonal(ops.grid)
     A = ops.diffusion
     scale = float(np.abs(A).max())
-    mu_check = BoundCheck("diffusion_log_norm_D", log_norm_D(A, d), 0.0, tol * scale)
+    mu_check = BoundCheck("diffusion_log_norm_D", log_norm_D(A, d), 0.0, _CHECK_TOL * scale)
 
     ratio = _sqrt_cond(d)
     norms = {
@@ -181,11 +187,11 @@ def check_diffusion_contractivity(ops: OperatorSet, t_samples: Sequence[float], 
         for i, E in expm_samples(A, t_samples)
     }
     scaled_checks = [
-        BoundCheck(f"diffusion_normD[t={t:g}]", norms[i][0], 1.0, tol)
+        BoundCheck(f"diffusion_normD[t={t:g}]", norms[i][0], 1.0, _CHECK_TOL)
         for i, t in enumerate(t_samples)
     ]
     spectral_checks = [
-        BoundCheck(f"diffusion_norm2[t={t:g}]", norms[i][1], ratio, tol * max(1.0, ratio))
+        BoundCheck(f"diffusion_norm2[t={t:g}]", norms[i][1], ratio, _CHECK_TOL * max(1.0, ratio))
         for i, t in enumerate(t_samples)
     ]
     return mu_check, scaled_checks, spectral_checks
@@ -197,26 +203,21 @@ def _block_toeplitz(B0: np.ndarray, B1: np.ndarray, n_blocks: int) -> np.ndarray
     return np.kron(np.eye(n_blocks), B0) + np.kron(E, B1) + np.kron(E.T, B1.T)
 
 
-def check_block_toeplitz_symbol_bound(
-    B0,
-    B1,
-    n_blocks: int,
-    tol: float = 1e-9,
-) -> BoundCheck:
+def check_block_toeplitz_symbol_bound(B0, B1, n_blocks: int) -> BoundCheck:
     """Log-norm of a block tridiagonal Toeplitz matrix vs its symbol maximum.
 
     Assembles B = I (x) B0 + E (x) B1 + E^T (x) B1^T with n_blocks blocks and
     checks mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] over the DEFAULT_ZETA_SAMPLES
     roots of unity; the one-sided companion B0 + 2 zeta B1 has the Hermitian
     part of the full symbol B0 + zeta B1 + zeta^{-1} B1^T.  The check tolerance
-    adds the sampling slack 2 ||B1||_2 times the maximal chord distance to a
-    sample, since the sampled maximum can fall below the true maximum over the
-    circle by at most that much.  Raises ValueError unless n_blocks >= 2 and
-    B0, B1 are square matrices of equal size.
+    is 1e-9 times the largest entry (at least 1) plus the sampling slack
+    2 ||B1||_2 times the maximal chord distance to a sample, since the sampled
+    maximum can fall below the true maximum over the circle by at most that
+    much.  Raises ValueError unless n_blocks >= 2 and B0, B1 are square
+    matrices of equal size.
     """
     if n_blocks < 2:
         raise ValueError(f"need at least 2 blocks, got {n_blocks}")
-    zeta_samples = DEFAULT_ZETA_SAMPLES
     B0 = np.asarray(B0, dtype=float)
     B1 = np.asarray(B1, dtype=float)
     if B0.ndim != 2 or B0.shape[0] != B0.shape[1] or B1.shape != B0.shape:
@@ -225,11 +226,13 @@ def check_block_toeplitz_symbol_bound(
         )
     lhs = log_norm_2(_block_toeplitz(B0, B1, n_blocks))
     # B0, B1 are real, so the companions of conjugate zeta are conjugate: k <= n/2 suffice
-    zetas = (cmath.exp(2j * math.pi * k / zeta_samples) for k in range(zeta_samples // 2 + 1))
+    zetas = (
+        cmath.exp(2j * math.pi * k / DEFAULT_ZETA_SAMPLES) for k in range(DEFAULT_ZETA_SAMPLES // 2 + 1)
+    )
     rhs = max(log_norm_2(B0 + 2.0 * zeta * B1) for zeta in zetas)
-    slack = 2.0 * spectral_norm(B1) * 2.0 * math.sin(math.pi / (2 * zeta_samples))
+    slack = 2.0 * spectral_norm(B1) * 2.0 * math.sin(math.pi / (2 * DEFAULT_ZETA_SAMPLES))
     scale = max(1.0, float(np.abs(B0).max()), float(np.abs(B1).max()))
-    return BoundCheck("block_toeplitz_symbol_bound", lhs, rhs, slack + tol * scale)
+    return BoundCheck("block_toeplitz_symbol_bound", lhs, rhs, slack + _TOEPLITZ_TOL * scale)
 
 
 def diffusion_block_reduction(ops: OperatorSet):
@@ -278,7 +281,7 @@ def _lambda_max_real_spectrum(T: np.ndarray, name: str) -> float:
     return float(evals.real.max())
 
 
-def check_symbol_conditions(ops: OperatorSet, tol: float = 1e-8):
+def check_symbol_conditions(ops: OperatorSet):
     """Evaluate the chain of sufficient symbol conditions on ``ops.grid``.
 
     For each of the DEFAULT_ZETA_SAMPLES unit-modulus zeta two equivalent
@@ -288,32 +291,33 @@ def check_symbol_conditions(ops: OperatorSet, tol: float = 1e-8):
     operators (lambda_max <= sv^2 (1 - Re zeta)).  Their margins must agree
     up to the factor 2 from the similarity; a violation raises.  For each y
     of DEFAULT_Y_SAMPLES the collapsed condition
-    lambda_max[diff_1d + (1/2 + 2iy) adv_1d] <= 2 y^2 is checked.  Returns
-    the full list of BoundChecks.
+    lambda_max[diff_1d + (1/2 + 2iy) adv_1d] <= 2 y^2 is checked.  Every
+    check allows 1e-8 times the largest entry of diff_sym (at least 1).
+    Returns the full list of BoundChecks.
     """
-    zeta_samples = DEFAULT_ZETA_SAMPLES
     sv = ops.params.sigma / ops.grid.dv
     sym_part = 0.5 * (ops.diff_sym + ops.diff_sym.T)
     conv_part = ops.diff_1d + 0.5 * ops.adv_1d
     scale = max(1.0, float(np.abs(ops.diff_sym).max()))
+    tol = _CHECK_TOL * scale
 
     # both lhs matrices depend on |Im zeta| only (-Im zeta conjugates them): n/4 + 1 pairs of solves
-    half = zeta_samples // 2
+    half = DEFAULT_ZETA_SAMPLES // 2
     lhs = []
     for j in range(half // 2 + 1):
-        im = cmath.exp(2j * math.pi * j / zeta_samples).imag
+        im = cmath.exp(2j * math.pi * j / DEFAULT_ZETA_SAMPLES).imag
         lhs_a = lambda_max_hermitian(sym_part + 2j * im * ops.params.rho * sv * ops.adv_sym)
         T = conv_part + 1j * im * ops.params.rho * sv * ops.adv_1d
         lhs.append((lhs_a, _lambda_max_real_spectrum(T, "convection-form symbol condition")))
 
     checks = []
-    for k in range(zeta_samples):
-        re = cmath.exp(2j * math.pi * k / zeta_samples).real
+    for k in range(DEFAULT_ZETA_SAMPLES):
+        re = cmath.exp(2j * math.pi * k / DEFAULT_ZETA_SAMPLES).real
         lhs_a, lhs_b = lhs[min(k % half, half - k % half)]
         rhs_a = 2.0 * sv**2 * (1.0 - re)
-        check_a = BoundCheck(f"scaled_symbol_cond[zeta={k}/{zeta_samples}]", lhs_a, rhs_a, tol * scale)
+        check_a = BoundCheck(f"scaled_symbol_cond[zeta={k}/{DEFAULT_ZETA_SAMPLES}]", lhs_a, rhs_a, tol)
         rhs_b = sv**2 * (1.0 - re)
-        check_b = BoundCheck(f"convection_symbol_cond[zeta={k}/{zeta_samples}]", lhs_b, rhs_b, tol * scale)
+        check_b = BoundCheck(f"convection_symbol_cond[zeta={k}/{DEFAULT_ZETA_SAMPLES}]", lhs_b, rhs_b, tol)
         if abs(check_a.margin - 2.0 * check_b.margin) > 1e-6 * scale:
             raise ArithmeticError(
                 "similarity-equivalent symbol conditions disagree: "
@@ -326,7 +330,7 @@ def check_symbol_conditions(ops: OperatorSet, tol: float = 1e-8):
         if abs(y) not in family:
             T = ops.diff_1d + (0.5 + 2j * abs(y)) * ops.adv_1d
             family[abs(y)] = _lambda_max_real_spectrum(T, "tridiagonal family")
-        checks.append(BoundCheck(f"tridiag_family_cond[y={y:g}]", family[abs(y)], 2.0 * y**2, tol * scale))
+        checks.append(BoundCheck(f"tridiag_family_cond[y={y:g}]", family[abs(y)], 2.0 * y**2, tol))
     return checks
 
 
@@ -347,7 +351,7 @@ def _family_entries(grid: GridSpec, y: float):
     return nu, alpha, beta_mag, gamma_mag
 
 
-def certificate_case_large_y(ops: OperatorSet, y: float, tol: float = 1e-8):
+def certificate_case_large_y(ops: OperatorSet, y: float):
     """Row certificate for the tridiagonal family on ``ops.grid`` when |y| >= 1/2.
 
     Each unweighted row sum alpha_i + |beta_i| + |gamma_i| is bounded by
@@ -355,7 +359,7 @@ def certificate_case_large_y(ops: OperatorSet, y: float, tol: float = 1e-8):
     to the quartic 4 th(th-1) nu_i^4 + th^2 (4 th - 1) nu_i^2 + th^4 >= 0,
     which holds identically.  Returns the per-row data and the overall check
     that the logarithmic maximum norm of the family matrix
-    diff_1d + (1/2 + 2iy) adv_1d is at most 2 y^2.
+    diff_1d + (1/2 + 2iy) adv_1d is at most 2 y^2, up to 1e-8.
     """
     if abs(y) < 0.5:
         raise ValueError(f"this certificate covers |y| >= 1/2, got y = {y}")
@@ -375,11 +379,11 @@ def certificate_case_large_y(ops: OperatorSet, y: float, tol: float = 1e-8):
         for i in range(grid.m1)
     ]
     family = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
-    check = BoundCheck("family_log_norm_inf[large_y]", log_norm_inf(family), 2.0 * y**2, tol)
+    check = BoundCheck("family_log_norm_inf[large_y]", log_norm_inf(family), 2.0 * y**2, _CHECK_TOL)
     return rows, check
 
 
-def certificate_case_small_y(ops: OperatorSet, y: float, tol: float = 1e-8):
+def certificate_case_small_y(ops: OperatorSet, y: float):
     """Row certificate for the tridiagonal family on ``ops.grid`` when |y| < 1/2.
 
     A diagonal similarity with weights whose consecutive ratios are eps_j
@@ -394,7 +398,7 @@ def certificate_case_small_y(ops: OperatorSet, y: float, tol: float = 1e-8):
     raises.  A boundary row uses the interior expressions with its missing
     neighbour's term set to 0, and reports a from the bracket.  Returns the
     per-row data and the overall check that the weighted row maximum is at
-    most 2 y^2.
+    most 2 y^2, up to 1e-8.
     """
     if abs(y) >= 0.5:
         raise ValueError(f"this certificate covers |y| < 1/2, got y = {y}")
@@ -429,7 +433,7 @@ def certificate_case_small_y(ops: OperatorSet, y: float, tol: float = 1e-8):
         for i, (nu_i, al, be, ga, eps_i, a_i, a_br, b_i) in enumerate(columns, start=1)
     ]
     check = BoundCheck(
-        "family_weighted_row_bound[small_y]", float(weighted.max()), 2.0 * y**2, tol
+        "family_weighted_row_bound[small_y]", float(weighted.max()), 2.0 * y**2, _CHECK_TOL
     )
     return rows, check
 

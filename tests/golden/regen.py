@@ -58,12 +58,9 @@ CASES = {
                              "2,0,0.25,3,0.5,40,1,5,7.5,10,20", "--out", "check.csv"],
     "operators-diffusion-out": ["operators", "--which", "diffusion", "--m2", "4",
                                 "--out", "diffusion.txt"],
-    # error paths: a failed check (1), a validation error (2), an I/O failure (3)
-    "check-m2_4_tol-1": ["check", "--m2", "4", "--tol", "-1"],
+    # error paths: a validation error (2), an I/O failure (3)
     "check-m2_4_rho1.5": ["check", "--m2", "4", "--rho", "1.5"],
     "check-m2_4_out-missing": ["check", "--m2", "4", "--out", "missing/check.csv"],
-    # --tol reaches every certificate check, the block-Toeplitz bound included (1)
-    "certificate-m2_4_tol-1": ["certificate", "--m2", "4", "--tol", "-1"],
     # an overflowing assembly is a numerical failure (3), and in a sweep a failed case
     "check-m2_3_sigma1e154": ["check", "--m2", "3", "--sigma", "1e154"],
     "sweep-m2_3_sigma0.1_1e154": ["sweep", "--m2-values", "3", "--sigma-values", "0.1,1e154",

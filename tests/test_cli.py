@@ -11,6 +11,7 @@ from hestonstab import (
     build_operators,
     experiments,
     make_grid,
+    stability,
 )
 from hestonstab.cli import emit_plot_data, main, parse_args, write_csv
 
@@ -27,11 +28,6 @@ def test_sweep_defaults_match_reference_sets():
     assert cfg.sweep.L_values == (0.0, 10.0)
     assert cfg.sweep.S == 800.0 and cfg.sweep.V == 5.0
     assert cfg.sweep == SweepConfig()
-
-
-def test_sweep_full_flag_extends_meshes():
-    cfg = parse_args(["sweep", "--full"])
-    assert cfg.sweep.m2_values == tuple(range(5, 26, 2))
 
 
 def test_check_flag_mapping():
@@ -77,8 +73,8 @@ def test_invalid_param_exits_with_usage_error(argv, message, capsys):
         (["check", "--m2", "3", "--t-samples=-1"], "--t-samples must be finite and >= 0, got -1"),
         (["check", "--m2", "3", "--t-samples", "nan"], "--t-samples must be finite and >= 0, got nan"),
         (["check", "--m2", "3", "--t-samples", "inf"], "--t-samples must be finite and >= 0, got inf"),
-        (["check", "--m2", "3", "--tol", "nan"], "--tol must be finite, got nan"),
-        (["certificate", "--m2", "3", "--tol", "inf"], "--tol must be finite, got inf"),
+        (["check", "--m2", "3", "--tol", "1e300"], "unrecognized arguments: --tol 1e300"),
+        (["certificate", "--m2", "3", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
         (["sweep", "--m2-values", "3", "--tol=-inf"], "unrecognized arguments: --tol=-inf"),
         (["sweep", "--m2-values="], "non-empty"),
         (["sweep", "--sigma-values="], "non-empty"),
@@ -89,11 +85,11 @@ def test_invalid_param_exits_with_usage_error(argv, message, capsys):
         (["sweep", "--L-values", "0,10,0.0"], "repeated value 0.0 in the float list"),
         (["sweep", "--m2-values", "3,3"], "repeated value 3 in the integer list '3,3'"),
         (["check", "--t-samples", "1,1"], "repeated value 1.0 in the float list '1,1'"),
-        (["sweep", "--full", "--m2-values", "5"], "not allowed with argument --full"),
+        (["sweep", "--full"], "unrecognized arguments: --full"),
     ],
-    ids=["t-neg", "t-nan", "t-inf", "check-tol-nan", "certificate-tol-inf", "sweep-tol-neg-inf",
+    ids=["t-neg", "t-nan", "t-inf", "check-tol", "certificate-tol", "sweep-tol-neg-inf",
          "empty-m2", "empty-sigma", "empty-rho", "empty-L", "empty-t",
-         "repeat-L", "repeat-L-after-cast", "repeat-m2", "repeat-t", "full-with-m2"],
+         "repeat-L", "repeat-L-after-cast", "repeat-m2", "repeat-t", "sweep-full"],
 )
 def test_bad_sample_tolerance_or_list_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -235,13 +231,16 @@ def test_main_check_writes_csv(tmp_path, capsys):
     assert len(lines) > 3
 
 
-def test_main_check_negative_tolerance_forces_failure(capsys):
-    # a negative tolerance override demands a strictly positive margin of
-    # that size, so the near-sharp advection check must fail: exit code 1
-    code = main(["check", "--m2", "3", "--t-samples", "0", "--tol", "-0.5"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "FAIL" in out
+def test_main_negative_allowances_fail_checks(monkeypatch, capsys):
+    # a negative allowance demands a strictly positive margin of that size, which
+    # the near-sharp checks lack: exit code 1, and the block-Toeplitz line shows
+    # that its own allowance reaches the certificate too
+    monkeypatch.setattr(stability, "_CHECK_TOL", -1.0)
+    monkeypatch.setattr(stability, "_TOEPLITZ_TOL", -1.0)
+    assert main(["check", "--m2", "4"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["certificate", "--m2", "4"]) == 1
+    assert "FAIL block_toeplitz_symbol_bound" in capsys.readouterr().out
 
 
 def test_main_certificate(tmp_path, capsys):

@@ -388,7 +388,3 @@ def test_loglog_slope_recovers_power_law():
     xs = np.array([5.0, 7.0, 9.0, 11.0])
     ys = 3.0 * xs**1.7
     assert loglog_slope(xs, ys) == pytest.approx(1.7, abs=1e-12)
-
-
-def test_full_mesh_list():
-    assert SweepConfig.full_m2_values() == tuple(range(5, 26, 2))

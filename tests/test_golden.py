@@ -63,6 +63,10 @@ def test_output_matches_golden(name, tmp_path):
     assert not problems, "\n".join(problems[:20])
 
 
+def test_golden_directories_are_the_cases():
+    assert {p.name for p in GOLDEN_DIR.iterdir() if p.is_dir() and p.name != "__pycache__"} == set(CASES)
+
+
 def test_comparison_tolerance_is_one_stated_bound():
     assert _mismatches("lhs=1.5 margin=0", "lhs=1.5000000000000004 margin=-3e-13") == []
     assert _mismatches("lhs=1.5", "lhs=1.5000001") != []
