@@ -75,7 +75,7 @@ def _int_list(text: str) -> tuple:
 
 
 def _add_param_flags(p: argparse.ArgumentParser, with_rho_sigma_L: bool = True) -> None:
-    ref = SweepConfig()  # the reference model's r, kappa, eta, S and V
+    ref = SweepConfig  # its field defaults: the reference model's r, kappa, eta, S and V
     for flag, default, text in (
         ("--r", ref.r, "interest rate"),
         ("--kappa", ref.kappa, "mean-reversion rate"),
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="norm-growth parameter sweep")
     _add_param_flags(p_sweep, with_rho_sigma_L=False)
-    ref = SweepConfig()
+    ref = SweepConfig  # its field defaults
     p_sweep.add_argument("--m2-values", type=_int_list, default=ref.m2_values)
     p_sweep.add_argument("--sigma-values", type=_float_list, default=ref.sigma_values)
     p_sweep.add_argument("--rho-values", type=_float_list, default=ref.rho_values)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -28,6 +29,16 @@ def test_sweep_defaults_match_reference_sets():
     assert cfg.sweep.L_values == (0.0, 10.0)
     assert cfg.sweep.S == 800.0 and cfg.sweep.V == 5.0
     assert cfg.sweep == SweepConfig()
+
+
+def test_parser_reads_sweep_defaults_without_building_a_config(monkeypatch):
+    built = []
+    real = SweepConfig.__post_init__
+    monkeypatch.setattr(SweepConfig, "__post_init__", lambda self: built.append(self) or real(self))
+    parse_args(["check"])
+    assert built == []
+    parse_args(["sweep"])
+    assert len(built) == 1  # the run's own config
 
 
 def test_check_flag_mapping():
@@ -355,10 +366,10 @@ _UNRESOLVED = "matrix exponential is not resolved in double precision"
 
 def test_main_numerical_failure_exit_code(capsys):
     for args, message in (
-        # ||tA||_1 > 2^52 is refused before any Pade work, where squaring would overflow
-        (["--m2", "3"], f"{_UNRESOLVED}: ||tA||_1 = 2.5e+307 > 2^52"),
+        # ||tA||_1 > 2^27 is refused before any Pade work, where squaring would overflow
+        (["--m2", "3"], f"{_UNRESOLVED}: ||tA||_1 = 2.5e+307 > 2^27"),
         # and where 1020 squarings of adv_s's purely imaginary spectrum would amplify rounding
-        (["--m2", "5"], f"{_UNRESOLVED}: ||tA||_1 = 4.5e+307 > 2^52"),
+        (["--m2", "5"], f"{_UNRESOLVED}: ||tA||_1 = 4.5e+307 > 2^27"),
         # ||tA||_1 itself overflows, and no numpy warning comes ahead of the message
         (["--m2", "5", "--r", "0.25"], "matrix exponential overflowed: ||tA||_1 = inf"),
     ):
@@ -371,15 +382,26 @@ def test_main_numerical_failure_exit_code(capsys):
 
 
 def test_check_refuses_t_past_double_resolution(capsys):
-    # ||t adv_s_factor||_1 = 4.5e17 > 2^52: the scaling and squaring result would be noise (2.95e8
-    # for a norm that stays below about 2.5), so the run fails before printing a value
+    # t_max is the largest t with ||tA||_1 <= 2^27 for all three exponentials of the default check;
+    # past it the squarings' drift exceeds the checks' allowance, so the run fails before printing
+    ns = parse_args(["check"])
+    ops = build_operators(ns.params, ns.grid)
+    norm = max(float(np.abs(M).sum(axis=0).max()) for M in (ops.adv_s_factor, ops.adv_v_factor, ops.diffusion))
+    t_max = 2.0**27 / norm
+    while t_max * norm > 2.0**27:
+        t_max = math.nextafter(t_max, 0.0)
+    while math.nextafter(t_max, math.inf) * norm <= 2.0**27:
+        t_max = math.nextafter(t_max, math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["check", "--t-samples", "0,1e18"])
+        accepted = main(["check", "--t-samples", f"0,{t_max!r}"])
+        captured = capsys.readouterr()
+        assert (accepted, captured.err) == (0, "")
+        refused = main(["check", "--t-samples", f"0,{math.nextafter(t_max, math.inf)!r}"])
     captured = capsys.readouterr()
-    assert code == 3
+    assert refused == 3
     assert captured.out == ""
-    assert captured.err == f"numerical failure: {_UNRESOLVED}: ||tA||_1 = 4.5e+17 > 2^52\n"
+    assert captured.err == f"numerical failure: {_UNRESOLVED}: ||tA||_1 = 1.34218e+08 > 2^27\n"
 
 
 def test_check_exp_bound_past_double_range_holds(capsys):

@@ -24,7 +24,7 @@ from hestonstab import (
     scaling_diagonal,
     spectral_norm,
 )
-from hestonstab import linalg
+from hestonstab import linalg, stability
 from hestonstab.linalg import _scale_similar, _sigma_max_lanczos
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
@@ -378,13 +378,23 @@ def _count_pade(monkeypatch) -> list:
     return calls
 
 
+def _chain_product(A, t0, k):
+    """The documented e^{k t0 A} of a chain with base t0: expm(A, 2^b t0) over the set bits b of k,
+    ascending, multiplied left to right."""
+    factors = [expm(A, 2.0**b * t0) for b in range(k.bit_length()) if k >> b & 1]
+    P = factors[0]
+    for E in factors[1:]:
+        P = P @ E
+    return P
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize(
     "ts",
     [
         [0.0],
         [0.0, 0.5, 1.0, 2.0, 5.0, 10.0],
-        [1.5, 0.25, 1.5, 3.0],  # a repeated t
+        [1.5, 0.25, 1.5, 3.0],  # a repeated t, and 3 = 2 * 1.5 = 12 * 0.25
         [10.0, 0.5, 3.0, 0.0, 20.0, 2.0, 7.5, 1.0, 40.0, 5.0],  # unsorted
     ],
 )
@@ -393,11 +403,21 @@ def test_expm_samples_bitwise_equal_to_expm(ts, complex_):
     A = rng.standard_normal((8, 8))
     if complex_:
         A = A + 1j * rng.standard_normal((8, 8))
+    A *= 25.0 / float(np.abs(A).sum(axis=0).max())  # ||tA||_1 = 25 t > theta_13 at t >= 0.25
     got = dict(expm_samples(A, ts))
     assert sorted(got) == list(range(len(ts)))
-    for i, E in _one_at_a_time(A, ts).items():
+    # each t > 0 is an integer multiple k t0 of the smallest, whose chain is squared at least once,
+    # so t rides that chain: bitwise expm(A, t) when k is a power of two, else the chain product
+    t0 = min(t for t in ts if t > 0) if any(ts) else None
+    for i, t in enumerate(ts):
+        if t == 0.0:
+            E = np.eye(8, dtype=A.dtype)
+        else:
+            k = round(t / t0)
+            assert k * t0 == t
+            E = expm(A, t) if k & (k - 1) == 0 else _chain_product(A, t0, k)
         assert got[i].dtype == E.dtype == A.dtype
-        assert np.array_equal(got[i], E), ts[i]
+        assert np.array_equal(got[i], E), t
 
 
 def test_expm_samples_unscaled_t_beside_its_dyadic_multiples(monkeypatch):
@@ -455,24 +475,87 @@ def test_expm_samples_overflow_raises():
         dict(expm_samples(np.array([[1e300]]), [1e10]))
 
 
-def test_expm_samples_refuses_t_norm_past_2_52_before_any_pade_work(monkeypatch):
+def test_expm_samples_refuses_t_norm_past_2_27_before_any_pade_work(monkeypatch):
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # ||A||_1 = 1; e^{tA} is a rotation for every t
-    assert np.all(np.isfinite(expm(A, 2.0**52)))  # the largest t accepted
+    # the largest t accepted, where the drift through 25 squarings is still within the checks' allowance
+    assert abs(spectral_norm(expm(A, 2.0**27)) - 1.0) <= stability._CHECK_TOL
     monkeypatch.setattr(linalg, "_pade13", lambda X: pytest.fail("Pade evaluated"))
-    t = math.nextafter(2.0**52, math.inf)
+    t = math.nextafter(2.0**27, math.inf)
     samples = expm_samples(A, [0.0, 1.0, t])
-    with pytest.raises(ArithmeticError, match=r"\|\|tA\|\|_1 = 4\.5036e\+15 > 2\^52$"):
+    with pytest.raises(ArithmeticError, match=r"\|\|tA\|\|_1 = 1\.34218e\+08 > 2\^27$"):
         next(samples)
 
 
-def test_expm_samples_default_t_samples_make_two_pade_evaluations(monkeypatch):
-    calls = _count_pade(monkeypatch)
+def _diffusion_m2_13() -> np.ndarray:
     params = HestonParams(**dict(BASE, rho=0.0), L=0.0, S=800.0, V=5.0)
-    A = build_operators(params, make_grid(params, 26, 13)).diffusion
+    return build_operators(params, make_grid(params, 26, 13)).diffusion
+
+
+def _count_products(monkeypatch) -> list:
+    """Record the step ("squaring" or "multiplication") of every matrix product made from here on."""
+    steps = []
+    real = linalg._finite_product
+
+    def counted(X, Y, step, norm1):
+        steps.append(step)
+        return real(X, Y, step, norm1)
+
+    monkeypatch.setattr(linalg, "_finite_product", counted)
+    return steps
+
+
+def test_expm_samples_default_t_samples_make_one_pade_evaluation(monkeypatch):
+    A = _diffusion_m2_13()
+    calls = _count_pade(monkeypatch)
+    steps = _count_products(monkeypatch)
     got = dict(expm_samples(A, (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)))
     assert sorted(got) == list(range(6))
-    # {0} is the identity; {0.5, 1, 2} and {5, 10} each share one Pade evaluation
-    assert [X.shape for X in calls] == [(338, 338)] * 2
+    # {0} is the identity; 1 and 2 join the chain of 0.5 (10 squarings), which 5 = 10 * 0.5 and
+    # 10 = 20 * 0.5 ride as products e^{A} e^{4A} and e^{2A} e^{8A}
+    assert [X.shape for X in calls] == [(338, 338)]
+    assert (steps.count("squaring"), steps.count("multiplication")) == (14, 2)
+
+
+def test_expm_samples_builds_no_chain_longer_than_a_samples_own(monkeypatch):
+    A = _diffusion_m2_13()
+    pade = _count_pade(monkeypatch)
+    steps = _count_products(monkeypatch)
+    # 1 = 2^30 * 2^-30, but riding 2^-30's chain would take 30 squarings instead of 1's own 11
+    got = dict(expm_samples(A, [2.0**-30, 1.0]))
+    assert len(pade) == 2
+    assert steps == ["squaring"] * 11
+    assert np.array_equal(got[0], expm(A, 2.0**-30)) and np.array_equal(got[1], expm(A, 1.0))
+
+
+def test_expm_samples_power_of_two_multiple_rides_its_own_chain(monkeypatch):
+    A = _diffusion_m2_13()
+    pade = _count_pade(monkeypatch)
+    steps = _count_products(monkeypatch)
+    # 3 is 3 * 1 and 2 * 1.5; it rides 1.5's chain with no product
+    got = dict(expm_samples(A, [1.0, 1.5, 3.0]))
+    assert len(pade) == 2
+    assert "multiplication" not in steps
+    assert np.array_equal(got[2], expm(A, 3.0))
+
+
+@pytest.mark.parametrize("seed", list(range(4)))
+def test_expm_samples_products_match_taylor_oracle(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((6, 6))
+    # ||A||_1 ~ 5.5: 0.5 and 1 take no squaring and found chains; 5 and 10 ride 0.5's chain.  The
+    # shift keeps the oracle's Taylor terms within a modest factor of e^{tA}, so it stays exact.
+    A = 4.5 * np.eye(6) + B / float(np.abs(B).sum(axis=0).max())
+    ts = (0.5, 1.0, 2.0, 5.0, 10.0)
+    steps = _count_products(monkeypatch)
+    got = dict(expm_samples(A, ts))
+    assert steps.count("multiplication") == 2
+    for i, t in enumerate(ts):
+        T = taylor_expm(A, t, terms=160)
+        scale = np.abs(T).max()
+        product_err = np.abs(got[i] - T).max() / scale
+        single_err = np.abs(expm(A, t) - T).max() / scale
+        # a product is as close to the oracle as a single-sample call, up to a factor 4
+        assert product_err <= 4.0 * max(single_err, 1e-16), t
 
 
 # ---------------------------------------------------------------------------
