@@ -17,6 +17,7 @@ validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -67,7 +68,13 @@ def _list(text: str, cast, kind: str) -> tuple:
 
 
 def _float_list(text: str) -> tuple:
-    return _list(text, float, "float")
+    values = _list(text, float, "float")
+    first = {}  # by its {x:g} label, which names the sweep's cases and series files and check's rows
+    for x in values:
+        if first.setdefault(f"{x:g}", x) is not x:
+            raise argparse.ArgumentTypeError(
+                f"values {first[f'{x:g}']!r} and {x!r} both print as {x:g} in the float list {text!r}")
+    return values
 
 
 def _int_list(text: str) -> tuple:
@@ -95,6 +102,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m2", type=int, default=5, help="variance mesh points (default 5)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hestonstab",
@@ -295,7 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }[ns.command]
     try:
         return runner(ns)
-    except (OverflowError, ArithmeticError, np.linalg.LinAlgError) as err:  # numerical failure
+    except (ArithmeticError, np.linalg.LinAlgError) as err:  # numerical failure
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except OSError as err:

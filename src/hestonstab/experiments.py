@@ -13,11 +13,12 @@ so the maximum over all t >= 0, past the scan's span included, is the
 maximum over [0, k (step)).  A Lanczos norm is only a lower bound, so
 above the order where the scan switches from dense norms to Lanczos the
 stop is confirmed by a dense norm.  Each refinement level divides the step
-by four and starts from the sample the previous pass kept at t_best - h,
-so a case needs one exponential per step size.  The steps (step) / 4^l
-differ by powers of two, so every sample t is exact in binary and
-``expm_samples`` forms all of them from one Pade evaluation and one
-squaring chain once ||(step) A / 4^l||_1 > theta_13 / 2 at the finest level.
+by four and samples t_best + i h, 0 < |i| <= 3, from the sample the
+previous pass kept at t_best - 4 h, so a case needs one exponential per
+step size.  The steps (step) / 4^l differ by powers of two, so every
+sample t is exact in binary and ``expm_samples`` forms all of them from one
+Pade evaluation and one squaring chain once ||(step) A / 4^l||_1 >
+theta_13 / 2 at the finest level.
 
 The scaled-norm maximum needs no scan.  Each grid's logarithmic norm
 mu_D = mu_D[diffusion] is computed once; mu_D <= 0 gives
@@ -140,52 +141,42 @@ def max_norm_over_t(A):
     Returns (max_value, t_argmax).  The coarse pass samples powers of
     e^{(step) A} at k (step) <= _T_MAX and stops at the first contractive one
     (see the module docstring); the maximum is then over all t >= 0, and over
-    [0, _T_MAX] otherwise.  Each refinement level re-expands around the
-    running argmax with a four times finer step, clamped to [0, _T_MAX]; the
-    step matrices of all levels come from one ``expm_samples`` call.  No t is
-    evaluated twice: t = 0 is ||I||_2 = 1 exactly, and a level skips the
-    running argmax and a last t that an earlier pass sampled.  Each norm is
-    a dense ``spectral_norm`` below order _DENSE_BELOW, and above it a Lanczos
-    value warm-started from the Ritz vector of the last sample evaluated.
-    The module constants are read at each call.  The D-scaled maximum of the
-    diffusion block needs no scan: mu_D <= 0 fixes it at 1 (see
-    ``run_sweep``).
+    [0, _T_MAX] otherwise.  Each refinement level divides the step by four
+    and evaluates center + i h, 0 < |i| <= 3 (i > 0 at center = 0; t <=
+    _T_MAX), around the argmax center of the pass before; the step matrices
+    of all levels come from one ``expm_samples`` call.  No t is evaluated
+    twice: t = 0 is ||I||_2 = 1 exactly, and the passes before sampled only
+    multiples of 4 h.  Each norm is a dense ``spectral_norm`` below order
+    _DENSE_BELOW, and above it a Lanczos value warm-started from the Ritz
+    vector of the last sample evaluated.  The module constants are read at
+    each call.  The D-scaled maximum of the diffusion block needs no scan:
+    mu_D <= 0 fixes it at 1 (see ``run_sweep``).
     """
     A = np.asarray(A, dtype=float)
     dense = A.shape[0] < _DENSE_BELOW
     steps = [_COARSE_STEP / 4.0**level for level in range(_REFINE_LEVELS + 1)]
     step_matrices = dict(expm_samples(A, steps))
-    P = start = np.eye(A.shape[0])
-    best, t_best, t_last = 1.0, 0.0, 0.0
+    best, t_best, start = 1.0, 0.0, np.eye(A.shape[0])  # start: the sample at t_best - h, or I
     v = None  # Ritz vector of the last sample evaluated: the next Lanczos warm start
-    lo, hi = 0.0, _T_MAX
     with np.errstate(over="ignore", invalid="ignore"):
         for level, h in enumerate(steps):
-            if level:
-                h_prev = steps[level - 1]
-                lo, hi = max(0.0, t_best - h_prev), min(_T_MAX, t_best + h_prev)
-                P = start
-            # the argmax is sample j_best of this pass (0, or a multiple of 4 if carried over);
-            # the sample before it starts the next level ('start' is the identity at t_best = 0)
-            j_best = int((t_best - lo) / h)
-            n_samples = int((hi - lo) / h)
-            if lo + n_samples * h <= t_last:  # the previous pass sampled this pass's last t
-                n_samples -= 1
-            for j in range(1, n_samples + 1):
-                prev = P
-                P = P @ step_matrices[level]
-                t_last = lo + j * h
-                _check_finite(P, t_last)
-                if j == j_best:
+            # a refinement's earlier passes sampled center and center -+ 4 h, and no t between
+            center, P = t_best, start
+            for i in range(-3 if center else 1, 4 if level else int(_T_MAX / h) + 1):
+                t = center + i * h
+                if t > _T_MAX:
+                    break
+                prev, P = P, P @ step_matrices[level]
+                _check_finite(P, t)
+                if not i:  # the center, whose norm the pass before took
+                    start = prev if t_best == center else start
                     continue
                 if dense:
                     sigma = spectral_norm(P)
                 else:
                     sigma, _, v = _sigma_max_lanczos(P, v0=v)
                 if sigma > best:
-                    best, t_best, j_best, start = sigma, t_last, j, prev
-                elif j + 1 == j_best:
-                    start = P
+                    best, t_best, start = sigma, t, prev
                 if not level and sigma <= 1.0 and (dense or spectral_norm(P) <= 1.0):
                     break
     return best, t_best
@@ -226,7 +217,7 @@ def run_sweep(config: SweepConfig | None = None) -> list:
                     f"max_norm2 = {max_norm2:.9g} > sqrt(cond D) = {bound:.9g}"
                 )
             error = ""
-        except (OverflowError, ArithmeticError, np.linalg.LinAlgError) as err:
+        except (ArithmeticError, np.linalg.LinAlgError) as err:
             max_norm2 = t_argmax = math.nan
             error = str(err)
         records.append(SweepRecord(m2=m2, m1=m1, L=L, sigma=sigma, rho=rho, S=cfg.S, V=cfg.V,

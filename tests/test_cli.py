@@ -96,11 +96,17 @@ def test_invalid_param_exits_with_usage_error(argv, message, capsys):
         (["sweep", "--L-values", "0,10,0.0"], "repeated value 0.0 in the float list"),
         (["sweep", "--m2-values", "3,3"], "repeated value 3 in the integer list '3,3'"),
         (["check", "--t-samples", "1,1"], "repeated value 1.0 in the float list '1,1'"),
+        (["sweep", "--m2-values", "3", "--sigma-values", "0.1,0.1000001", "--rho-values", "0",
+          "--L-values", "0", "--plot-dir", "D"],
+         "values 0.1 and 0.1000001 both print as 0.1 in the float list '0.1,0.1000001'"),
+        (["check", "--t-samples", "1,1.0000001"],
+         "values 1.0 and 1.0000001 both print as 1 in the float list '1,1.0000001'"),
         (["sweep", "--full"], "unrecognized arguments: --full"),
     ],
     ids=["t-neg", "t-nan", "t-inf", "check-tol", "certificate-tol", "sweep-tol-neg-inf",
          "empty-m2", "empty-sigma", "empty-rho", "empty-L", "empty-t",
-         "repeat-L", "repeat-L-after-cast", "repeat-m2", "repeat-t", "sweep-full"],
+         "repeat-L", "repeat-L-after-cast", "repeat-m2", "repeat-t", "label-clash-sigma",
+         "label-clash-t", "sweep-full"],
 )
 def test_bad_sample_tolerance_or_list_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

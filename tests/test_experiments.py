@@ -269,9 +269,20 @@ def test_certified_cutoff_changes_nothing(rho, sigma, L, m2):
     k_cut = next(k for k in range(1, 101) if norms[k] <= 1.0)
     # both norm kernels: dense SVDs at every order, then Lanczos at every order
     for dense_below in (math.inf, 0):
+        sampled, evaluated = [], []
+        kernel = "spectral_norm" if dense_below else "_sigma_max_lanczos"
+        norm = getattr(experiments, kernel)
+
+        def recorded(*args, **kwargs):
+            evaluated.append(sampled[-1])
+            return norm(*args, **kwargs)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiments, "_DENSE_BELOW", dense_below)
+            mp.setattr(experiments, "_check_finite", lambda P, t: sampled.append(t))
+            mp.setattr(experiments, kernel, recorded)
             value, t_at = max_norm_over_t(A)
+            assert len(set(evaluated)) == len(evaluated)
             mp.setattr(experiments, "_REFINE_LEVELS", 0)
             _, coarse_argmax = max_norm_over_t(A)
         assert coarse_argmax == float(np.argmax(norms))
@@ -312,6 +323,32 @@ def test_scan_samples_are_the_semigroup_at_their_t(monkeypatch):
     ts = [t for t, _ in evaluated]
     assert len(set(ts)) == len(ts) == 10 + 3 * 6
     assert [warm for _, warm in evaluated] == [0.0, *ts[:-1]]
+
+
+def test_refinement_evaluates_a_fixed_stencil_around_the_carried_argmax(monkeypatch):
+    """A refinement of step h evaluates center +- {1, 2, 3} h around the argmax the pass before
+    handed over, also when its own argmax moves left of that center; no t is evaluated twice."""
+    sampled = []
+    evaluated = []
+
+    def peak_at_055(P, v0=None):
+        # a stand-in norm of P = e^{t [1]} with its maximum at t = 0.55, between the samples
+        # t = 0.5 and 1 of the first level, whose argmax moves from the coarse t = 1 to 0.5
+        evaluated.append(sampled[-1])
+        return 10.0 - (math.log(P[0, 0]) - 0.55) ** 2, 1, None
+
+    monkeypatch.setattr(experiments, "_check_finite", lambda P, t: sampled.append(t))
+    monkeypatch.setattr(experiments, "_sigma_max_lanczos", peak_at_055)
+    monkeypatch.setattr(experiments, "_DENSE_BELOW", 0)
+    monkeypatch.setattr(experiments, "_T_MAX", 10.0)
+    value, t_at = max_norm_over_t(np.array([[1.0]]))
+    assert t_at == 0.546875
+    assert value == pytest.approx(10.0 - (0.546875 - 0.55) ** 2, rel=1e-12)
+    assert len(set(evaluated)) == len(evaluated) == 10 + 3 * 6
+    assert evaluated[:10] == [float(k) for k in range(1, 11)]
+    levels = [evaluated[10 + 6 * j:16 + 6 * j] for j in range(3)]
+    for center, h, ts in zip((1.0, 0.5, 0.5625), (1 / 4, 1 / 16, 1 / 64), levels):
+        assert ts == [center + i * h for i in (-3, -2, -1, 1, 2, 3)]
 
 
 def test_no_path_calls_dense_svd(monkeypatch):
