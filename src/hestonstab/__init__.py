@@ -40,7 +40,6 @@ from .stability import (
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
-    check_exp_bound,
     check_symbol_conditions,
     diffusion_block_reduction,
     format_certificate_report,
@@ -65,7 +64,6 @@ __all__ = [
     "check_advection_bounds",
     "check_block_toeplitz_symbol_bound",
     "check_diffusion_contractivity",
-    "check_exp_bound",
     "check_symbol_conditions",
     "compare_L_effect",
     "diffusion_block_reduction",

@@ -14,12 +14,11 @@ exhausted Krylov space ends in a dense ``spectral_norm``.
 
 ``expm_samples`` evaluates e^{tA} at several t by scaling and squaring,
 with the fewest squarings s that bring ||tA / 2^s||_1 within theta_13.
-Taken in ascending order, a t that is an integer multiple k t0 of an
-earlier t0 rides t0's squaring chain when that takes no more squarings than
-t's own s: e^{tA} is the product of the chain matrices e^{2^b t0 A} over
-the set bits b of k.  A power of two k has t0's scaled matrix tA / 2^s and
-needs no product; scaling by a power of two is exact, so such a result is
-bitwise the one a single-sample call gives.  ``expm`` is that call.
+Samples whose scaled matrices tA / 2^s are equal (t differing by a power of
+two past the first squaring) share one Pade evaluation and one squaring
+chain, and each is taken off the chain after its own s squarings: scaling
+by a power of two is exact, so every result is bitwise the one a
+single-sample call gives.  ``expm`` is that call.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ _LANCZOS_TEST_EVERY = 4
 #: Largest ||X||_1 with r_13(X) = e^X to double precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
 _THETA13 = 5.371920351148152
 #: Largest ||tA||_1 that ``expm_samples`` accepts.  The result drifts by about eps ||tA||_1 / theta_13
-#: through the squarings: ||e^{tA}||_2 - 1 of a 2 x 2 rotation stays within 1e-8 (the stability checks'
-#: allowance) for ||tA||_1 <= 2^27 and reaches 1.4e-8 in (2^27, 2^28].
+#: through the squarings: ||e^{tA}||_2 - 1 of a 2 x 2 rotation stays within 1e-8 for ||tA||_1 <= 2^27
+#: and reaches 1.4e-8 in (2^27, 2^28].
 _RESOLVED_NORM = 2.0**27
 
 
@@ -214,42 +213,25 @@ def _pade13(X: np.ndarray) -> np.ndarray:
     return np.linalg.solve(V - U, V + U)
 
 
-def _finite_product(X: np.ndarray, Y: np.ndarray, step: str, norm1: float) -> np.ndarray:
-    """X @ Y, or OverflowError naming ``step`` and the sample's ||tA||_1 if an entry is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        M = X @ Y
-    if not np.all(np.isfinite(M)):
-        raise OverflowError(f"matrix exponential overflowed during {step}: ||tA||_1 = {norm1:.6g}")
-    return M
-
-
 def expm_samples(A, ts: Iterable[float]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (index, e^{t A}) for every t of ``ts``, by scaling and squaring with Pade order 13.
 
     Each t gets the squaring count s(t), the smallest s >= 0 with
-    ||tA||_1 = t ||A||_1 <= theta_13 2^s, read off ``math.frexp``.  The
-    samples are taken in ascending order.  A t > 0 joins the chain of an
-    earlier base t0 when it is an integer multiple of it, t == k t0 in
-    floating point, with s(t0) + floor(log2 k) <= s(t): the chain then needs
-    no more squarings for t than t's own chain would.  Of several such
-    chains it joins the one whose k has the fewest set bits (the earliest
-    on a tie); otherwise t founds a chain, one Pade evaluation of
-    t0 A / 2^s(t0) whose matrix after s(t0) + b squarings is
-    E_b = e^{2^b t0 A}.  A member's e^{tA} is the product E_{b_1} E_{b_2}
-    ... E_{b_r} over the set bits b_1 < b_2 < ... < b_r of k, multiplied
-    left to right as the chain passes each bit, so a pending member holds
-    one extra matrix.  A member with k = 2^j has the chain's own scaled
-    matrix tA / 2^s(t) = t0 A / 2^s(t0) and no product; scaling by a power
-    of two is exact (absent subnormal entries), so it is bitwise the result
-    of a call with that t alone.  Chains run in ascending order of t0, so
-    results do not come in the order of ``ts``; a yielded matrix may be a
-    chain's working matrix and must not be modified in place.
+    ||tA||_1 = t ||A||_1 <= theta_13 2^s, read off ``math.frexp``, and the
+    scaled matrix tA / 2^s(t).  Samples whose scaled matrices are equal, t /
+    2^s(t) equal in floating point, share one Pade evaluation and one
+    squaring chain, and each is yielded after its own s(t) squarings.
+    Scaling by a power of two is exact (absent subnormal entries), so every
+    result is bitwise the result of a call with that t alone.  Chains run in
+    ascending order of their smallest t, so results do not come in the order
+    of ``ts``; a yielded matrix may be a chain's working matrix and must not
+    be modified in place.
 
     Every t is validated before any work: a negative or non-finite t
     raises ValueError, an overflowing ||tA||_1 OverflowError, and
     ||tA||_1 > 2^27 ArithmeticError.  Raises OverflowError when a squaring
-    or product leaves the representable range, identifying the size of the
-    problem of the sample it serves.
+    leaves the representable range, identifying the size of the problem of
+    the sample it serves.
     """
     A = _as_matrix(A)
     n, nc = A.shape
@@ -274,50 +256,33 @@ def expm_samples(A, ts: Iterable[float]) -> Iterator[tuple[int, np.ndarray]]:
             )
 
     identity = []
-    chains = []  # (t0, s(t0), [(index, k, ||tA||_1), ...] with the base t0 first), in ascending order of t0
+    chains = {}  # t / 2^s(t) -> [(index, s(t), ||tA||_1), ...] in ascending order of t
     for i in sorted(range(len(ts)), key=ts.__getitem__):
-        t, norm1 = ts[i], norms[i]
-        if norm1 == 0.0:
+        if norms[i] == 0.0:
             identity.append(i)
             continue
-        mant, exp = math.frexp(norm1 / _THETA13)
+        mant, exp = math.frexp(norms[i] / _THETA13)
         squarings = max(0, exp - (mant == 0.5))
-        best = None  # (set bits of k, k, members of the chain)
-        for t0, s0, members in chains:
-            q = t / t0  # inf when t0 is subnormal
-            k = round(q) if math.isfinite(q) else 0
-            if k * t0 == t and s0 + k.bit_length() - 1 <= squarings:
-                bits = bin(k).count("1")
-                if best is None or bits < best[0]:
-                    best = (bits, k, members)
-        if best is None:
-            chains.append((t, squarings, [(i, 1, norm1)]))
-        else:
-            best[2].append((i, best[1], norm1))
+        chains.setdefault(ts[i] / 2.0**squarings, []).append((i, squarings, norms[i]))
 
     for i in identity:
         yield i, np.eye(n, dtype=A.dtype)
-    for t0, s0, members in chains:
-        R = _pade13((t0 * A) / (2.0**s0))
+    for members in chains.values():
+        first, squarings, norm1 = members[0]
+        R = _pade13((ts[first] * A) / (2.0**squarings))
         if not np.all(np.isfinite(R)):
-            raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {members[0][2]:.6g}")
-        partial = {}  # index -> product of the chain matrices over the bits of k passed so far
-        last = s0 + max(k for _, k, _ in members).bit_length() - 1
-        for done in range(last + 1):
-            if done:
-                # named after the first member that still needs this squaring
-                norm1 = next(x for _, k, x in members if s0 + k.bit_length() > done)
-                R = _finite_product(R, R, "squaring", norm1)
-            bit = done - s0
-            if bit < 0:
-                continue
-            for i, k, norm1 in members:
-                if k >> bit & 1:
-                    P = _finite_product(partial.pop(i), R, "multiplication", norm1) if i in partial else R
-                    if k >> bit == 1:
-                        yield i, P
-                    else:
-                        partial[i] = P
+            raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
+        done = 0
+        for i, squarings, norm1 in members:
+            while done < squarings:
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+                    R = R @ R
+                if not np.all(np.isfinite(R)):
+                    raise OverflowError(
+                        f"matrix exponential overflowed during squaring: ||tA||_1 = {norm1:.6g}"
+                    )
+                done += 1
+            yield i, R
 
 
 def expm(A, t: float = 1.0) -> np.ndarray:

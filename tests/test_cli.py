@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -81,9 +80,14 @@ def test_invalid_param_exits_with_usage_error(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["check", "--m2", "3", "--t-samples=-1"], "--t-samples must be finite and >= 0, got -1"),
-        (["check", "--m2", "3", "--t-samples", "nan"], "--t-samples must be finite and >= 0, got nan"),
-        (["check", "--m2", "3", "--t-samples", "inf"], "--t-samples must be finite and >= 0, got inf"),
+        (["check", "--m2", "3", "--t-samples", "1"], "unrecognized arguments: --t-samples 1"),
+        (["check", "--m2", "3", "--t-samples=-1"], "unrecognized arguments: --t-samples=-1"),
+        (["check", "--m2", "3", "--t-samples", "nan"], "unrecognized arguments: --t-samples nan"),
+        (["check", "--m2", "3", "--t-samples", "inf"], "unrecognized arguments: --t-samples inf"),
+        (["check", "--m2", "3", "--t-samples="], "unrecognized arguments: --t-samples="),
+        (["check", "--m2", "3", "--t-samples", "1,1"], "unrecognized arguments: --t-samples 1,1"),
+        (["check", "--m2", "3", "--t-samples", "1,1.0000001"],
+         "unrecognized arguments: --t-samples 1,1.0000001"),
         (["check", "--m2", "3", "--tol", "1e300"], "unrecognized arguments: --tol 1e300"),
         (["certificate", "--m2", "3", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
         (["sweep", "--m2-values", "3", "--tol=-inf"], "unrecognized arguments: --tol=-inf"),
@@ -91,22 +95,18 @@ def test_invalid_param_exits_with_usage_error(argv, message, capsys):
         (["sweep", "--sigma-values="], "non-empty"),
         (["sweep", "--rho-values="], "non-empty"),
         (["sweep", "--L-values="], "non-empty"),
-        (["check", "--t-samples="], "non-empty"),
         (["sweep", "--L-values", "0,0"], "repeated value 0.0 in the float list '0,0'"),
         (["sweep", "--L-values", "0,10,0.0"], "repeated value 0.0 in the float list"),
         (["sweep", "--m2-values", "3,3"], "repeated value 3 in the integer list '3,3'"),
-        (["check", "--t-samples", "1,1"], "repeated value 1.0 in the float list '1,1'"),
         (["sweep", "--m2-values", "3", "--sigma-values", "0.1,0.1000001", "--rho-values", "0",
           "--L-values", "0", "--plot-dir", "D"],
          "values 0.1 and 0.1000001 both print as 0.1 in the float list '0.1,0.1000001'"),
-        (["check", "--t-samples", "1,1.0000001"],
-         "values 1.0 and 1.0000001 both print as 1 in the float list '1,1.0000001'"),
         (["sweep", "--full"], "unrecognized arguments: --full"),
     ],
-    ids=["t-neg", "t-nan", "t-inf", "check-tol", "certificate-tol", "sweep-tol-neg-inf",
-         "empty-m2", "empty-sigma", "empty-rho", "empty-L", "empty-t",
-         "repeat-L", "repeat-L-after-cast", "repeat-m2", "repeat-t", "label-clash-sigma",
-         "label-clash-t", "sweep-full"],
+    ids=["check-t-samples", "t-neg", "t-nan", "t-inf", "empty-t", "repeat-t", "label-clash-t",
+         "check-tol", "certificate-tol", "sweep-tol-neg-inf",
+         "empty-m2", "empty-sigma", "empty-rho", "empty-L",
+         "repeat-L", "repeat-L-after-cast", "repeat-m2", "label-clash-sigma", "sweep-full"],
 )
 def test_bad_sample_tolerance_or_list_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -231,21 +231,33 @@ def test_emit_plot_data_single_record(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_main_check_small_case(capsys):
-    code = main(["check", "--m2", "3", "--m1", "4", "--t-samples", "0,1"])
+    code = main(["check", "--m2", "3", "--m1", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS advection_s_log_norm" in out
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("grid", [["--m2", "3"], ["--m2", "4", "--m1", "6"], ["--m2", "9", "--rho", "-1"]],
+                         ids=["m2_3", "m2_4_m1_6", "m2_9_rho-1"])
+def test_check_prints_exactly_its_three_certificates(grid, tmp_path, capsys):
+    path = tmp_path / "checks.csv"
+    code = main(["check", *grid, "--out", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    names = ["advection_s_log_norm", "advection_v_log_norm", "diffusion_log_norm_D"]
+    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in names]
+    assert [line.split(",")[0] for line in path.read_text().splitlines()] == ["name", *names]
+
+
 def test_main_check_writes_csv(tmp_path, capsys):
     path = tmp_path / "checks.csv"
-    code = main(["check", "--m2", "3", "--t-samples", "0,0.5", "--out", str(path)])
+    code = main(["check", "--m2", "3", "--out", str(path)])
     capsys.readouterr()
     assert code == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "name,lhs,rhs,margin,tol,holds"
-    assert len(lines) > 3
+    assert len(lines) == 4
 
 
 def test_main_negative_allowances_fail_checks(monkeypatch, capsys):
@@ -288,7 +300,7 @@ def test_main_operators_dump(tmp_path, capsys):
     "argv",
     [
         ["operators", "--m2", "3", "--out", "{missing}/ops.txt"],
-        ["check", "--m2", "3", "--t-samples", "0", "--out", "{missing}/checks.csv"],
+        ["check", "--m2", "3", "--out", "{missing}/checks.csv"],
         ["certificate", "--m2", "3", "--out", "{missing}/report.txt"],
         ["sweep", "--m2-values", "3", "--sigma-values", "0.1", "--rho-values", "0",
          "--L-values", "0", "--out", "{missing}/sweep.csv"],
@@ -367,55 +379,24 @@ def test_sweep_sum_only_overflow_is_a_failed_case(capsys):
     assert f"FAIL sweep[m2=3,L=0,sigma=3e+153,rho=0]: {_ASSEMBLY_OVERFLOW}" in capsys.readouterr().out
 
 
-_UNRESOLVED = "matrix exponential is not resolved in double precision"
+def test_sweep_unresolved_exponential_is_a_failed_case(capsys):
+    # ||A||_1 = 3.2e8 > 2^27: expm_samples refuses the scan's steps before any Pade work
+    code = main(["sweep", "--m2-values", "3", "--sigma-values", "1e4", "--rho-values", "0",
+                 "--L-values", "0"])
+    assert code == 3
+    assert capsys.readouterr().out == (
+        "FAIL sweep[m2=3,L=0,sigma=10000,rho=0]: matrix exponential is not resolved in double "
+        "precision: ||tA||_1 = 3.2e+08 > 2^27\n"
+    )
 
 
 def test_main_numerical_failure_exit_code(capsys):
-    for args, message in (
-        # ||tA||_1 > 2^27 is refused before any Pade work, where squaring would overflow
-        (["--m2", "3"], f"{_UNRESOLVED}: ||tA||_1 = 2.5e+307 > 2^27"),
-        # and where 1020 squarings of adv_s's purely imaginary spectrum would amplify rounding
-        (["--m2", "5"], f"{_UNRESOLVED}: ||tA||_1 = 4.5e+307 > 2^27"),
-        # ||tA||_1 itself overflows, and no numpy warning comes ahead of the message
-        (["--m2", "5", "--r", "0.25"], "matrix exponential overflowed: ||tA||_1 = inf"),
-    ):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["check", *args, "--t-samples", "0,1e308"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err == f"numerical failure: {message}\n"
-
-
-def test_check_refuses_t_past_double_resolution(capsys):
-    # t_max is the largest t with ||tA||_1 <= 2^27 for all three exponentials of the default check;
-    # past it the squarings' drift exceeds the checks' allowance, so the run fails before printing
-    ns = parse_args(["check"])
-    ops = build_operators(ns.params, ns.grid)
-    norm = max(float(np.abs(M).sum(axis=0).max()) for M in (ops.adv_s_factor, ops.adv_v_factor, ops.diffusion))
-    t_max = 2.0**27 / norm
-    while t_max * norm > 2.0**27:
-        t_max = math.nextafter(t_max, 0.0)
-    while math.nextafter(t_max, math.inf) * norm <= 2.0**27:
-        t_max = math.nextafter(t_max, math.inf)
+    # an overflowing assembly fails the run before any check prints, and no numpy warning comes
+    # ahead of the message
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        accepted = main(["check", "--t-samples", f"0,{t_max!r}"])
-        captured = capsys.readouterr()
-        assert (accepted, captured.err) == (0, "")
-        refused = main(["check", "--t-samples", f"0,{math.nextafter(t_max, math.inf)!r}"])
+        code = main(["check", "--m2", "3", "--sigma", "1e154"])
     captured = capsys.readouterr()
-    assert refused == 3
+    assert code == 3
     assert captured.out == ""
-    assert captured.err == f"numerical failure: {_UNRESOLVED}: ||tA||_1 = 1.34218e+08 > 2^27\n"
-
-
-def test_check_exp_bound_past_double_range_holds(capsys):
-    # e^{t kappa/2} at t = 800 exceeds every double; the norms on the left stay finite
-    code = main(["check", "--m2", "3", "--t-samples", "0,800"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err == ""
-    row = next(line for line in captured.out.splitlines() if line.startswith("PASS adv_v_exp_bound[t=800]:"))
-    assert row.endswith(" rhs=inf margin=inf")
-    assert "FAIL" not in captured.out
+    assert captured.err == f"numerical failure: {_ASSEMBLY_OVERFLOW}\n"

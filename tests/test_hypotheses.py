@@ -8,6 +8,9 @@ that the chain's mu_D <= 0 proves, off the sweep's box too.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st, target
 import numpy as np
@@ -87,3 +90,34 @@ def test_semigroup_norm_stays_within_sqrt_cond_D_on_the_box(m1, m2, rho, sigma, 
     # steer the search toward the scan's worst margin against the certified bound
     target(max_norm2 / bound, label="max_norm2 / sqrt(cond D)")
     assert max_norm2 <= bound
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_falsified_property_is_an_ordinary_failure(tmp_path):
+    # under this project's warning filters the run reports the example and goes on to the next test
+    test_file = tmp_path / "test_property.py"
+    test_file.write_text(_FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), str(test_file)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "INTERNALERROR" not in result.stdout
+    assert "1 failed, 1 passed" in result.stdout
+    assert "Falsifying example" in result.stdout

@@ -24,7 +24,7 @@ from hestonstab import (
     scaling_diagonal,
     spectral_norm,
 )
-from hestonstab import linalg, stability
+from hestonstab import experiments, linalg, stability
 from hestonstab.linalg import _scale_similar, _sigma_max_lanczos
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
@@ -378,16 +378,6 @@ def _count_pade(monkeypatch) -> list:
     return calls
 
 
-def _chain_product(A, t0, k):
-    """The documented e^{k t0 A} of a chain with base t0: expm(A, 2^b t0) over the set bits b of k,
-    ascending, multiplied left to right."""
-    factors = [expm(A, 2.0**b * t0) for b in range(k.bit_length()) if k >> b & 1]
-    P = factors[0]
-    for E in factors[1:]:
-        P = P @ E
-    return P
-
-
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize(
     "ts",
@@ -406,16 +396,8 @@ def test_expm_samples_bitwise_equal_to_expm(ts, complex_):
     A *= 25.0 / float(np.abs(A).sum(axis=0).max())  # ||tA||_1 = 25 t > theta_13 at t >= 0.25
     got = dict(expm_samples(A, ts))
     assert sorted(got) == list(range(len(ts)))
-    # each t > 0 is an integer multiple k t0 of the smallest, whose chain is squared at least once,
-    # so t rides that chain: bitwise expm(A, t) when k is a power of two, else the chain product
-    t0 = min(t for t in ts if t > 0) if any(ts) else None
     for i, t in enumerate(ts):
-        if t == 0.0:
-            E = np.eye(8, dtype=A.dtype)
-        else:
-            k = round(t / t0)
-            assert k * t0 == t
-            E = expm(A, t) if k & (k - 1) == 0 else _chain_product(A, t0, k)
+        E = expm(A, t)
         assert got[i].dtype == E.dtype == A.dtype
         assert np.array_equal(got[i], E), t
 
@@ -486,76 +468,84 @@ def test_expm_samples_refuses_t_norm_past_2_27_before_any_pade_work(monkeypatch)
         next(samples)
 
 
-def _diffusion_m2_13() -> np.ndarray:
+def _diffusion_m2_13():
     params = HestonParams(**dict(BASE, rho=0.0), L=0.0, S=800.0, V=5.0)
     return build_operators(params, make_grid(params, 26, 13)).diffusion
 
 
 def _count_products(monkeypatch) -> list:
-    """Record the step ("squaring" or "multiplication") of every matrix product made from here on."""
-    steps = []
-    real = linalg._finite_product
+    """Record, for every matrix product made from here on, whether it squares its operand."""
+    products = []
 
-    def counted(X, Y, step, norm1):
-        steps.append(step)
-        return real(X, Y, step, norm1)
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other is self)
+            return super().__matmul__(other)
 
-    monkeypatch.setattr(linalg, "_finite_product", counted)
-    return steps
+    real = linalg._pade13
+    monkeypatch.setattr(linalg, "_pade13", lambda X: real(X).view(Counted))
+    return products
+
+
+def _squarings(A, t):
+    """Test side s(t): the fewest squarings with ||tA||_1 / 2^s <= theta_13."""
+    return max(0, math.ceil(math.log2(t * float(np.abs(A).sum(axis=0).max()) / linalg._THETA13)))
 
 
 def test_expm_samples_default_t_samples_make_one_pade_evaluation(monkeypatch):
     A = _diffusion_m2_13()
-    calls = _count_pade(monkeypatch)
-    steps = _count_products(monkeypatch)
-    got = dict(expm_samples(A, (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)))
-    assert sorted(got) == list(range(6))
-    # {0} is the identity; 1 and 2 join the chain of 0.5 (10 squarings), which 5 = 10 * 0.5 and
-    # 10 = 20 * 0.5 ride as products e^{A} e^{4A} and e^{2A} e^{8A}
-    assert [X.shape for X in calls] == [(338, 338)]
-    assert (steps.count("squaring"), steps.count("multiplication")) == (14, 2)
+    # the step sizes the sweep's scan samples by default: (step) / 4^l, l = 0 .. _REFINE_LEVELS
+    steps = [experiments._COARSE_STEP / 4.0**level for level in range(experiments._REFINE_LEVELS + 1)]
+    assert all(_squarings(A, h) > 0 for h in steps)  # every step is scaled, so all share one matrix
+    pade = _count_pade(monkeypatch)
+    products = _count_products(monkeypatch)
+    got = dict(expm_samples(A, steps))
+    assert len(pade) == 1
+    assert all(products) and len(products) == _squarings(A, steps[0])
+    for i, h in enumerate(steps):
+        assert np.array_equal(got[i], expm(A, h)), h
 
 
 def test_expm_samples_builds_no_chain_longer_than_a_samples_own(monkeypatch):
     A = _diffusion_m2_13()
     pade = _count_pade(monkeypatch)
-    steps = _count_products(monkeypatch)
+    products = _count_products(monkeypatch)
     # 1 = 2^30 * 2^-30, but riding 2^-30's chain would take 30 squarings instead of 1's own 11
     got = dict(expm_samples(A, [2.0**-30, 1.0]))
     assert len(pade) == 2
-    assert steps == ["squaring"] * 11
+    assert products == [True] * 11
     assert np.array_equal(got[0], expm(A, 2.0**-30)) and np.array_equal(got[1], expm(A, 1.0))
 
 
 def test_expm_samples_power_of_two_multiple_rides_its_own_chain(monkeypatch):
     A = _diffusion_m2_13()
     pade = _count_pade(monkeypatch)
-    steps = _count_products(monkeypatch)
-    # 3 is 3 * 1 and 2 * 1.5; it rides 1.5's chain with no product
+    products = _count_products(monkeypatch)
+    # 3 = 2 * 1.5 rides 1.5's chain for one squaring more; 1 has a chain of its own
     got = dict(expm_samples(A, [1.0, 1.5, 3.0]))
     assert len(pade) == 2
-    assert "multiplication" not in steps
+    assert all(products) and len(products) == _squarings(A, 1.0) + _squarings(A, 3.0)
     assert np.array_equal(got[2], expm(A, 3.0))
 
 
-@pytest.mark.parametrize("seed", list(range(4)))
-def test_expm_samples_products_match_taylor_oracle(seed, monkeypatch):
-    rng = np.random.default_rng(seed)
-    B = rng.standard_normal((6, 6))
-    # ||A||_1 ~ 5.5: 0.5 and 1 take no squaring and found chains; 5 and 10 ride 0.5's chain.  The
-    # shift keeps the oracle's Taylor terms within a modest factor of e^{tA}, so it stays exact.
-    A = 4.5 * np.eye(6) + B / float(np.abs(B).sum(axis=0).max())
-    ts = (0.5, 1.0, 2.0, 5.0, 10.0)
-    steps = _count_products(monkeypatch)
+def test_expm_samples_one_pade_evaluation_per_scaled_matrix(monkeypatch):
+    A = _diffusion_m2_13()
+    ts = [10.0, 0.5, 2.0**-30, 3.0, 1.0, 0.0, 7.5, 2.0, 1.0, 5.0, 1.5]
+    expected = {i: expm(A, t) for i, t in enumerate(ts)}
+    chains = {}  # test side: t / 2^s(t) -> the largest s(t) of its samples
+    for t in ts:
+        if t:
+            s = _squarings(A, t)
+            chains[t / 2.0**s] = max(s, chains.get(t / 2.0**s, 0))
+    pade = _count_pade(monkeypatch)
+    products = _count_products(monkeypatch)
     got = dict(expm_samples(A, ts))
-    assert steps.count("multiplication") == 2
-    for i, t in enumerate(ts):
-        T = taylor_expm(A, t, terms=160)
-        scale = np.abs(T).max()
-        product_err = np.abs(got[i] - T).max() / scale
-        single_err = np.abs(expm(A, t) - T).max() / scale
-        # a product is as close to the oracle as a single-sample call, up to a factor 4
-        assert product_err <= 4.0 * max(single_err, 1e-16), t
+    # {0.5, 1, 2}, {1.5, 3}, {5, 10} and {7.5} each share one scaled matrix and one chain; 2^-30 has its own
+    assert len(chains) == 5
+    assert len(pade) == len(chains)
+    assert all(products) and len(products) == sum(chains.values())
+    for i, E in expected.items():
+        assert np.array_equal(got[i], E), ts[i]
 
 
 # ---------------------------------------------------------------------------

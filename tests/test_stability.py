@@ -20,7 +20,6 @@ from hestonstab import (
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
-    check_exp_bound,
     check_symbol_conditions,
     diffusion_block_reduction,
     format_certificate_report,
@@ -90,80 +89,20 @@ def test_advection_factors_give_the_dense_blocks_results(m1, m2, extra):
     assert c_s.lhs == pytest.approx(hermitian_lambda_max(0.5 * (adv_s + adv_s.T)), abs=1e-10)
     assert c_v.lhs == pytest.approx(hermitian_lambda_max(0.5 * (adv_v + adv_v.T)), abs=1e-10)
 
-    t_samples = [0.0, 0.5, 2.0, 10.0]
-    for factor, block, omega in ((ops.adv_s_factor, adv_s, 0.5 * params.r),
-                                 (ops.adv_v_factor, adv_v, 0.5 * params.kappa)):
-        on_factor = check_exp_bound(factor, omega, t_samples)
-        on_block = check_exp_bound(block, omega, t_samples)
-        assert [c.name for c in on_factor] == [c.name for c in on_block]
-        for f, b in zip(on_factor, on_block):
-            assert f.lhs == pytest.approx(b.lhs, rel=1e-12)
-            assert f.rhs == b.rhs
-
-
-# ---------------------------------------------------------------------------
-# exponential growth bound checks
-# ---------------------------------------------------------------------------
-
-def test_exp_bound_advection():
-    params, grid, ops = _setup(m1=4, m2=3)
-    checks = check_exp_bound(operator_block(ops, "adv-s"), omega=0.5 * params.r, t_samples=[0.0, 1.0, 10.0])
-    assert all(c.holds for c in checks)
-
-
-def test_exp_bound_zero_matrix_is_tight():
-    checks = check_exp_bound(np.zeros((3, 3)), omega=0.0, t_samples=[0.0, 2.0])
-    assert checks[0].lhs == 1.0
-    for c in checks:
-        assert c.lhs == pytest.approx(1.0, abs=1e-12)
-        assert c.rhs == 1.0
-        assert c.holds
-
-
-def test_exp_bound_failure_is_reported_not_raised():
-    A = np.array([[1.0, 0.0], [0.0, 1.0]])  # log norm 1, claimed omega 0
-    checks = check_exp_bound(A, omega=0.0, t_samples=[1.0])
-    assert not checks[0].holds
-
-
-def test_exp_bound_rejects_negative_t():
-    with pytest.raises(ValueError):
-        check_exp_bound(np.eye(2), 0.0, [-1.0])
-
 
 # ---------------------------------------------------------------------------
 # diffusion contractivity
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, -1.0])
-def test_diffusion_contractivity(rho, monkeypatch):
+def test_diffusion_contractivity(rho):
     params, grid, ops = _setup(m1=10, m2=5, rho=rho)
-    svds = []
-    real_norm = stability.spectral_norm
-
-    def counted(E):
-        svds.append(E.shape)
-        return real_norm(E)
-
-    monkeypatch.setattr(stability, "spectral_norm", counted)
-    mu_check, scaled, spectral = check_diffusion_contractivity(ops, [0.0, 0.5, 2.0])
-    assert mu_check.holds
-    assert mu_check.lhs <= 1e-8 * np.abs(ops.diffusion).max()
-    assert all(c.holds for c in scaled)
-    assert all(c.holds for c in spectral)
-    # t = 0 gives the identity: both norms are exactly 1, with no SVD
-    assert scaled[0].lhs == spectral[0].lhs == 1.0
-    assert len(svds) == 4
-    ratio = math.sqrt(
-        grid.s_points[-1] * grid.v_points[-1] / (grid.s_points[0] * grid.v_points[0])
-    )
-    assert spectral[0].rhs == pytest.approx(ratio)
-
-
-def test_diffusion_contractivity_rejects_negative_t():
-    _, _, ops = _setup(m1=6, m2=3, rho=0.0)
-    with pytest.raises(ValueError):
-        check_diffusion_contractivity(ops, [0.5, -1.0])
+    check = check_diffusion_contractivity(ops)
+    assert check.name == "diffusion_log_norm_D"
+    assert check.lhs == log_norm_D(ops.diffusion, scaling_diagonal(grid))
+    assert check.rhs == 0.0 and check.tol == 1e-8 * np.abs(ops.diffusion).max()
+    assert check.holds
+    assert check.lhs <= 1e-8 * np.abs(ops.diffusion).max()
 
 
 # ---------------------------------------------------------------------------
