@@ -15,10 +15,9 @@ above the order where the scan switches from dense norms to Lanczos the
 stop is confirmed by a dense norm.  Each refinement level divides the step
 by four and samples t_best + i h, 0 < |i| <= 3, from the sample the
 previous pass kept at t_best - 4 h, so a case needs one exponential per
-step size.  The steps (step) / 4^l differ by powers of two, so every
-sample t is exact in binary and ``expm_samples`` forms all of them from one
-Pade evaluation and one squaring chain once ||(step) A / 4^l||_1 >
-theta_13 / 2 at the finest level.
+step size.  Each step matrix is the square of the square of the next finer
+one, so all of them come from one Pade evaluation: e^{hA} at the finest
+step and every second of its squares.  Every sample t is exact in binary.
 
 The scaled-norm maximum needs no scan.  Each grid's logarithmic norm
 mu_D = mu_D[diffusion] is computed once; mu_D <= 0 gives
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import HestonParams, _sqrt_cond, make_grid, scaling_diagonal
-from .linalg import _sigma_max_lanczos, expm_samples, log_norm_D, spectral_norm
+from .linalg import _as_real, _expm_squares, _sigma_max_lanczos, log_norm_D, spectral_norm
 from .operators import build_operators
 from .stability import BoundCheck
 
@@ -69,8 +68,8 @@ class SweepConfig:
     The default mesh list stops at m2 = 15 so a full sweep finishes in
     minutes.
     Construction raises ValueError unless every list is non-empty, every
-    m2 is at least 3 and every (sigma, rho, L) combination is a valid
-    ``HestonParams``.
+    m2 is an integer of at least 3 and every (sigma, rho, L) combination is
+    a valid ``HestonParams``.
     """
 
     m2_values: tuple = (5, 7, 9, 11, 13, 15)
@@ -89,6 +88,8 @@ class SweepConfig:
                 raise ValueError(f"{name} must not be empty")
         for sigma, rho, L in itertools.product(self.sigma_values, self.rho_values, self.L_values):
             self._params(sigma, rho, L)
+        if any(int(m2) != m2 for m2 in self.m2_values):
+            raise ValueError("all m2 values must be integers")
         if any(m2 < 3 for m2 in self.m2_values):
             raise ValueError("all m2 values must be >= 3")
 
@@ -144,18 +145,20 @@ def max_norm_over_t(A):
     [0, _T_MAX] otherwise.  Each refinement level divides the step by four
     and evaluates center + i h, 0 < |i| <= 3 (i > 0 at center = 0; t <=
     _T_MAX), around the argmax center of the pass before; the step matrices
-    of all levels come from one ``expm_samples`` call.  No t is evaluated
-    twice: t = 0 is ||I||_2 = 1 exactly, and the passes before sampled only
-    multiples of 4 h.  Each norm is a dense ``spectral_norm`` below order
+    of all levels are e^{hA} at the finest step and every second of its
+    2 _REFINE_LEVELS squares.  No t is evaluated twice: t = 0 is ||I||_2 = 1
+    exactly, and the passes before sampled only multiples of 4 h.  A complex
+    A raises ValueError.  Each norm is a dense ``spectral_norm`` below order
     _DENSE_BELOW, and above it a Lanczos value warm-started from the Ritz
     vector of the last sample evaluated.  The module constants are read at
     each call.  The D-scaled maximum of the diffusion block needs no scan:
     mu_D <= 0 fixes it at 1 (see ``run_sweep``).
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_real(A)
     dense = A.shape[0] < _DENSE_BELOW
     steps = [_COARSE_STEP / 4.0**level for level in range(_REFINE_LEVELS + 1)]
-    step_matrices = dict(expm_samples(A, steps))
+    squares = _expm_squares(A, steps[-1], 2 * _REFINE_LEVELS)
+    step_matrices = list(itertools.islice(squares, 0, None, 2))[::-1]
     best, t_best, start = 1.0, 0.0, np.eye(A.shape[0])  # start: the sample at t_best - h, or I
     v = None  # Ritz vector of the last sample evaluated: the next Lanczos warm start
     with np.errstate(over="ignore", invalid="ignore"):

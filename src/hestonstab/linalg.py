@@ -12,19 +12,17 @@ every step would cost more than the step's two matrix-vector products) and
 may run as many steps as X^T X has columns; only a breakdown or an
 exhausted Krylov space ends in a dense ``spectral_norm``.
 
-``expm_samples`` evaluates e^{tA} at several t by scaling and squaring,
-with the fewest squarings s that bring ||tA / 2^s||_1 within theta_13.
-Samples whose scaled matrices tA / 2^s are equal (t differing by a power of
-two past the first squaring) share one Pade evaluation and one squaring
-chain, and each is taken off the chain after its own s squarings: scaling
-by a power of two is exact, so every result is bitwise the one a
-single-sample call gives.  ``expm`` is that call.
+``expm`` evaluates e^{tA} by scaling and squaring, with the fewest
+squarings s that bring ||tA / 2^s||_1 within theta_13.  The private
+generator behind it, ``_expm_squares``, goes on squaring: the sweep's scan
+takes its four step matrices e^{A/64}, e^{A/16}, e^{A/4} and e^{A} from one
+Pade evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +33,6 @@ __all__ = [
     "log_norm_D",
     "log_norm_inf",
     "expm",
-    "expm_samples",
 ]
 
 #: Acceptance test of the scan's Lanczos kernel: Ritz residual <= tol * theta.
@@ -44,7 +41,7 @@ _LANCZOS_TOL = 1e-10
 _LANCZOS_TEST_EVERY = 4
 #: Largest ||X||_1 with r_13(X) = e^X to double precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
 _THETA13 = 5.371920351148152
-#: Largest ||tA||_1 that ``expm_samples`` accepts.  The result drifts by about eps ||tA||_1 / theta_13
+#: Largest ||2^n tA||_1 that ``_expm_squares`` accepts.  The result drifts by about eps ||tA||_1 / theta_13
 #: through the squarings: ||e^{tA}||_2 - 1 of a 2 x 2 rotation stays within 1e-8 for ||tA||_1 <= 2^27
 #: and reaches 1.4e-8 in (2^27, 2^28].
 _RESOLVED_NORM = 2.0**27
@@ -57,6 +54,13 @@ def _as_matrix(A) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
     return A
+
+
+def _as_real(A) -> np.ndarray:
+    """A as a float array; complex input raises ValueError rather than lose its imaginary part."""
+    if np.iscomplexobj(A):
+        raise ValueError("expected a real matrix, got complex entries")
+    return np.asarray(A, dtype=float)
 
 
 def lambda_max_hermitian(H) -> float:
@@ -213,79 +217,52 @@ def _pade13(X: np.ndarray) -> np.ndarray:
     return np.linalg.solve(V - U, V + U)
 
 
-def expm_samples(A, ts: Iterable[float]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (index, e^{t A}) for every t of ``ts``, by scaling and squaring with Pade order 13.
+def _expm_squares(A, t: float, n: int) -> Iterator[np.ndarray]:
+    """Yield e^{tA} and then its n successive squares e^{2tA}, ..., e^{2^n tA}.
 
-    Each t gets the squaring count s(t), the smallest s >= 0 with
-    ||tA||_1 = t ||A||_1 <= theta_13 2^s, read off ``math.frexp``, and the
-    scaled matrix tA / 2^s(t).  Samples whose scaled matrices are equal, t /
-    2^s(t) equal in floating point, share one Pade evaluation and one
-    squaring chain, and each is yielded after its own s(t) squarings.
-    Scaling by a power of two is exact (absent subnormal entries), so every
-    result is bitwise the result of a call with that t alone.  Chains run in
-    ascending order of their smallest t, so results do not come in the order
-    of ``ts``; a yielded matrix may be a chain's working matrix and must not
-    be modified in place.
-
-    Every t is validated before any work: a negative or non-finite t
-    raises ValueError, an overflowing ||tA||_1 OverflowError, and
-    ||tA||_1 > 2^27 ArithmeticError.  Raises OverflowError when a squaring
-    leaves the representable range, identifying the size of the problem of
-    the sample it serves.
+    Scaling and squaring with Pade order 13: e^{tA} is r_13(tA / 2^s) squared
+    s times, s the smallest s >= 0 with ||tA||_1 = t ||A||_1 <= theta_13 2^s,
+    read off ``math.frexp``.  Scaling by a power of two is exact, so once
+    ||tA||_1 > theta_13 / 2 the k-th square is bitwise ``expm(A, 2^k t)``.
+    Before any Pade work a negative or non-finite t raises ValueError, an
+    overflowing 2^n ||tA||_1 OverflowError and 2^n ||tA||_1 > 2^27
+    ArithmeticError; a result that leaves the representable range raises
+    OverflowError with the size of its problem.
     """
     A = _as_matrix(A)
-    n, nc = A.shape
-    if n != nc:
+    if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    ts = list(ts)
-    for t in ts:
-        if not (np.isfinite(t) and t >= 0):
-            raise ValueError(f"t must be finite and nonnegative, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     A = A.astype(np.complex128 if np.iscomplexobj(A) else np.float64, copy=False)
 
     with np.errstate(over="ignore"):  # an overflow is reported below
-        norm_a = float(np.abs(A).sum(axis=0).max())
-    norms = [t * norm_a if t else 0.0 for t in ts]
-    for norm1 in norms:
-        if not math.isfinite(norm1):
-            raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
-        if norm1 > _RESOLVED_NORM:
-            raise ArithmeticError(
-                f"matrix exponential is not resolved in double precision: "
-                f"||tA||_1 = {norm1:.6g} > 2^{math.log2(_RESOLVED_NORM):g}"
-            )
+        norm1 = t * float(np.abs(A).sum(axis=0).max()) if t else 0.0
+    top = norm1 * 2.0**n
+    if not math.isfinite(top):
+        raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {top:.6g}")
+    if top > _RESOLVED_NORM:
+        raise ArithmeticError(
+            f"matrix exponential is not resolved in double precision: "
+            f"||tA||_1 = {top:.6g} > 2^{math.log2(_RESOLVED_NORM):g}"
+        )
 
-    identity = []
-    chains = {}  # t / 2^s(t) -> [(index, s(t), ||tA||_1), ...] in ascending order of t
-    for i in sorted(range(len(ts)), key=ts.__getitem__):
-        if norms[i] == 0.0:
-            identity.append(i)
-            continue
-        mant, exp = math.frexp(norms[i] / _THETA13)
-        squarings = max(0, exp - (mant == 0.5))
-        chains.setdefault(ts[i] / 2.0**squarings, []).append((i, squarings, norms[i]))
-
-    for i in identity:
-        yield i, np.eye(n, dtype=A.dtype)
-    for members in chains.values():
-        first, squarings, norm1 = members[0]
-        R = _pade13((ts[first] * A) / (2.0**squarings))
+    mant, exp = math.frexp(norm1 / _THETA13)
+    squarings = max(0, exp - (mant == 0.5))
+    R = _pade13((t * A) / (2.0**squarings)) if norm1 else np.eye(A.shape[0], dtype=A.dtype)
+    if not np.all(np.isfinite(R)):
+        raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
+    for k in range(1, squarings + n + 1):
+        if k > squarings:
+            yield R
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            R = R @ R
         if not np.all(np.isfinite(R)):
-            raise OverflowError(f"matrix exponential overflowed: ||tA||_1 = {norm1:.6g}")
-        done = 0
-        for i, squarings, norm1 in members:
-            while done < squarings:
-                with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-                    R = R @ R
-                if not np.all(np.isfinite(R)):
-                    raise OverflowError(
-                        f"matrix exponential overflowed during squaring: ||tA||_1 = {norm1:.6g}"
-                    )
-                done += 1
-            yield i, R
+            size = norm1 * 2.0 ** max(0, k - squarings)
+            raise OverflowError(f"matrix exponential overflowed during squaring: ||tA||_1 = {size:.6g}")
+    yield R
 
 
 def expm(A, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^{tA}: the single-sample case of ``expm_samples``."""
-    ((_, E),) = expm_samples(A, (t,))
-    return E
+    """Matrix exponential e^{tA} by scaling and squaring: the first matrix ``_expm_squares`` yields."""
+    return next(_expm_squares(A, t, 0))

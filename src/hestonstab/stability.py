@@ -26,6 +26,7 @@ import numpy as np
 
 from .grid import GridSpec, scaling_diagonal
 from .linalg import (
+    _as_real,
     lambda_max_hermitian,
     log_norm_2,
     log_norm_D,
@@ -182,13 +183,13 @@ def check_block_toeplitz_symbol_bound(B0, B1, n_blocks: int) -> BoundCheck:
     is 1e-9 times the largest entry (at least 1) plus the sampling slack
     2 ||B1||_2 times the maximal chord distance to a sample, since the sampled
     maximum can fall below the true maximum over the circle by at most that
-    much.  Raises ValueError unless n_blocks >= 2 and B0, B1 are square
+    much.  Raises ValueError unless n_blocks >= 2 and B0, B1 are real square
     matrices of equal size.
     """
     if n_blocks < 2:
         raise ValueError(f"need at least 2 blocks, got {n_blocks}")
-    B0 = np.asarray(B0, dtype=float)
-    B1 = np.asarray(B1, dtype=float)
+    B0 = _as_real(B0)
+    B1 = _as_real(B1)
     if B0.ndim != 2 or B0.shape[0] != B0.shape[1] or B1.shape != B0.shape:
         raise ValueError(
             f"B0 and B1 must be square matrices of equal size, got shapes {B0.shape} and {B1.shape}"

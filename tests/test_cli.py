@@ -380,7 +380,7 @@ def test_sweep_sum_only_overflow_is_a_failed_case(capsys):
 
 
 def test_sweep_unresolved_exponential_is_a_failed_case(capsys):
-    # ||A||_1 = 3.2e8 > 2^27: expm_samples refuses the scan's steps before any Pade work
+    # ||A||_1 = 3.2e8 > 2^27: the scan's last step matrix e^{A} is refused before any Pade work
     code = main(["sweep", "--m2-values", "3", "--sigma-values", "1e4", "--rho-values", "0",
                  "--L-values", "0"])
     assert code == 3

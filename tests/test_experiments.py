@@ -162,6 +162,7 @@ def test_sweep_assembly_error_propagates(monkeypatch):
         ({"sigma_values": ()}, "sigma_values must not be empty"),
         ({"rho_values": ()}, "rho_values must not be empty"),
         ({"L_values": ()}, "L_values must not be empty"),
+        ({"m2_values": (9, 9.5)}, "all m2 values must be integers"),
     ],
 )
 def test_sweep_config_rejects_a_bad_combination_before_any_case_runs(fields, message, monkeypatch):
@@ -186,7 +187,7 @@ def test_sweep_overflowing_assembly_is_a_failed_case(sigma):
 
 def test_sweep_case_call_counts(monkeypatch):
     """One m2 = 5 case: one scan cut at the first contractive coarse sample, no t evaluated twice."""
-    calls = {"expm_samples": 0, "pade13": 0}
+    calls = {"expm_squares": 0, "pade13": 0}
     sampled = []  # t of every sample after t = 0, in scan order
     evaluated = []  # t of every norm evaluation, by either kernel
     real_check = experiments._check_finite
@@ -209,7 +210,7 @@ def test_sweep_case_call_counts(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(experiments, "expm_samples", counted("expm_samples", experiments.expm_samples))
+    monkeypatch.setattr(experiments, "_expm_squares", counted("expm_squares", experiments._expm_squares))
     monkeypatch.setattr(linalg, "_pade13", counted("pade13", linalg._pade13))
     monkeypatch.setattr(experiments, "spectral_norm", norm_at_last_sample(experiments.spectral_norm))
     monkeypatch.setattr(
@@ -219,8 +220,8 @@ def test_sweep_case_call_counts(monkeypatch):
     cfg = SweepConfig(m2_values=(5,), sigma_values=(0.2,), rho_values=(1.0,), L_values=(0.0,))
     (rec,) = run_sweep(cfg)
     assert rec.error == ""
-    # e^{A}, e^{A/4}, e^{A/16} and e^{A/64} from one call and one Pade evaluation
-    assert (calls["expm_samples"], calls["pade13"]) == (1, 1)
+    # e^{A/64} and its squares e^{A/16}, e^{A/4} and e^{A} from one call and one Pade evaluation
+    assert (calls["expm_squares"], calls["pade13"]) == (1, 1)
     params = HestonParams(**dict(BASE, sigma=0.2, rho=1.0))
     grid = make_grid(params, 10, 5)
     A = build_operators(params, grid).diffusion
@@ -234,6 +235,27 @@ def test_sweep_case_call_counts(monkeypatch):
     assert sampled == earlier + last
     assert evaluated == earlier + [t for t in last if t != 1 / 16]
     assert len(set(evaluated)) == len(evaluated) == 1 + 3 + 3 + 6
+
+
+@pytest.mark.parametrize("m1,m2,V", [(3, 3, 0.5), (6, 3, 5.0)])
+def test_scan_makes_one_pade_evaluation_at_any_norm(m1, m2, V, monkeypatch):
+    params = HestonParams(**dict(BASE, sigma=0.1, rho=0.0), V=V)
+    A = build_operators(params, make_grid(params, m1, m2)).diffusion
+    pade = []
+    real = linalg._pade13
+    monkeypatch.setattr(linalg, "_pade13", lambda X: pade.append(X) or real(X))
+    max_norm_over_t(A)
+    assert len(pade) == 1
+    # ||A||_1 = 4.45 at V = 0.5: no step is scaled, so expm would evaluate a Pade approximant
+    # at each step's own hA; at V = 5, ||A||_1 = 191.3 and every step shares one scaled matrix
+    norm_a = float(np.abs(A).sum(axis=0).max())
+    assert (norm_a < 64 * linalg._THETA13 / 2) == (V == 0.5)
+
+
+def test_max_norm_refuses_complex_input():
+    # casting to float would drop 5j and report 1 at t = 0; the true maximum is about 1.916
+    with pytest.raises(ValueError, match="complex"):
+        max_norm_over_t(np.array([[-1.0, 5j], [0.0, -1.0]]))
 
 
 def _reference_scan(A, t_max=100.0, levels=3):

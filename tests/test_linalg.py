@@ -15,7 +15,6 @@ from hestonstab import (
     HestonParams,
     build_operators,
     expm,
-    expm_samples,
     lambda_max_hermitian,
     log_norm_2,
     log_norm_D,
@@ -25,7 +24,7 @@ from hestonstab import (
     spectral_norm,
 )
 from hestonstab import experiments, linalg, stability
-from hestonstab.linalg import _scale_similar, _sigma_max_lanczos
+from hestonstab.linalg import _expm_squares, _scale_similar, _sigma_max_lanczos
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -361,10 +360,6 @@ def test_expm_overflow_raises():
         expm(np.array([[1.0]]), 1000.0)
 
 
-def _one_at_a_time(A, ts):
-    return {i: expm(A, t) for i, t in enumerate(ts)}
-
-
 def _count_pade(monkeypatch) -> list:
     """Record the argument of every Pade evaluation made from here on."""
     calls = []
@@ -382,38 +377,40 @@ def _count_pade(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "ts",
     [
-        [0.0],
-        [0.0, 0.5, 1.0, 2.0, 5.0, 10.0],
-        [1.5, 0.25, 1.5, 3.0],  # a repeated t, and 3 = 2 * 1.5 = 12 * 0.25
-        [10.0, 0.5, 3.0, 0.0, 20.0, 2.0, 7.5, 1.0, 40.0, 5.0],  # unsorted
+        [0.0, 0.0],
+        [0.1, 0.2, 0.4, 0.8],  # ||tA||_1 = 2.5 <= theta_13 / 2 at the first sample
+        [0.25, 0.5, 1.0, 2.0, 4.0],
+        [1.5, 3.0, 6.0],
     ],
 )
 def test_expm_samples_bitwise_equal_to_expm(ts, complex_):
+    """``_expm_squares`` yields e^{tA} and its squares, the samples at ts = t, 2t, 4t, ..."""
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 8))
     if complex_:
         A = A + 1j * rng.standard_normal((8, 8))
-    A *= 25.0 / float(np.abs(A).sum(axis=0).max())  # ||tA||_1 = 25 t > theta_13 at t >= 0.25
-    got = dict(expm_samples(A, ts))
-    assert sorted(got) == list(range(len(ts)))
-    for i, t in enumerate(ts):
-        E = expm(A, t)
-        assert got[i].dtype == E.dtype == A.dtype
-        assert np.array_equal(got[i], E), t
+    A *= 25.0 / float(np.abs(A).sum(axis=0).max())  # ||tA||_1 = 25 t > theta_13 / 2 at t >= 0.25
+    got = list(_expm_squares(A, ts[0], len(ts) - 1))
+    assert got[0].dtype == A.dtype and np.array_equal(got[0], expm(A, ts[0]))
+    for t, E in zip(ts, got, strict=True):
+        ref = expm(A, t)
+        if 25.0 * ts[0] > linalg._THETA13 / 2:  # s(2^k t) = s(t) + k, on equal scaled matrices
+            assert np.array_equal(E, ref), t
+        else:  # expm(A, 2^k t) evaluates its own Pade approximant at 2^k tA
+            assert np.abs(E - ref).max() <= 1e-13 * np.abs(ref).max(), t
 
 
 def test_expm_samples_unscaled_t_beside_its_dyadic_multiples(monkeypatch):
     rng = np.random.default_rng(4)
     A = rng.standard_normal((6, 6))
     t = 0.25 / float(np.abs(A).sum(axis=0).max())  # ||tA||_1 = 0.25: no squaring
-    ts = [t * 2.0**k for k in range(7)]  # ||tA||_1 = 0.25 ... 16
+    expected = [taylor_expm(A, 2.0**k * t) for k in range(7)]  # ||tA||_1 = 0.25 ... 16
     pade = _count_pade(monkeypatch)
-    got = dict(expm_samples(A, ts))
-    # t, 2t, 4t and 8t (||tA||_1 <= 2 < theta_13) each take a Pade evaluation and no squaring;
-    # 16t, 32t and 64t share the scaled matrix 16tA, its Pade evaluation and one squaring chain
-    assert len(pade) == 5
-    for i, E in _one_at_a_time(A, ts).items():
-        assert np.array_equal(got[i], E), ts[i]
+    got = list(_expm_squares(A, t, 6))
+    # e^{2^k tA} is the k-th square of r_13(tA), not a Pade evaluation of its own
+    assert len(pade) == 1 and np.array_equal(pade[0], t * A)
+    for k, (E, T) in enumerate(zip(got, expected, strict=True)):
+        assert np.abs(E - T).max() <= 1e-10 * max(1.0, np.abs(T).max()), k
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -445,27 +442,28 @@ def test_expm_unsquared_near_theta13_matches_taylor_oracle(monkeypatch):
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_expm_samples_validates_every_t_first(bad, monkeypatch):
     monkeypatch.setattr(linalg, "_pade13", lambda X: pytest.fail("Pade evaluated"))
-    samples = expm_samples(np.eye(2), [0.0, 1.0, bad])
     with pytest.raises(ValueError):
-        next(samples)
+        next(_expm_squares(np.eye(2), bad, 3))
 
 
 def test_expm_samples_overflow_raises():
-    with pytest.raises(OverflowError):
-        dict(expm_samples(np.array([[1.0]]), [1.0, 1000.0]))
+    with pytest.raises(OverflowError, match=r"during squaring: \|\|tA\|\|_1 = 1024$"):
+        list(_expm_squares(np.array([[1.0]]), 1.0, 10))  # e^{512} is finite, e^{1024} is not
     with pytest.raises(OverflowError), np.errstate(over="ignore"):  # tA itself overflows
-        dict(expm_samples(np.array([[1e300]]), [1e10]))
+        next(_expm_squares(np.array([[1e300]]), 1e10, 0))
 
 
 def test_expm_samples_refuses_t_norm_past_2_27_before_any_pade_work(monkeypatch):
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # ||A||_1 = 1; e^{tA} is a rotation for every t
-    # the largest t accepted, where the drift through 25 squarings is still within the checks' allowance
-    assert abs(spectral_norm(expm(A, 2.0**27)) - 1.0) <= stability._CHECK_TOL
+    # the largest ||2^n tA||_1 accepted, where the drift through 25 squarings is still within
+    # the checks' allowance
+    *_, last = _expm_squares(A, 2.0**21, 6)
+    assert np.array_equal(last, expm(A, 2.0**27))
+    assert abs(spectral_norm(last) - 1.0) <= stability._CHECK_TOL
     monkeypatch.setattr(linalg, "_pade13", lambda X: pytest.fail("Pade evaluated"))
-    t = math.nextafter(2.0**27, math.inf)
-    samples = expm_samples(A, [0.0, 1.0, t])
+    t = math.nextafter(2.0**21, math.inf)  # ||tA||_1 is far below 2^27, 2^6 ||tA||_1 just above
     with pytest.raises(ArithmeticError, match=r"\|\|tA\|\|_1 = 1\.34218e\+08 > 2\^27$"):
-        next(samples)
+        next(_expm_squares(A, t, 6))
 
 
 def _diffusion_m2_13():
@@ -494,58 +492,18 @@ def _squarings(A, t):
 
 def test_expm_samples_default_t_samples_make_one_pade_evaluation(monkeypatch):
     A = _diffusion_m2_13()
-    # the step sizes the sweep's scan samples by default: (step) / 4^l, l = 0 .. _REFINE_LEVELS
-    steps = [experiments._COARSE_STEP / 4.0**level for level in range(experiments._REFINE_LEVELS + 1)]
-    assert all(_squarings(A, h) > 0 for h in steps)  # every step is scaled, so all share one matrix
+    # the sweep scan's finest step (step) / 4^L and its squares up to 4^L times it, L = _REFINE_LEVELS
+    n = 2 * experiments._REFINE_LEVELS
+    h = experiments._COARSE_STEP / 2.0**n
+    assert _squarings(A, h) > 0  # the finest step is scaled, so every square is bitwise expm
+    expected = [expm(A, 2.0**k * h) for k in range(n + 1)]
     pade = _count_pade(monkeypatch)
     products = _count_products(monkeypatch)
-    got = dict(expm_samples(A, steps))
+    squares = list(_expm_squares(A, h, n))
     assert len(pade) == 1
-    assert all(products) and len(products) == _squarings(A, steps[0])
-    for i, h in enumerate(steps):
-        assert np.array_equal(got[i], expm(A, h)), h
-
-
-def test_expm_samples_builds_no_chain_longer_than_a_samples_own(monkeypatch):
-    A = _diffusion_m2_13()
-    pade = _count_pade(monkeypatch)
-    products = _count_products(monkeypatch)
-    # 1 = 2^30 * 2^-30, but riding 2^-30's chain would take 30 squarings instead of 1's own 11
-    got = dict(expm_samples(A, [2.0**-30, 1.0]))
-    assert len(pade) == 2
-    assert products == [True] * 11
-    assert np.array_equal(got[0], expm(A, 2.0**-30)) and np.array_equal(got[1], expm(A, 1.0))
-
-
-def test_expm_samples_power_of_two_multiple_rides_its_own_chain(monkeypatch):
-    A = _diffusion_m2_13()
-    pade = _count_pade(monkeypatch)
-    products = _count_products(monkeypatch)
-    # 3 = 2 * 1.5 rides 1.5's chain for one squaring more; 1 has a chain of its own
-    got = dict(expm_samples(A, [1.0, 1.5, 3.0]))
-    assert len(pade) == 2
-    assert all(products) and len(products) == _squarings(A, 1.0) + _squarings(A, 3.0)
-    assert np.array_equal(got[2], expm(A, 3.0))
-
-
-def test_expm_samples_one_pade_evaluation_per_scaled_matrix(monkeypatch):
-    A = _diffusion_m2_13()
-    ts = [10.0, 0.5, 2.0**-30, 3.0, 1.0, 0.0, 7.5, 2.0, 1.0, 5.0, 1.5]
-    expected = {i: expm(A, t) for i, t in enumerate(ts)}
-    chains = {}  # test side: t / 2^s(t) -> the largest s(t) of its samples
-    for t in ts:
-        if t:
-            s = _squarings(A, t)
-            chains[t / 2.0**s] = max(s, chains.get(t / 2.0**s, 0))
-    pade = _count_pade(monkeypatch)
-    products = _count_products(monkeypatch)
-    got = dict(expm_samples(A, ts))
-    # {0.5, 1, 2}, {1.5, 3}, {5, 10} and {7.5} each share one scaled matrix and one chain; 2^-30 has its own
-    assert len(chains) == 5
-    assert len(pade) == len(chains)
-    assert all(products) and len(products) == sum(chains.values())
-    for i, E in expected.items():
-        assert np.array_equal(got[i], E), ts[i]
+    assert all(products) and len(products) == _squarings(A, h) + n
+    for k, (E, ref) in enumerate(zip(squares, expected, strict=True)):
+        assert np.array_equal(E, ref), k
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,12 @@ def test_block_toeplitz_bound_input_validation():
         check_block_toeplitz_symbol_bound(np.ones(2), np.ones(2), n_blocks=3)
 
 
+def test_block_toeplitz_bound_refuses_complex_blocks():
+    # casting to float would drop the imaginary part of B1 and check B0 alone
+    with pytest.raises(ValueError, match="complex"):
+        check_block_toeplitz_symbol_bound(-np.eye(2), 0.5j * np.eye(2), n_blocks=3)
+
+
 # ---------------------------------------------------------------------------
 # block reduction of the diffusion part
 # ---------------------------------------------------------------------------
