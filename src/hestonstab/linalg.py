@@ -4,8 +4,11 @@ logarithmic norms, and the matrix exponential.
 All public operations accept real or complex matrices.  The norm and
 eigenvalue functions return a float from one dense ``eigvalsh``; the
 spectral norm solves the Gram matrix of its argument scaled by a power of
-two.  The sweep's norm scan evaluates the spectral norm of many nearby real
-matrices; above a moderate order a private, warm-started Lanczos kernel on
+two.  The sweep's norm scan decides the spectral norm of many nearby real
+matrices.  Below a moderate order it forms the same scaled Gram matrix and
+first tries a Cholesky factorisation that proves the norm at most a given
+bound (``_gram_bounds_norm``); only an unproved sample gets the
+``eigvalsh``.  Above that order a private, warm-started Lanczos kernel on
 X^T X (``_sigma_max_lanczos``) starts from the Ritz vector of the scan's
 last sample, tests its top Ritz pair every fourth step (an ``eigh`` on
 every step would cost more than the step's two matrix-vector products) and
@@ -126,20 +129,48 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
     return spectral_norm(X), k + 1, None
 
 
+def _scaled_gram(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(G, e): the Gram matrix G = B*B (B B* if A is wide) of B = A / 2^e.
+
+    2^e is the power of two just above the largest entry, so B is exact and G is clear of over-
+    and underflow; A = 0 takes e = -1023, the smallest e the scaling allows.
+    """
+    top = float(np.abs(A).max())
+    e = max(math.frexp(top)[1], -1023) if top else -1023  # 2^-e stays finite for subnormal entries
+    B = A * math.ldexp(1.0, -e)
+    return (B @ B.conj().T if B.shape[0] < B.shape[1] else B.conj().T @ B), e
+
+
+def _gram_sigma_max(G: np.ndarray, e: int) -> float:
+    """||A||_2 = 2^e sqrt(lambda_max(G)) from the scaled Gram matrix (G, e) of A, by one ``eigvalsh``."""
+    return math.ldexp(math.sqrt(float(np.linalg.eigvalsh(G)[-1])), e)
+
+
+def _gram_bounds_norm(G: np.ndarray, e: int, b: float) -> bool:
+    """Whether a Cholesky factorisation of (b / 2^e)^2 I - G proves ||A||_2 <= b.
+
+    (G, e) is the scaled Gram matrix of A.  The factorisation succeeds only if the matrix is
+    positive definite, that is b > ||A||_2, up to the O(n u ||A||_2^2) rounding of forming and
+    factoring it, the same class as the rounding of ``_gram_sigma_max`` (Rump, BIT 46 (2006)).
+    b = 0 proves nothing; for A = 0 any b > 0 does.
+    """
+    scaled = b * 2.0**-e  # a power-of-two scaling: inf, not an OverflowError, past the float range
+    H = -G
+    H[np.diag_indices_from(H)] += scaled * scaled
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def spectral_norm(A) -> float:
     """Largest singular value 2^e sqrt(lambda_max(B*B)) of A by one dense eigensolve.
 
     Square or rectangular, real or complex input.  B = A / 2^e, 2^e the power of two just above
     the largest entry, is exact and keeps B*B (B B* if A is wide) clear of over- and underflow.
     """
-    A = _as_matrix(A)
-    top = float(np.abs(A).max())
-    if top == 0.0:
-        return 0.0
-    e = max(math.frexp(top)[1], -1023)  # 2^-e stays finite for subnormal entries
-    B = A * math.ldexp(1.0, -e)
-    G = B @ B.conj().T if B.shape[0] < B.shape[1] else B.conj().T @ B
-    return math.ldexp(math.sqrt(float(np.linalg.eigvalsh(G)[-1])), e)
+    return _gram_sigma_max(*_scaled_gram(_as_matrix(A)))
 
 
 def log_norm_2(A) -> float:

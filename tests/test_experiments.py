@@ -186,11 +186,14 @@ def test_sweep_overflowing_assembly_is_a_failed_case(sigma):
 
 
 def test_sweep_case_call_counts(monkeypatch):
-    """One m2 = 5 case: one scan cut at the first contractive coarse sample, no t evaluated twice."""
+    """One m2 = 5 case: one scan cut at the first contractive coarse sample, every stencil t
+    decided once, and a norm evaluated only where it raises the running maximum."""
     calls = {"expm_squares": 0, "pade13": 0}
     sampled = []  # t of every sample after t = 0, in scan order
+    proven = []  # t of every sample a Cholesky proof kept at or below the cut or the maximum
     evaluated = []  # t of every norm evaluation, by either kernel
     real_check = experiments._check_finite
+    real_bounds = experiments._gram_bounds_norm
 
     def check(P, t):
         sampled.append(t)
@@ -210,9 +213,16 @@ def test_sweep_case_call_counts(monkeypatch):
 
         return wrapper
 
+    def bounds(G, e, b):
+        holds = real_bounds(G, e, b)
+        if holds:
+            proven.append(sampled[-1])
+        return holds
+
     monkeypatch.setattr(experiments, "_expm_squares", counted("expm_squares", experiments._expm_squares))
     monkeypatch.setattr(linalg, "_pade13", counted("pade13", linalg._pade13))
-    monkeypatch.setattr(experiments, "spectral_norm", norm_at_last_sample(experiments.spectral_norm))
+    monkeypatch.setattr(experiments, "_gram_bounds_norm", bounds)
+    monkeypatch.setattr(experiments, "_gram_sigma_max", norm_at_last_sample(experiments._gram_sigma_max))
     monkeypatch.setattr(
         experiments, "_sigma_max_lanczos", norm_at_last_sample(experiments._sigma_max_lanczos)
     )
@@ -227,14 +237,23 @@ def test_sweep_case_call_counts(monkeypatch):
     A = build_operators(params, grid).diffusion
     k_cut = next(k for k in range(1, 101) if np.linalg.svd(expm(A, k), compute_uv=False)[0] <= 1.0)
     assert (k_cut, rec.t_argmax) == (1, 5 / 64)
-    # coarse: t = 1, evaluated once (its SVD also confirms the cut); levels 1 and 2 keep
-    # t_best = 0 and sample [0, h_prev] less h_prev, sampled before; level 3 samples
-    # [0, 1/8] around t_best = 1/16 less 1/8, and does not evaluate 1/16 again
+    # coarse: t = 1, proven contractive (the cut); levels 1 and 2 keep t_best = 0 and sample
+    # [0, h_prev] less h_prev, sampled before; level 3 samples [0, 1/8] around t_best = 1/16
+    # less 1/8, and does not decide 1/16 again
     earlier = [1.0] + [j / 4 for j in range(1, 4)] + [j / 16 for j in range(1, 4)]
     last = [j / 64 for j in range(1, 8)]
     assert sampled == earlier + last
-    assert evaluated == earlier + [t for t in last if t != 1 / 16]
-    assert len(set(evaluated)) == len(evaluated) == 1 + 3 + 3 + 6
+    decided = earlier + [t for t in last if t != 1 / 16]
+    assert sorted(proven + evaluated) == sorted(decided)
+    assert len(set(proven + evaluated)) == len(decided) == 1 + 3 + 3 + 6
+    # the samples that raise the running maximum, in scan order, by test-side SVDs
+    raisers, running = [], 1.0
+    for t in decided:
+        sigma = np.linalg.svd(expm(A, t), compute_uv=False)[0]
+        if sigma > running:
+            raisers.append(t)
+            running = sigma
+    assert evaluated == raisers == [1 / 16, 5 / 64]
 
 
 @pytest.mark.parametrize("m1,m2,V", [(3, 3, 0.5), (6, 3, 5.0)])
@@ -292,7 +311,7 @@ def test_certified_cutoff_changes_nothing(rho, sigma, L, m2):
     # both norm kernels: dense SVDs at every order, then Lanczos at every order
     for dense_below in (math.inf, 0):
         sampled, evaluated = [], []
-        kernel = "spectral_norm" if dense_below else "_sigma_max_lanczos"
+        kernel = "_gram_sigma_max" if dense_below else "_sigma_max_lanczos"
         norm = getattr(experiments, kernel)
 
         def recorded(*args, **kwargs):
@@ -313,6 +332,20 @@ def test_certified_cutoff_changes_nothing(rho, sigma, L, m2):
     # the sampled maximum bounds the semigroup past the cut and past t_max
     for t in (k_cut, 100.0, 1000.0):
         assert np.linalg.svd(expm(A, t), compute_uv=False)[0] <= value * (1 + 1e-12)
+
+
+def test_scan_kernels_agree_at_order_162(monkeypatch):
+    """On the 12 default m2 = 9 grids (n = 162, below ``_DENSE_BELOW``) the proved dense scan
+    and the Lanczos scan find the same argmax, and maxima within 1e-15 relative."""
+    runs = []
+    for dense_below in (math.inf, 0):
+        monkeypatch.setattr(experiments, "_DENSE_BELOW", dense_below)
+        runs.append(run_sweep(SweepConfig(m2_values=(9,))))
+    assert len(runs[0]) == 12
+    for dense, lanczos in zip(*runs):
+        assert dense.error == lanczos.error == ""
+        assert dense.t_argmax == lanczos.t_argmax
+        assert abs(dense.max_norm2 - lanczos.max_norm2) <= 1e-15 * lanczos.max_norm2
 
 
 def test_scan_samples_are_the_semigroup_at_their_t(monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     hermitian_lambda_max,
@@ -24,7 +25,13 @@ from hestonstab import (
     spectral_norm,
 )
 from hestonstab import experiments, linalg, stability
-from hestonstab.linalg import _expm_squares, _scale_similar, _sigma_max_lanczos
+from hestonstab.linalg import (
+    _expm_squares,
+    _gram_bounds_norm,
+    _scale_similar,
+    _scaled_gram,
+    _sigma_max_lanczos,
+)
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -84,6 +91,28 @@ def test_spectral_norm_matches_svd(shape, complex_, size):
 def test_spectral_norm_of_zero_is_exactly_zero():
     assert spectral_norm(np.zeros((4, 6))) == 0.0
     assert spectral_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    m1=st.integers(3, 16),
+    m2=st.integers(3, 8),
+    rho=st.floats(-1.0, 1.0),
+    sigma=st.floats(0.05, 1.0),
+    L=st.floats(0.0, 400.0),
+    j=st.integers(1, 64 * 100),
+    b=st.floats(0.0, exclude_min=True, allow_infinity=False),
+)
+def test_cholesky_proof_brackets_the_spectral_norm(m1, m2, rho, sigma, L, j, b):
+    """The scan's proof of ||P||_2 <= b holds just above sigma_max and fails just below it."""
+    params = HestonParams(**dict(BASE, sigma=sigma, rho=rho), L=L, S=800.0)
+    P = expm(build_operators(params, make_grid(params, m1, m2)).diffusion, j / 64)
+    top = np.linalg.svd(P, compute_uv=False)[0]
+    G, e = _scaled_gram(P)
+    assert _gram_bounds_norm(G, e, top * (1 + 1e-9))
+    assert not _gram_bounds_norm(G, e, top * (1 - 1e-9))
+    assert not _gram_bounds_norm(G, e, 0.0)
+    assert _gram_bounds_norm(*_scaled_gram(np.zeros_like(P)), b)
 
 
 def test_lambda_max_uniform_negative_shift():
