@@ -16,7 +16,6 @@ from .experiments import (
 from .grid import GridSpec, HestonParams, make_grid, scaling_diagonal
 from .linalg import (
     expm,
-    lambda_max_hermitian,
     log_norm_2,
     log_norm_D,
     log_norm_inf,
@@ -68,7 +67,6 @@ __all__ = [
     "diffusion_block_reduction",
     "expm",
     "format_certificate_report",
-    "lambda_max_hermitian",
     "log_norm_2",
     "log_norm_D",
     "log_norm_inf",

@@ -1,19 +1,20 @@
-"""Core numerical kernels: spectral norm, extreme Hermitian eigenvalue,
-logarithmic norms, and the matrix exponential.
+"""Core numerical kernels: spectral norm, logarithmic norms, and the matrix
+exponential.
 
-All public operations accept real or complex matrices.  The norm and
-eigenvalue functions return a float from one dense ``eigvalsh``; the
-spectral norm solves the Gram matrix of its argument scaled by a power of
-two.  The sweep's norm scan decides the spectral norm of many nearby real
-matrices.  Below a moderate order it forms the same scaled Gram matrix and
-first tries a Cholesky factorisation that proves the norm at most a given
-bound (``_gram_bounds_norm``); only an unproved sample gets the
-``eigvalsh``.  Above that order a private, warm-started Lanczos kernel on
-X^T X (``_sigma_max_lanczos``) starts from the Ritz vector of the scan's
-last sample, tests its top Ritz pair every fourth step (an ``eigh`` on
-every step would cost more than the step's two matrix-vector products) and
-may run as many steps as X^T X has columns; only a breakdown or an
-exhausted Krylov space ends in a dense ``spectral_norm``.
+All public operations accept real or complex matrices.  The spectral norm
+and the logarithmic spectral norm return a float from one dense
+``eigvalsh``; the spectral norm solves the Gram matrix of its argument
+scaled by a power of two.  The sweep's norm scan decides the spectral norm
+of many nearby real matrices.  Below a moderate order it forms the same
+scaled Gram matrix and first tries a Cholesky factorisation that proves the
+norm at most a given bound (``_gram_bounds_norm``); only an unproved sample
+gets the ``eigvalsh``.  Above that order a private, warm-started Lanczos
+kernel on X^T X (``_sigma_max_lanczos``) starts from the Ritz vector of the
+scan's last sample (the first sample from the fixed vector sin(1..n)),
+tests its top Ritz pair every fourth step (an ``eigh`` on every step would
+cost more than the step's two matrix-vector products) and may run as many
+steps as X^T X has columns; only a breakdown or an exhausted Krylov space
+ends in a dense ``spectral_norm``.
 
 ``expm`` evaluates e^{tA} by scaling and squaring, with the fewest
 squarings s that bring ||tA / 2^s||_1 within theta_13.  The private
@@ -31,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "spectral_norm",
-    "lambda_max_hermitian",
     "log_norm_2",
     "log_norm_D",
     "log_norm_inf",
@@ -66,24 +66,6 @@ def _as_real(A) -> np.ndarray:
     return np.asarray(A, dtype=float)
 
 
-def lambda_max_hermitian(H) -> float:
-    """Largest eigenvalue of a Hermitian matrix by a dense LAPACK solve.
-
-    The input must satisfy ||H - H*||_max <= 1e-12 * ||H||_max; the solve
-    runs on the Hermitian part 0.5 (H + H*), so both triangles count.
-    """
-    H = _as_matrix(H)
-    if H.shape[0] != H.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = float(np.abs(H).max())
-    herm_err = float(np.abs(H - H.conj().T).max())
-    if herm_err > 1e-12 * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: asymmetry {herm_err:.3e} exceeds 1e-12 * {scale:.3e}"
-        )
-    return float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[-1])
-
-
 def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
     """Largest singular value of a real matrix X by warm-started Lanczos on X^T X.
 
@@ -93,15 +75,18 @@ def _sigma_max_lanczos(X, v0: np.ndarray | None = None):
     ``_LANCZOS_TEST_EVERY``-th step, at a breakdown and at step n (the order
     of X^T X), and accepted once its residual is at most ``_LANCZOS_TOL *
     theta`` with theta > 0; its vector is the warm start ``v0`` of the next
-    call on a nearby matrix.  Without acceptance after n steps (an exhausted
-    Krylov space), or at a breakdown at theta = 0 (a warm start inside the
-    null space, or X = 0), ``spectral_norm(X)`` gives the value and the
-    vector is None.
+    call on a nearby matrix.  Without a usable ``v0`` the start is
+    (sin 1, ..., sin n), fixed and without structure.  Without acceptance
+    after n steps (an exhausted Krylov space), or at a breakdown at
+    theta = 0 (a warm start inside the null space, or X = 0),
+    ``spectral_norm(X)`` gives the value and the vector is None.
     """
     X = _as_matrix(X)
     ncols = X.shape[1]
     if v0 is None or v0.shape != (ncols,) or not np.linalg.norm(v0) > 0:
-        v0 = np.random.default_rng(0).standard_normal(ncols)
+        # a fixed start without structure: np.ones would miss every odd singular vector of a
+        # persymmetric X
+        v0 = np.sin(np.arange(1.0, ncols + 1))
 
     Q = np.empty((ncols, ncols))
     Q[0] = v0 / np.linalg.norm(v0)

@@ -7,7 +7,10 @@ sufficient symbol conditions on the unit circle that collapse to a single
 tridiagonal family indexed by a real parameter y; and finally per-row
 weighted inequalities that certify the family, split into the cases
 |y| >= 1/2 (a quartic polynomial inequality) and |y| < 1/2 (diagonal
-weights with closed-form row coefficients).
+weights with closed-form row coefficients).  Every matrix of the symbol
+conditions and of the family is real plus i Im(zeta) or i y times a real
+matrix, so a conjugate zeta or -y gives the conjugate matrix: the checks
+sample the closed upper half circle and y >= 0 only.
 
 The certificates of the stability bounds themselves are log norms:
 mu_2 of the two advection blocks and mu_D of the diffusion part.  A log
@@ -27,7 +30,6 @@ import numpy as np
 from .grid import GridSpec, scaling_diagonal
 from .linalg import (
     _as_real,
-    lambda_max_hermitian,
     log_norm_2,
     log_norm_D,
     log_norm_inf,
@@ -49,27 +51,17 @@ __all__ = [
     "format_certificate_report",
 ]
 
-#: Sample set for the real parameter of the tridiagonal family.
-DEFAULT_Y_SAMPLES = (
-    0.0,
-    0.1,
-    -0.1,
-    0.25,
-    -0.25,
-    0.49,
-    -0.49,
-    0.5,
-    -0.5,
-    0.6,
-    -0.6,
-    1.0,
-    -1.0,
-    5.0,
-    -5.0,
-)
+#: Sample set y >= 0 of the real parameter of the tridiagonal family; -y
+#: gives the conjugate family matrix, with the same spectrum and row certificate.
+DEFAULT_Y_SAMPLES = (0.0, 0.1, 0.25, 0.49, 0.5, 0.6, 1.0, 5.0)
 
-#: Number of unit-circle samples (roots of unity) of the symbol checks.
+#: Order n of the roots of unity e^{2 pi i k / n} that the symbol checks sample.
 DEFAULT_ZETA_SAMPLES = 64
+
+# The roots of unity both symbol checks sample: k = 0..n/2, the closed upper half circle.
+_UPPER_ZETAS = tuple(
+    cmath.exp(2j * math.pi * k / DEFAULT_ZETA_SAMPLES) for k in range(DEFAULT_ZETA_SAMPLES // 2 + 1)
+)
 
 # Rounding allowance of every check, relative to the check's own scale.
 _CHECK_TOL = 1e-8
@@ -177,9 +169,11 @@ def check_block_toeplitz_symbol_bound(B0, B1, n_blocks: int) -> BoundCheck:
     """Log-norm of a block tridiagonal Toeplitz matrix vs its symbol maximum.
 
     Assembles B = I (x) B0 + E (x) B1 + E^T (x) B1^T with n_blocks blocks and
-    checks mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] over the DEFAULT_ZETA_SAMPLES
-    roots of unity; the one-sided companion B0 + 2 zeta B1 has the Hermitian
-    part of the full symbol B0 + zeta B1 + zeta^{-1} B1^T.  The check tolerance
+    checks mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] over the roots of unity
+    zeta_k = e^{2 pi i k / DEFAULT_ZETA_SAMPLES} on the closed upper half
+    circle (B0, B1 are real, so conjugate zeta give conjugate companions);
+    the one-sided companion B0 + 2 zeta B1 has the Hermitian part of the
+    full symbol B0 + zeta B1 + zeta^{-1} B1^T.  The check tolerance
     is 1e-9 times the largest entry (at least 1) plus the sampling slack
     2 ||B1||_2 times the maximal chord distance to a sample, since the sampled
     maximum can fall below the true maximum over the circle by at most that
@@ -195,11 +189,7 @@ def check_block_toeplitz_symbol_bound(B0, B1, n_blocks: int) -> BoundCheck:
             f"B0 and B1 must be square matrices of equal size, got shapes {B0.shape} and {B1.shape}"
         )
     lhs = log_norm_2(_block_toeplitz(B0, B1, n_blocks))
-    # B0, B1 are real, so the companions of conjugate zeta are conjugate: k <= n/2 suffice
-    zetas = (
-        cmath.exp(2j * math.pi * k / DEFAULT_ZETA_SAMPLES) for k in range(DEFAULT_ZETA_SAMPLES // 2 + 1)
-    )
-    rhs = max(log_norm_2(B0 + 2.0 * zeta * B1) for zeta in zetas)
+    rhs = max(log_norm_2(B0 + 2.0 * zeta * B1) for zeta in _UPPER_ZETAS)
     slack = 2.0 * spectral_norm(B1) * 2.0 * math.sin(math.pi / (2 * DEFAULT_ZETA_SAMPLES))
     scale = max(1.0, float(np.abs(B0).max()), float(np.abs(B1).max()))
     return BoundCheck("block_toeplitz_symbol_bound", lhs, rhs, slack + _TOEPLITZ_TOL * scale)
@@ -254,16 +244,18 @@ def _lambda_max_real_spectrum(T: np.ndarray, name: str) -> float:
 def check_symbol_conditions(ops: OperatorSet):
     """Evaluate the chain of sufficient symbol conditions on ``ops.grid``.
 
-    For each of the DEFAULT_ZETA_SAMPLES unit-modulus zeta two equivalent
+    For each root of unity zeta_k = e^{2 pi i k / DEFAULT_ZETA_SAMPLES} on the
+    closed upper half circle, k = 0..DEFAULT_ZETA_SAMPLES/2, two equivalent
     conditions are checked: the Hermitian form built from the symmetrized
     scaled operators (lambda_max <= 2 sv^2 (1 - Re zeta)) and its
     diagonal-similarity transform in terms of the 1-D convection/diffusion
     operators (lambda_max <= sv^2 (1 - Re zeta)).  Their margins must agree
     up to the factor 2 from the similarity; a violation raises.  For each y
     of DEFAULT_Y_SAMPLES the collapsed condition
-    lambda_max[diff_1d + (1/2 + 2iy) adv_1d] <= 2 y^2 is checked.  Every
-    check allows 1e-8 times the largest entry of diff_sym (at least 1).
-    Returns the full list of BoundChecks.
+    lambda_max[diff_1d + (1/2 + 2iy) adv_1d] <= 2 y^2 is checked.  A
+    conjugate zeta or a negative y gives the conjugate matrix and the same
+    check.  Every check allows 1e-8 times the largest entry of diff_sym (at
+    least 1).  Returns the full list of BoundChecks.
     """
     sv = ops.params.sigma / ops.grid.dv
     sym_part = 0.5 * (ops.diff_sym + ops.diff_sym.T)
@@ -271,22 +263,21 @@ def check_symbol_conditions(ops: OperatorSet):
     scale = max(1.0, float(np.abs(ops.diff_sym).max()))
     tol = _CHECK_TOL * scale
 
-    # both lhs matrices depend on |Im zeta| only (-Im zeta conjugates them): n/4 + 1 pairs of solves
+    # both lhs matrices depend on Im zeta only, which zeta_k and zeta_{n/2-k} share:
+    # n/4 + 1 pairs of solves
     half = DEFAULT_ZETA_SAMPLES // 2
     lhs = []
-    for j in range(half // 2 + 1):
-        im = cmath.exp(2j * math.pi * j / DEFAULT_ZETA_SAMPLES).imag
-        lhs_a = lambda_max_hermitian(sym_part + 2j * im * ops.params.rho * sv * ops.adv_sym)
-        T = conv_part + 1j * im * ops.params.rho * sv * ops.adv_1d
+    for zeta in _UPPER_ZETAS[: half // 2 + 1]:
+        lhs_a = log_norm_2(sym_part + 2j * zeta.imag * ops.params.rho * sv * ops.adv_sym)
+        T = conv_part + 1j * zeta.imag * ops.params.rho * sv * ops.adv_1d
         lhs.append((lhs_a, _lambda_max_real_spectrum(T, "convection-form symbol condition")))
 
     checks = []
-    for k in range(DEFAULT_ZETA_SAMPLES):
-        re = cmath.exp(2j * math.pi * k / DEFAULT_ZETA_SAMPLES).real
-        lhs_a, lhs_b = lhs[min(k % half, half - k % half)]
-        rhs_a = 2.0 * sv**2 * (1.0 - re)
+    for k, zeta in enumerate(_UPPER_ZETAS):
+        lhs_a, lhs_b = lhs[min(k, half - k)]
+        rhs_a = 2.0 * sv**2 * (1.0 - zeta.real)
         check_a = BoundCheck(f"scaled_symbol_cond[zeta={k}/{DEFAULT_ZETA_SAMPLES}]", lhs_a, rhs_a, tol)
-        rhs_b = sv**2 * (1.0 - re)
+        rhs_b = sv**2 * (1.0 - zeta.real)
         check_b = BoundCheck(f"convection_symbol_cond[zeta={k}/{DEFAULT_ZETA_SAMPLES}]", lhs_b, rhs_b, tol)
         if abs(check_a.margin - 2.0 * check_b.margin) > 1e-6 * scale:
             raise ArithmeticError(
@@ -295,12 +286,10 @@ def check_symbol_conditions(ops: OperatorSet):
             )
         checks.extend((check_a, check_b))
 
-    family = {}  # |y| -> lhs: the matrices of y and -y are conjugate
     for y in DEFAULT_Y_SAMPLES:
-        if abs(y) not in family:
-            T = ops.diff_1d + (0.5 + 2j * abs(y)) * ops.adv_1d
-            family[abs(y)] = _lambda_max_real_spectrum(T, "tridiagonal family")
-        checks.append(BoundCheck(f"tridiag_family_cond[y={y:g}]", family[abs(y)], 2.0 * y**2, tol))
+        T = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
+        lam = _lambda_max_real_spectrum(T, "tridiagonal family")
+        checks.append(BoundCheck(f"tridiag_family_cond[y={y:g}]", lam, 2.0 * y**2, tol))
     return checks
 
 
@@ -328,8 +317,8 @@ def certificate_case_large_y(ops: OperatorSet, y: float):
     2 y^2; with theta = 4 y^2 >= 1 the generic row inequality is equivalent
     to the quartic 4 th(th-1) nu_i^4 + th^2 (4 th - 1) nu_i^2 + th^4 >= 0,
     which holds identically.  Returns the per-row data and the overall check
-    that the logarithmic maximum norm of the family matrix
-    diff_1d + (1/2 + 2iy) adv_1d is at most 2 y^2, up to 1e-8.
+    ``family_log_norm_inf[y=...]`` that the logarithmic maximum norm of the
+    family matrix diff_1d + (1/2 + 2iy) adv_1d is at most 2 y^2, up to 1e-8.
     """
     if abs(y) < 0.5:
         raise ValueError(f"this certificate covers |y| >= 1/2, got y = {y}")
@@ -349,7 +338,7 @@ def certificate_case_large_y(ops: OperatorSet, y: float):
         for i in range(grid.m1)
     ]
     family = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
-    check = BoundCheck("family_log_norm_inf[large_y]", log_norm_inf(family), 2.0 * y**2, _CHECK_TOL)
+    check = BoundCheck(f"family_log_norm_inf[y={y:g}]", log_norm_inf(family), 2.0 * y**2, _CHECK_TOL)
     return rows, check
 
 
@@ -367,8 +356,8 @@ def certificate_case_small_y(ops: OperatorSet, y: float):
     (both evaluated in extended precision) on interior rows; a mismatch
     raises.  A boundary row uses the interior expressions with its missing
     neighbour's term set to 0, and reports a from the bracket.  Returns the
-    per-row data and the overall check that the weighted row maximum is at
-    most 2 y^2, up to 1e-8.
+    per-row data and the overall check ``family_weighted_row_bound[y=...]``
+    that the weighted row maximum is at most 2 y^2, up to 1e-8.
     """
     if abs(y) >= 0.5:
         raise ValueError(f"this certificate covers |y| < 1/2, got y = {y}")
@@ -403,7 +392,7 @@ def certificate_case_small_y(ops: OperatorSet, y: float):
         for i, (nu_i, al, be, ga, eps_i, a_i, a_br, b_i) in enumerate(columns, start=1)
     ]
     check = BoundCheck(
-        "family_weighted_row_bound[small_y]", float(weighted.max()), 2.0 * y**2, _CHECK_TOL
+        f"family_weighted_row_bound[y={y:g}]", float(weighted.max()), 2.0 * y**2, _CHECK_TOL
     )
     return rows, check
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -280,6 +281,22 @@ def test_main_certificate(tmp_path, capsys):
     text = path.read_text()
     assert "row i=1" in text
     assert "holds=true" in text
+
+
+@pytest.mark.parametrize(
+    "grid", [["--m2", "4"], ["--m2", "4", "--m1", "6", "--rho", "0.9"],
+             ["--m2", "5", "--rho", "-1", "--L", "10", "--sigma", "0.1"]],
+    ids=["m2_4", "m2_4_m1_6_rho0.9", "m2_5_rho-1_L10"],
+)
+def test_certificate_prints_each_distinct_check_once(grid, capsys):
+    # conjugate zeta and -y give the same condition, so they take no line of their own
+    assert main(["certificate", *grid]) == 0
+    printed = re.findall(r"^PASS ([^:]+): lhs=(\S+) rhs=(\S+) ", capsys.readouterr().out, re.M)
+    assert len(printed) == 83
+    assert len({name for name, _, _ in printed}) == len(printed)
+    symbol = [(name.split("[")[0], lhs, rhs) for name, lhs, rhs in printed if "_cond[" in name]
+    assert len(symbol) == 2 * 33 + 8
+    assert len(set(symbol)) == len(symbol)
 
 
 def test_main_operators_dump(tmp_path, capsys):

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +438,25 @@ def test_no_path_calls_dense_svd(monkeypatch):
     assert max_norm_over_t(A) == dense
     assert fallbacks and all(f == (None, A.shape[0], True) for f in fallbacks)
     assert main(["check", "--m2", "3"]) == 0
+
+
+def test_lanczos_path_scan_leaves_numpy_random_unloaded():
+    # n = 22 * 11 = 242: every sample of the scan takes the Lanczos kernel, from a cold start first
+    assert 22 * 11 >= experiments._DENSE_BELOW
+    code = (
+        "import sys\n"
+        "from hestonstab import HestonParams, build_operators, make_grid, max_norm_over_t\n"
+        "params = HestonParams(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)\n"
+        "max_norm_over_t(build_operators(params, make_grid(params, 22, 11)).diffusion)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_max_norm_samples_stay_within_t_max(monkeypatch):

@@ -56,7 +56,7 @@ def test_certificate_chain_holds_on_the_parameter_box(rho, sigma, S, L_fraction,
     _, B0, B1 = diffusion_block_reduction(ops)
     assert check_block_toeplitz_symbol_bound(B0, B1, grid.m2).holds
     assert all(c.holds for c in check_symbol_conditions(ops))
-    for y in DEFAULT_Y_SAMPLES:
+    for y in (*DEFAULT_Y_SAMPLES, *(-y for y in DEFAULT_Y_SAMPLES if y)):
         if abs(y) >= 0.5:
             _, check = certificate_case_large_y(ops, y)
         else:

@@ -249,25 +249,47 @@ def test_symbol_condition_at_zeta_one_has_zero_rhs():
 
 @pytest.mark.parametrize("rho", [-0.7, 1.0])
 def test_symbol_conditions_match_every_sample_solved(rho):
-    # one solve per zeta and per y, against the values shared between conjugate samples
+    # one solve per zeta of the whole circle and per y, against the values shared between samples
     params, grid, ops = _setup(m1=8, m2=5, rho=rho)
     sv = params.sigma / grid.dv
     sym_part = 0.5 * (ops.diff_sym + ops.diff_sym.T)
     scale = max(1.0, float(np.abs(ops.diff_sym).max()))
     checks = check_symbol_conditions(ops)
+    assert len(checks) == 2 * 33 + len(stability.DEFAULT_Y_SAMPLES)
     for k in range(64):
-        im = cmath.exp(2j * math.pi * k / 64).imag
-        herm = sym_part + 2j * im * rho * sv * ops.adv_sym
-        T = ops.diff_1d + 0.5 * ops.adv_1d + 1j * im * rho * sv * ops.adv_1d
-        check_a, check_b = checks[2 * k], checks[2 * k + 1]
-        assert check_a.name == f"scaled_symbol_cond[zeta={k}/64]"
+        zeta = cmath.exp(2j * math.pi * k / 64)
+        herm = sym_part + 2j * zeta.imag * rho * sv * ops.adv_sym
+        T = ops.diff_1d + 0.5 * ops.adv_1d + 1j * zeta.imag * rho * sv * ops.adv_1d
+        row = min(k, 64 - k)  # a lower-half zeta is checked as its conjugate
+        check_a, check_b = checks[2 * row], checks[2 * row + 1]
+        assert check_a.name == f"scaled_symbol_cond[zeta={row}/64]"
+        assert check_b.name == f"convection_symbol_cond[zeta={row}/64]"
         assert abs(check_a.lhs - float(np.linalg.eigvalsh(herm)[-1])) <= 1e-12 * scale
         assert abs(check_b.lhs - float(np.linalg.eigvals(T).real.max())) <= 1e-12 * scale
-    family = checks[128:]
-    assert len(family) == len(stability.DEFAULT_Y_SAMPLES)
+        assert abs(check_a.rhs - 2.0 * sv**2 * (1.0 - zeta.real)) <= 1e-12 * scale
+        assert abs(check_b.rhs - sv**2 * (1.0 - zeta.real)) <= 1e-12 * scale
+    family = checks[66:]
     for check, y in zip(family, stability.DEFAULT_Y_SAMPLES):
         T = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
+        assert check.name == f"tridiag_family_cond[y={y:g}]"
         assert abs(check.lhs - float(np.linalg.eigvals(T).real.max())) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("y", [y for y in stability.DEFAULT_Y_SAMPLES if y])
+def test_negative_y_is_the_conjugate_family(y):
+    # -y conjugates the family matrix: the same spectrum and, row by row, the same certificate
+    _, _, ops = _setup(m1=8, m2=5, rho=-0.7, L=10.0)
+    certify = certificate_case_large_y if y >= 0.5 else certificate_case_small_y
+    rows, check = certify(ops, y)
+    rows_neg, check_neg = certify(ops, -y)
+    assert [dataclasses.replace(r, y=y) for r in rows_neg] == rows
+    assert all(r.y == -y for r in rows_neg)
+    assert (check_neg.lhs, check_neg.rhs) == (check.lhs, check.rhs)
+    lam, lam_neg = (
+        stability._lambda_max_real_spectrum(ops.diff_1d + (0.5 + 2j * x) * ops.adv_1d, "family")
+        for x in (y, -y)
+    )
+    assert abs(lam - lam_neg) <= 1e-12 * max(1.0, float(np.abs(ops.diff_sym).max()))
 
 
 def test_family_condition_at_y_zero():
