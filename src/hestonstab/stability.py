@@ -10,7 +10,9 @@ weighted inequalities that certify the family, split into the cases
 weights with closed-form row coefficients).  Every matrix of the symbol
 conditions and of the family is real plus i Im(zeta) or i y times a real
 matrix, so a conjugate zeta or -y gives the conjugate matrix: the checks
-sample the closed upper half circle and y >= 0 only.
+sample the closed upper half circle and y >= 0 only.  Each sample set takes
+one batched ``eigvalsh``; the uniform grid (nu_{i+1} = nu_i + 1) makes the
+tridiagonal convection-form and family matrices similar to real symmetric ones.
 
 The certificates of the stability bounds themselves are log norms:
 mu_2 of the two advection blocks and mu_D of the diffusion part.  A log
@@ -189,7 +191,8 @@ def check_block_toeplitz_symbol_bound(B0, B1, n_blocks: int) -> BoundCheck:
             f"B0 and B1 must be square matrices of equal size, got shapes {B0.shape} and {B1.shape}"
         )
     lhs = log_norm_2(_block_toeplitz(B0, B1, n_blocks))
-    rhs = max(log_norm_2(B0 + 2.0 * zeta * B1) for zeta in _UPPER_ZETAS)
+    companions = B0 + 2.0 * np.array(_UPPER_ZETAS)[:, None, None] * B1
+    rhs = float(np.linalg.eigvalsh(0.5 * (companions + companions.conj().swapaxes(1, 2)))[:, -1].max())
     slack = 2.0 * spectral_norm(B1) * 2.0 * math.sin(math.pi / (2 * DEFAULT_ZETA_SAMPLES))
     scale = max(1.0, float(np.abs(B0).max()), float(np.abs(B1).max()))
     return BoundCheck("block_toeplitz_symbol_bound", lhs, rhs, slack + _TOEPLITZ_TOL * scale)
@@ -227,50 +230,57 @@ def diffusion_block_reduction(ops: OperatorSet):
     return B, B0, B1
 
 
-def _lambda_max_real_spectrum(T: np.ndarray, name: str) -> float:
-    """Largest eigenvalue of a matrix whose spectrum is real.
+def _lambda_max_tridiagonal(T: np.ndarray, name: str) -> np.ndarray:
+    """Largest eigenvalue of each tridiagonal matrix of a stack T (..., m, m).
 
-    The certificate matrices are diagonally similar to Hermitian ones, so
-    their eigenvalues are real up to roundoff; a significant imaginary part
-    indicates the wrong matrix was passed.
+    A real diagonal and real products p_i = T[i, i+1] T[i+1, i] >= 0 make T diagonally similar
+    to the real symmetric tridiagonal J with the same diagonal and off-diagonal sqrt(p_i)
+    (Wilkinson, The Algebraic Eigenvalue Problem, 1965); one batched ``eigvalsh`` solves every J.
+    An entry outside the band or an imaginary diagonal part beyond 1e-8 max(1, max |T|), or a
+    product's imaginary or negative part beyond 1e-8 max(1, max |T|)^2, raises ValueError.
     """
-    evals = np.linalg.eigvals(T)
-    scale = max(1.0, float(np.abs(evals).max()))
-    if float(np.abs(evals.imag).max()) > 1e-8 * scale:
-        raise ValueError(f"{name}: spectrum is not real; wrong matrix?")
-    return float(evals.real.max())
+    i = np.arange(T.shape[-1])
+    scale = max(1.0, float(np.abs(T).max()))
+    outside = np.abs(T[..., np.abs(i[:, None] - i) > 1]).max(initial=0.0)
+    prod = T[..., i[:-1], i[1:]] * T[..., i[1:], i[:-1]]
+    if (max(outside, np.abs(T[..., i, i].imag).max()) > 1e-8 * scale
+            or max(np.abs(prod.imag).max(), -prod.real.min()) > 1e-8 * scale**2):
+        raise ValueError(f"{name}: not tridiagonal with a real diagonal and real products >= 0")
+    J = np.zeros(T.shape)
+    J[..., i, i] = T[..., i, i].real
+    J[..., i[1:], i[:-1]] = J[..., i[:-1], i[1:]] = np.sqrt(np.maximum(prod.real, 0.0))
+    return np.linalg.eigvalsh(J)[..., -1]
 
 
 def check_symbol_conditions(ops: OperatorSet):
     """Evaluate the chain of sufficient symbol conditions on ``ops.grid``.
 
-    For each root of unity zeta_k = e^{2 pi i k / DEFAULT_ZETA_SAMPLES} on the
-    closed upper half circle, k = 0..DEFAULT_ZETA_SAMPLES/2, two equivalent
-    conditions are checked: the Hermitian form built from the symmetrized
-    scaled operators (lambda_max <= 2 sv^2 (1 - Re zeta)) and its
-    diagonal-similarity transform in terms of the 1-D convection/diffusion
-    operators (lambda_max <= sv^2 (1 - Re zeta)).  Their margins must agree
-    up to the factor 2 from the similarity; a violation raises.  For each y
-    of DEFAULT_Y_SAMPLES the collapsed condition
-    lambda_max[diff_1d + (1/2 + 2iy) adv_1d] <= 2 y^2 is checked.  A
-    conjugate zeta or a negative y gives the conjugate matrix and the same
-    check.  Every check allows 1e-8 times the largest entry of diff_sym (at
-    least 1).  Returns the full list of BoundChecks.
+    For each root of unity zeta_k = e^{2 pi i k / DEFAULT_ZETA_SAMPLES} on the closed upper
+    half circle, k = 0..DEFAULT_ZETA_SAMPLES/2, two equivalent conditions are checked: the
+    Hermitian form built from the symmetrized scaled operators (lambda_max <= 2 sv^2 (1 - Re zeta))
+    and its diagonal-similarity transform in terms of the 1-D convection/diffusion operators
+    (lambda_max <= sv^2 (1 - Re zeta)).  Their margins must agree up to the factor 2 from the
+    similarity; a violation raises.  For each y of DEFAULT_Y_SAMPLES the collapsed condition
+    lambda_max[diff_1d + (1/2 + 2iy) adv_1d] <= 2 y^2 is checked.  A conjugate zeta or a
+    negative y gives the conjugate matrix and the same check.  Each condition takes one batched
+    ``eigvalsh``: of 0.5 (M + M^H) for the Hermitian form, bitwise ``log_norm_2`` of each
+    sample, and of the real symmetric similarity transforms for the two tridiagonal ones.
+    Every check allows 1e-8 times the largest entry of diff_sym (at least 1).  Returns the
+    full list of BoundChecks.
     """
     sv = ops.params.sigma / ops.grid.dv
     sym_part = 0.5 * (ops.diff_sym + ops.diff_sym.T)
-    conv_part = ops.diff_1d + 0.5 * ops.adv_1d
     scale = max(1.0, float(np.abs(ops.diff_sym).max()))
     tol = _CHECK_TOL * scale
 
     # both lhs matrices depend on Im zeta only, which zeta_k and zeta_{n/2-k} share:
-    # n/4 + 1 pairs of solves
+    # n/4 + 1 samples, each condition solved in one batched eigvalsh
     half = DEFAULT_ZETA_SAMPLES // 2
-    lhs = []
-    for zeta in _UPPER_ZETAS[: half // 2 + 1]:
-        lhs_a = log_norm_2(sym_part + 2j * zeta.imag * ops.params.rho * sv * ops.adv_sym)
-        T = conv_part + 1j * zeta.imag * ops.params.rho * sv * ops.adv_1d
-        lhs.append((lhs_a, _lambda_max_real_spectrum(T, "convection-form symbol condition")))
+    im = np.array([zeta.imag for zeta in _UPPER_ZETAS[: half // 2 + 1]])[:, None, None]
+    herm = sym_part + 2j * im * ops.params.rho * sv * ops.adv_sym
+    conv = ops.diff_1d + 0.5 * ops.adv_1d + 1j * im * ops.params.rho * sv * ops.adv_1d
+    lhs_herm = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(1, 2)))[:, -1]
+    lhs = list(zip(lhs_herm.tolist(), _lambda_max_tridiagonal(conv, "convection-form condition").tolist()))
 
     checks = []
     for k, zeta in enumerate(_UPPER_ZETAS):
@@ -286,9 +296,9 @@ def check_symbol_conditions(ops: OperatorSet):
             )
         checks.extend((check_a, check_b))
 
-    for y in DEFAULT_Y_SAMPLES:
-        T = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
-        lam = _lambda_max_real_spectrum(T, "tridiagonal family")
+    ys = np.array(DEFAULT_Y_SAMPLES)[:, None, None]
+    family = _lambda_max_tridiagonal(ops.diff_1d + (0.5 + 2j * ys) * ops.adv_1d, "tridiagonal family")
+    for y, lam in zip(DEFAULT_Y_SAMPLES, family.tolist()):
         checks.append(BoundCheck(f"tridiag_family_cond[y={y:g}]", lam, 2.0 * y**2, tol))
     return checks
 

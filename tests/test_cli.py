@@ -283,6 +283,16 @@ def test_main_certificate(tmp_path, capsys):
     assert "holds=true" in text
 
 
+def test_certificate_takes_no_general_eigensolve(monkeypatch, capsys):
+    # every eigenvalue of the certificate chain comes from a symmetric or Hermitian solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert main(["certificate", "--m2", "5", "--rho", "-0.7", "--L", "10"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "grid", [["--m2", "4"], ["--m2", "4", "--m1", "6", "--rho", "0.9"],
              ["--m2", "5", "--rho", "-1", "--L", "10", "--sigma", "0.1"]],

@@ -64,6 +64,47 @@ def test_certificate_chain_holds_on_the_parameter_box(rho, sigma, S, L_fraction,
         assert check.holds, (y, check)
 
 
+_CORRELATION_BOX = dict(
+    rho=st.floats(-1.0, 1.0),
+    sigma=st.floats(0.05, 1.0),
+    S=st.floats(50.0, 2000.0),
+    L_fraction=st.floats(0.0, 0.9),
+    V=st.floats(0.5, 10.0),
+    m1=st.integers(3, 20),
+    m2=st.integers(3, 8),
+)
+
+
+def _diffusion_at(rhos, sigma, S, L_fraction, V, m1, m2):
+    """The grid and the diffusion part at each correlation of ``rhos``, all else fixed."""
+    parts = []
+    for rho in rhos:
+        params = HestonParams(
+            r=0.05, kappa=2.0, eta=0.04, sigma=sigma, rho=rho, L=L_fraction * S, S=S, V=V
+        )
+        grid = make_grid(params, m1, m2)
+        parts.append(build_operators(params, grid).diffusion)
+    return grid, parts
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(**_CORRELATION_BOX)
+def test_diffusion_is_affine_in_the_correlation(rho, sigma, S, L_fraction, V, m1, m2):
+    _, (A, A_lo, A_hi) = _diffusion_at((rho, -1.0, 1.0), sigma, S, L_fraction, V, m1, m2)
+    affine = ((1.0 - rho) * A_lo + (1.0 + rho) * A_hi) / 2.0
+    assert np.abs(A - affine).max() <= 1e-15 * np.abs(A).max()
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(**_CORRELATION_BOX)
+def test_log_norm_D_is_at_most_its_larger_end_value(rho, sigma, S, L_fraction, V, m1, m2):
+    # mu_D of an affine family is convex in rho, so it stays below the larger of mu_D(-1), mu_D(1)
+    grid, parts = _diffusion_at((rho, -1.0, 1.0), sigma, S, L_fraction, V, m1, m2)
+    d = scaling_diagonal(grid)
+    mu, mu_lo, mu_hi = (log_norm_D(A, d) for A in parts)
+    assert mu <= max(mu_lo, mu_hi) + 1e-12 * np.abs(parts[0]).max()
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(
     m1=st.integers(3, 24),

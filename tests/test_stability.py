@@ -275,6 +275,85 @@ def test_symbol_conditions_match_every_sample_solved(rho):
         assert abs(check.lhs - float(np.linalg.eigvals(T).real.max())) <= 1e-12 * scale
 
 
+# three grids with m1 != 2 m2, a barrier L > 0 and an interior correlation
+_ORACLE_GRIDS = [
+    dict(m1=6, m2=4, rho=-0.7, L=10.0, sigma=0.2),
+    dict(m1=5, m2=4, rho=0.4, L=100.0, sigma=0.5),
+    dict(m1=7, m2=3, rho=0.9, L=300.0, sigma=1.0),
+]
+
+
+@pytest.mark.parametrize("grid", _ORACLE_GRIDS, ids=["m1=6", "m1=5", "m1=7"])
+def test_tridiagonal_lhs_match_a_40_digit_eigensolve(grid):
+    # the convection-form and family conditions against mpmath's general eigensolver
+    # on the same float matrices, to 1e-15 of the scale
+    mpmath = pytest.importorskip("mpmath")
+    params, grid_spec, ops = _setup(**grid)
+    sv = params.sigma / grid_spec.dv
+    scale = max(1.0, float(np.abs(ops.diff_sym).max()))
+    checks = {c.name: c for c in check_symbol_conditions(ops)}
+
+    def lambda_max_40_digits(T):
+        with mpmath.workdps(40):
+            evals = mpmath.eig(mpmath.matrix(T.tolist()), left=False, right=False)
+            return max(float(mpmath.re(e)) for e in evals)
+
+    conv = [
+        lambda_max_40_digits(ops.diff_1d + 0.5 * ops.adv_1d
+                             + 1j * cmath.exp(2j * math.pi * k / 64).imag * params.rho * sv * ops.adv_1d)
+        for k in range(17)
+    ]
+    for k in range(33):  # zeta_k and zeta_{32-k} share Im zeta
+        lhs = checks[f"convection_symbol_cond[zeta={k}/64]"].lhs
+        assert abs(lhs - conv[min(k, 32 - k)]) <= 1e-15 * scale, k
+    for y in stability.DEFAULT_Y_SAMPLES:
+        lam = lambda_max_40_digits(ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d)
+        assert abs(checks[f"tridiag_family_cond[y={y:g}]"].lhs - lam) <= 1e-15 * scale, y
+
+
+@pytest.mark.parametrize("grid", _ORACLE_GRIDS, ids=["m1=6", "m1=5", "m1=7"])
+def test_hermitian_lhs_and_block_toeplitz_rhs_are_per_sample_log_norms(grid):
+    # the batched solves give, bit for bit, the per-sample log_norm_2 of each matrix
+    params, grid_spec, ops = _setup(**grid)
+    sv = params.sigma / grid_spec.dv
+    sym_part = 0.5 * (ops.diff_sym + ops.diff_sym.T)
+    checks = {c.name: c for c in check_symbol_conditions(ops)}
+    zetas = [cmath.exp(2j * math.pi * k / 64) for k in range(33)]
+    for k, zeta in enumerate(zetas):
+        row = min(k, 32 - k)  # zeta_k and zeta_{32-k} share Im zeta
+        herm = sym_part + 2j * zetas[row].imag * params.rho * sv * ops.adv_sym
+        assert checks[f"scaled_symbol_cond[zeta={k}/64]"].lhs == log_norm_2(herm)
+    _, B0, B1 = diffusion_block_reduction(ops)
+    bound = check_block_toeplitz_symbol_bound(B0, B1, grid_spec.m2)
+    assert bound.rhs == max(log_norm_2(B0 + 2.0 * zeta * B1) for zeta in zetas)
+
+
+def test_lambda_max_tridiagonal_of_a_2x2_is_its_closed_form():
+    a, b, c = -1.5, 2.0, 0.5
+    assert stability._lambda_max_tridiagonal(np.array([[a, b], [c, a]]), "t") == pytest.approx(
+        a + math.sqrt(b * c), abs=1e-15
+    )
+    # a zero product leaves a reducible matrix: its eigenvalues are the diagonal
+    assert stability._lambda_max_tridiagonal(np.array([[1.0, 0.0], [5.0, 2.0]]), "t") == 2.0
+    # a stack is solved matrix by matrix
+    stack = np.array([[[a, b], [c, a]], [[1.0, 0.0], [5.0, 2.0]]])
+    assert stability._lambda_max_tridiagonal(stack, "t") == pytest.approx([a + 1.0, 2.0], abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),  # spectrum +-i: a negative product
+        np.array([np.eye(3), np.eye(3) + np.eye(3, k=2)]),  # one entry outside the band
+        np.array([[1.0 + 1j, 1.0], [1.0, 0.0]]),  # a complex diagonal
+    ],
+    ids=["negative-product", "outside-band", "complex-diagonal"],
+)
+def test_lambda_max_tridiagonal_refuses_a_matrix_without_its_similarity(T):
+    with pytest.raises(ValueError, match="family: not tridiagonal"):
+        stability._lambda_max_tridiagonal(T, "family")
+
+
 @pytest.mark.parametrize("y", [y for y in stability.DEFAULT_Y_SAMPLES if y])
 def test_negative_y_is_the_conjugate_family(y):
     # -y conjugates the family matrix: the same spectrum and, row by row, the same certificate
@@ -286,7 +365,7 @@ def test_negative_y_is_the_conjugate_family(y):
     assert all(r.y == -y for r in rows_neg)
     assert (check_neg.lhs, check_neg.rhs) == (check.lhs, check.rhs)
     lam, lam_neg = (
-        stability._lambda_max_real_spectrum(ops.diff_1d + (0.5 + 2j * x) * ops.adv_1d, "family")
+        float(np.linalg.eigvals(ops.diff_1d + (0.5 + 2j * x) * ops.adv_1d).real.max())
         for x in (y, -y)
     )
     assert abs(lam - lam_neg) <= 1e-12 * max(1.0, float(np.abs(ops.diff_sym).max()))
