@@ -21,14 +21,7 @@ from .linalg import (
     log_norm_inf,
     spectral_norm,
 )
-from .operators import (
-    OperatorSet,
-    StencilSet,
-    build_operators,
-    build_stencils,
-    operator_block,
-    tridiag,
-)
+from .operators import OperatorSet, build_operators, operator_block
 from .stability import (
     BoundCheck,
     CertificateRow,
@@ -52,11 +45,9 @@ __all__ = [
     "GridSpec",
     "HestonParams",
     "OperatorSet",
-    "StencilSet",
     "SweepConfig",
     "SweepRecord",
     "build_operators",
-    "build_stencils",
     "certificate_case_large_y",
     "certificate_case_small_y",
     "check_advection_bounds",
@@ -76,5 +67,4 @@ __all__ = [
     "run_sweep",
     "scaling_diagonal",
     "spectral_norm",
-    "tridiag",
 ]

@@ -202,10 +202,11 @@ def max_norm_over_t(A):
                     sigma = _gram_sigma_max(G, e)
                 else:
                     sigma, _, v = _sigma_max_lanczos(P, v0=v)
+                    # the cut; sigma <= 1 <= best cannot raise the running maximum
+                    if not level and sigma <= 1.0 and _gram_bounds_norm(*_scaled_gram(P), 1.0):
+                        break
                 if sigma > best:
                     best, t_best, start = sigma, t, prev
-                if not level and sigma <= 1.0 and _gram_bounds_norm(*_scaled_gram(P), 1.0):
-                    break
     return best, t_best
 
 

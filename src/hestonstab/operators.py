@@ -1,10 +1,11 @@
-"""Finite-difference stencils and the Kronecker-assembled Heston operators.
+"""The Kronecker-assembled Heston operators of the central finite-difference scheme.
 
 The five PDE terms (price advection, variance advection, price diffusion,
 mixed derivative, variance diffusion) map to five m x m blocks, each a scalar
-times a Kronecker product of 1-D operators.  ``build_operators`` assembles a
-grid once and keeps what the analysis reads; ``operator_block`` forms any
-other block on demand.
+times a Kronecker product of 1-D operators built from the central difference
+stencils of the private ``_differences`` in each direction.  ``build_operators``
+assembles a grid once and keeps what the analysis reads; ``operator_block``
+forms any other block on demand.
 """
 
 from __future__ import annotations
@@ -15,61 +16,30 @@ import numpy as np
 
 from .grid import GridSpec, HestonParams
 
-__all__ = [
-    "StencilSet",
-    "OperatorSet",
-    "BLOCK_NAMES",
-    "tridiag",
-    "build_stencils",
-    "build_operators",
-    "operator_block",
-]
+__all__ = ["OperatorSet", "BLOCK_NAMES", "build_operators", "operator_block"]
 
 #: The dense blocks ``operator_block`` forms, by their ``operators --which`` names.
 BLOCK_NAMES = ("full", "diffusion", "adv-s", "adv-v", "diff-ss", "mixed-sv", "diff-vv")
 
 
-def tridiag(n: int, lower: float, diag: float, upper: float) -> np.ndarray:
-    """Dense n x n tridiagonal matrix with constant bands."""
-    T = np.zeros((n, n))
-    np.fill_diagonal(T, diag)
-    idx = np.arange(n - 1)
-    T[idx + 1, idx] = lower
-    T[idx, idx + 1] = upper
-    return T
+def _differences(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The central difference stencils (d1, d2) on n interior nodes of width h.
 
-
-@dataclass(frozen=True)
-class StencilSet:
-    """Central-difference stencil matrices for one grid.
-
-    d1_s, d2_s are the m1 x m1 first/second-difference matrices in the price
-    direction (scaled by 1/(2 ds) and 1/ds^2); d1_v, d2_v are their m2 x m2
-    variance-direction analogues.
+    d1 = tridiag(-1, 0, 1) / (2h) and d2 = tridiag(1, -2, 1) / h^2, the first and second
+    difference of the paper's scheme, formed as ((up - up^T) / (2h), (up + up^T - 2I) / h^2)
+    with up = np.eye(n, k=1).
     """
-
-    d1_s: np.ndarray
-    d2_s: np.ndarray
-    d1_v: np.ndarray
-    d2_v: np.ndarray
-
-
-def build_stencils(grid: GridSpec) -> StencilSet:
-    """Assemble the 1-D central difference stencils for ``grid``."""
-    m1, m2 = grid.m1, grid.m2
-    return StencilSet(
-        d1_s=tridiag(m1, -1.0, 0.0, 1.0) / (2.0 * grid.ds),
-        d2_s=tridiag(m1, 1.0, -2.0, 1.0) / grid.ds**2,
-        d1_v=tridiag(m2, -1.0, 0.0, 1.0) / (2.0 * grid.dv),
-        d2_v=tridiag(m2, 1.0, -2.0, 1.0) / grid.dv**2,
-    )
+    up = np.eye(n, k=1)
+    return (up - up.T) / (2.0 * h), (up + up.T - 2.0 * np.eye(n)) / h**2
 
 
 @dataclass(frozen=True)
 class OperatorSet:
     """One grid's semi-discrete Heston operators, with the ``params`` they were built for.
 
-    The price-direction operators read by the certificate chain are
+    With (d1_s, d2_s) and (d1_v, d2_v) the central first and second differences of
+    ``_differences`` in the price and variance directions, and Ds = diag(s_points), the
+    price-direction operators read by the certificate chain are
 
         adv_sym  = Ds^{1/2} d1_s Ds^{1/2}   (antisymmetric)
         diff_sym = Ds^{3/2} d2_s Ds^{1/2}
@@ -98,13 +68,13 @@ class OperatorSet:
 
 def _form(params, grid, adv_1d, diff_1d, adv_s_factor, adv_v_factor, names) -> np.ndarray:
     """The sum of the 2-D blocks ``names``, left to right, accumulated in place."""
-    st, Dv, I1 = build_stencils(grid), np.diag(grid.v_points), np.eye(grid.m1)
+    (d1_v, d2_v), Dv, I1 = _differences(grid.m2, grid.dv), np.diag(grid.v_points), np.eye(grid.m1)
     terms = {  # name: (coefficient or None for 1, left, right) of coefficient * kron(left, right)
         "adv-s": (None, np.eye(grid.m2), adv_s_factor),
         "adv-v": (None, adv_v_factor, I1),
         "diff-ss": (None, Dv, diff_1d),
-        "mixed-sv": (params.rho * params.sigma, Dv @ st.d1_v, adv_1d),
-        "diff-vv": (0.5 * np.float64(params.sigma) ** 2, Dv @ st.d2_v, I1),
+        "mixed-sv": (params.rho * params.sigma, Dv @ d1_v, adv_1d),
+        "diff-vv": (0.5 * np.float64(params.sigma) ** 2, Dv @ d2_v, I1),
     }
     total = None
     for coef, left, right in (terms[name] for name in names):
@@ -139,14 +109,14 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
     # an overflow shows up as a non-finite entry of the full operator, formed and checked
     # below; np.float64 turns an overflowing sigma^2 into inf instead of raising
     with np.errstate(over="ignore", invalid="ignore"):
-        st = build_stencils(grid)
+        d1_s, d2_s = _differences(grid.m1, grid.ds)
         s = grid.s_points
         rt = np.sqrt(s)
 
-        adv_sym = rt[:, None] * st.d1_s * rt[None, :]
-        diff_sym = (s * rt)[:, None] * st.d2_s * rt[None, :]
-        adv_1d = s[:, None] * st.d1_s
-        diff_1d = 0.5 * (s * s)[:, None] * st.d2_s
+        adv_sym = rt[:, None] * d1_s * rt[None, :]
+        diff_sym = (s * rt)[:, None] * d2_s * rt[None, :]
+        adv_1d = s[:, None] * d1_s
+        diff_1d = 0.5 * (s * s)[:, None] * d2_s
 
         scale = max(1.0, float(np.abs(diff_sym).max()))
         if np.abs(adv_sym + adv_sym.T).max() > 1e-12 * scale:
@@ -157,7 +127,8 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
             raise ValueError("symmetric-part identity violated; assembly bug")
 
         adv_s_factor = params.r * adv_1d
-        adv_v_factor = params.kappa * ((params.eta * np.eye(grid.m2) - np.diag(grid.v_points)) @ st.d1_v)
+        d1_v, _ = _differences(grid.m2, grid.dv)
+        adv_v_factor = params.kappa * ((params.eta * np.eye(grid.m2) - np.diag(grid.v_points)) @ d1_v)
         diffusion = _form(params, grid, adv_1d, diff_1d, adv_s_factor, adv_v_factor,
                           ("diff-ss", "mixed-sv", "diff-vv"))
         ops = OperatorSet(params, grid, adv_sym, diff_sym, adv_1d, diff_1d,

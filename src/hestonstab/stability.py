@@ -262,9 +262,10 @@ def check_symbol_conditions(ops: OperatorSet):
     (lambda_max <= sv^2 (1 - Re zeta)).  Their margins must agree up to the factor 2 from the
     similarity; a violation raises.  For each y of DEFAULT_Y_SAMPLES the collapsed condition
     lambda_max[diff_1d + (1/2 + 2iy) adv_1d] <= 2 y^2 is checked.  A conjugate zeta or a
-    negative y gives the conjugate matrix and the same check.  Each condition takes one batched
-    ``eigvalsh``: of 0.5 (M + M^H) for the Hermitian form, bitwise ``log_norm_2`` of each
-    sample, and of the real symmetric similarity transforms for the two tridiagonal ones.
+    negative y gives the conjugate matrix and the same check.  The Hermitian form takes one
+    batched ``eigvalsh`` of 0.5 (M + M^H), bitwise ``log_norm_2`` of each sample.  The
+    convection form at zeta is the family at y = rho sv Im zeta / 2, so both tridiagonal
+    conditions take one batched ``eigvalsh`` of their real symmetric similarity transforms.
     Every check allows 1e-8 times the largest entry of diff_sym (at least 1).  Returns the
     full list of BoundChecks.
     """
@@ -274,13 +275,14 @@ def check_symbol_conditions(ops: OperatorSet):
     tol = _CHECK_TOL * scale
 
     # both lhs matrices depend on Im zeta only, which zeta_k and zeta_{n/2-k} share:
-    # n/4 + 1 samples, each condition solved in one batched eigvalsh
+    # n/4 + 1 samples; the convection form at zeta is the family at y = rho sv Im zeta / 2
     half = DEFAULT_ZETA_SAMPLES // 2
-    im = np.array([zeta.imag for zeta in _UPPER_ZETAS[: half // 2 + 1]])[:, None, None]
-    herm = sym_part + 2j * im * ops.params.rho * sv * ops.adv_sym
-    conv = ops.diff_1d + 0.5 * ops.adv_1d + 1j * im * ops.params.rho * sv * ops.adv_1d
+    im = np.array([zeta.imag for zeta in _UPPER_ZETAS[: half // 2 + 1]])
+    herm = sym_part + 2j * im[:, None, None] * ops.params.rho * sv * ops.adv_sym
     lhs_herm = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(1, 2)))[:, -1]
-    lhs = list(zip(lhs_herm.tolist(), _lambda_max_tridiagonal(conv, "convection-form condition").tolist()))
+    ys = np.concatenate((0.5 * (im * ops.params.rho * sv), DEFAULT_Y_SAMPLES))[:, None, None]
+    family = _lambda_max_tridiagonal(ops.diff_1d + (0.5 + 2j * ys) * ops.adv_1d, "tridiagonal family")
+    lhs = list(zip(lhs_herm.tolist(), family[: len(im)].tolist()))
 
     checks = []
     for k, zeta in enumerate(_UPPER_ZETAS):
@@ -296,9 +298,7 @@ def check_symbol_conditions(ops: OperatorSet):
             )
         checks.extend((check_a, check_b))
 
-    ys = np.array(DEFAULT_Y_SAMPLES)[:, None, None]
-    family = _lambda_max_tridiagonal(ops.diff_1d + (0.5 + 2j * ys) * ops.adv_1d, "tridiagonal family")
-    for y, lam in zip(DEFAULT_Y_SAMPLES, family.tolist()):
+    for y, lam in zip(DEFAULT_Y_SAMPLES, family[len(im):].tolist()):
         checks.append(BoundCheck(f"tridiag_family_cond[y={y:g}]", lam, 2.0 * y**2, tol))
     return checks
 

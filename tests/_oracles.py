@@ -176,15 +176,14 @@ def loglog_slope(xs, ys) -> float:
     return float((lx @ (ly - ly.mean())) / (lx @ lx))
 
 
-def commutator_check(stencils, s_points) -> float:
+def commutator_check(d1_s, d2_s, s_points) -> float:
     """Residual of the identity (1/2)(d2_s Ds - Ds d2_s) = d1_s, Ds = diag(s_points).
 
-    ``stencils`` carries the price-direction first- and second-difference
-    matrices as ``d1_s`` and ``d2_s``.  Returns the max-entry norm of the
-    difference.  For any grid the residual stays below
-    1e-13 * max(1, 1/ds^2); it is exactly zero when the grid coordinates are
-    small integers.
+    ``d1_s`` and ``d2_s`` are the price-direction first- and second-difference
+    matrices.  Returns the max-entry norm of the difference.  For any grid
+    the residual stays below 1e-13 * max(1, 1/ds^2); it is exactly zero when
+    the grid coordinates are small integers.
     """
     Ds = np.diag(np.asarray(s_points, dtype=float))
-    resid = 0.5 * (stencils.d2_s @ Ds - Ds @ stencils.d2_s) - stencils.d1_s
+    resid = 0.5 * (d2_s @ Ds - Ds @ d2_s) - d1_s
     return float(np.abs(resid).max())

@@ -10,7 +10,7 @@ import importlib
 import pytest
 
 MODULES = ("hestonstab", *(f"hestonstab.{name}" for name in
-                           ("operators", "linalg", "stability", "experiments", "cli")))
+                           ("grid", "operators", "linalg", "stability", "experiments", "cli")))
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from _oracles import commutator_check, pair_average
-from hestonstab import (
-    HestonParams,
-    build_operators,
-    build_stencils,
-    make_grid,
-    operator_block,
-    tridiag,
-)
+from hestonstab import HestonParams, build_operators, make_grid, operator_block
+from hestonstab.operators import _differences
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -24,24 +18,32 @@ def _grid(m1=5, m2=4, L=0.0, S=800.0, V=5.0, **extra):
 def test_first_difference_unit_width():
     # ds = 1 needs S - L = m1 + 1
     _, grid = _grid(m1=3, S=4.0)
-    st = build_stencils(grid)
-    np.testing.assert_array_equal(st.d1_s, tridiag(3, -0.5, 0.0, 0.5))
+    d1_s, _ = _differences(grid.m1, grid.ds)
+    np.testing.assert_array_equal(d1_s, [[0.0, 0.5, 0.0], [-0.5, 0.0, 0.5], [0.0, -0.5, 0.0]])
 
 
 def test_second_difference_half_width():
     _, grid = _grid(m1=3, S=2.0)
     assert grid.ds == pytest.approx(0.5)
-    st = build_stencils(grid)
-    np.testing.assert_allclose(st.d2_s, 4.0 * tridiag(3, 1.0, -2.0, 1.0), rtol=1e-15)
+    _, d2_s = _differences(grid.m1, grid.ds)
+    np.testing.assert_allclose(d2_s, [[-8.0, 4.0, 0.0], [4.0, -8.0, 4.0], [0.0, 4.0, -8.0]], rtol=1e-15)
+
+
+def test_differences_exact_entries_at_half_width():
+    d1, d2 = _differences(3, 0.5)
+    np.testing.assert_array_equal(d1, [[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    np.testing.assert_array_equal(d2, [[-8.0, 4.0, 0.0], [4.0, -8.0, 4.0], [0.0, 4.0, -8.0]])
+    np.testing.assert_array_equal(d1.T, -d1)
+    np.testing.assert_array_equal(d2.T, d2)
 
 
 def test_stencil_symmetries():
     _, grid = _grid(m1=6, m2=5)
-    st = build_stencils(grid)
-    np.testing.assert_array_equal(st.d1_s.T, -st.d1_s)
-    np.testing.assert_array_equal(st.d2_s.T, st.d2_s)
+    d1_s, d2_s = _differences(grid.m1, grid.ds)
+    np.testing.assert_array_equal(d1_s.T, -d1_s)
+    np.testing.assert_array_equal(d2_s.T, d2_s)
     # interior rows of the second difference sum to zero
-    np.testing.assert_allclose(st.d2_s[1:-1].sum(axis=1), 0.0, atol=1e-12 / grid.ds**2)
+    np.testing.assert_allclose(d2_s[1:-1].sum(axis=1), 0.0, atol=1e-12 / grid.ds**2)
 
 
 def test_advection_s_symmetrization():
@@ -82,11 +84,12 @@ def test_price_diffusion_row_pattern():
 
 def test_mixed_product_assembly_identity():
     params, grid = _grid(m1=6, m2=5, rho=0.8)
-    st = build_stencils(grid)
+    d1_s, _ = _differences(grid.m1, grid.ds)
+    d1_v, _ = _differences(grid.m2, grid.dv)
     Ds = np.diag(grid.s_points)
     Dv = np.diag(grid.v_points)
-    lhs = np.kron(Dv @ st.d1_v, Ds @ st.d1_s)
-    rhs = np.kron(Dv, Ds) @ np.kron(st.d1_v, st.d1_s)
+    lhs = np.kron(Dv @ d1_v, Ds @ d1_s)
+    rhs = np.kron(Dv, Ds) @ np.kron(d1_v, d1_s)
     scale = np.abs(lhs).max()
     np.testing.assert_allclose(lhs, rhs, atol=1e-13 * scale)
 
@@ -115,18 +118,19 @@ def test_operator_sums():
 
 def test_commutator_integer_grid_is_exact():
     _, grid = _grid(m1=3, S=4.0)  # s = 1, 2, 3 with ds = 1
-    assert commutator_check(build_stencils(grid), grid.s_points) == 0.0
+    assert commutator_check(*_differences(grid.m1, grid.ds), grid.s_points) == 0.0
 
 
 def test_commutator_barrier_grid():
     _, grid = _grid(m1=25, L=10.0, S=800.0)
-    assert commutator_check(build_stencils(grid), grid.s_points) <= 1e-10
+    assert commutator_check(*_differences(grid.m1, grid.ds), grid.s_points) <= 1e-10
 
 
 @pytest.mark.parametrize("m1,L,S", [(50, 0.0, np.pi * 100), (40, 7.3, 613.1), (9, 0.0, 800.0)])
 def test_commutator_roundoff_contract(m1, L, S):
     _, grid = _grid(m1=m1, L=L, S=S)
-    assert commutator_check(build_stencils(grid), grid.s_points) <= 1e-13 * max(1.0, 1.0 / grid.ds**2)
+    resid = commutator_check(*_differences(grid.m1, grid.ds), grid.s_points)
+    assert resid <= 1e-13 * max(1.0, 1.0 / grid.ds**2)
 
 
 def test_scaled_operators_antisymmetry_and_similarity():
@@ -153,13 +157,14 @@ def test_blocks_equal_the_diagonal_scaled_products(m1, m2, extra):
     # the 2-D blocks are formed from adv_1d and diff_1d; they equal the Ds-product formulas exactly
     params, grid = _grid(m1=m1, m2=m2, **extra)
     ops = build_operators(params, grid)
-    st = build_stencils(grid)
+    d1_s, d2_s = _differences(grid.m1, grid.ds)
+    d1_v, _ = _differences(grid.m2, grid.dv)
     Ds, Dv = np.diag(grid.s_points), np.diag(grid.v_points)
-    np.testing.assert_array_equal(ops.adv_1d, Ds @ st.d1_s)
-    np.testing.assert_array_equal(ops.adv_s_factor, params.r * (Ds @ st.d1_s))
-    np.testing.assert_array_equal(operator_block(ops, "diff-ss"), 0.5 * np.kron(Dv, Ds @ Ds @ st.d2_s))
+    np.testing.assert_array_equal(ops.adv_1d, Ds @ d1_s)
+    np.testing.assert_array_equal(ops.adv_s_factor, params.r * (Ds @ d1_s))
+    np.testing.assert_array_equal(operator_block(ops, "diff-ss"), 0.5 * np.kron(Dv, Ds @ Ds @ d2_s))
     np.testing.assert_array_equal(
-        operator_block(ops, "mixed-sv"), params.rho * params.sigma * np.kron(Dv @ st.d1_v, Ds @ st.d1_s)
+        operator_block(ops, "mixed-sv"), params.rho * params.sigma * np.kron(Dv @ d1_v, Ds @ d1_s)
     )
 
 
