@@ -32,7 +32,6 @@ from .stability import (
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
     check_symbol_conditions,
-    diffusion_block_reduction,
     format_certificate_report,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "check_diffusion_contractivity",
     "check_symbol_conditions",
     "compare_L_effect",
-    "diffusion_block_reduction",
     "expm",
     "format_certificate_report",
     "log_norm_2",

@@ -37,7 +37,6 @@ from .stability import (
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
     check_symbol_conditions,
-    diffusion_block_reduction,
     format_certificate_report,
 )
 
@@ -240,8 +239,7 @@ def _run_certificate(ns: argparse.Namespace) -> int:
         y_rows, check = certify(ops, y)
         rows.extend(y_rows)
         checks.append(check)
-    _, B0, B1 = diffusion_block_reduction(ops)
-    checks.append(check_block_toeplitz_symbol_bound(B0, B1, ns.grid.m2))
+    checks.append(check_block_toeplitz_symbol_bound(ops))
     ok = _print_checks(checks)
     if ns.out is not None:
         with open(ns.out, "w", newline="\n") as fh:

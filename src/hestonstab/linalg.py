@@ -187,9 +187,15 @@ def log_norm_D(A, D) -> float:
     """Logarithmic norm in the scaled inner product induced by diagonal D > 0.
 
     Equals the logarithmic spectral norm of D^{-1/2} A D^{1/2}.  ``D`` is
-    the diagonal as a vector of positive entries, one per row of A.
+    the diagonal as a vector of positive entries, one per row of A.  A
+    finite A whose similarity transform leaves the float range raises
+    OverflowError.
     """
-    return log_norm_2(_scale_similar(_as_matrix(A), D))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        M = _scale_similar(_as_matrix(A), D)
+    if not np.all(np.isfinite(M)):
+        raise OverflowError("scaled log norm overflowed: D^{-1/2} A D^{1/2} has non-finite entries")
+    return log_norm_2(M)
 
 
 def log_norm_inf(A) -> float:

@@ -1,8 +1,8 @@
 """Numerical verification of the stability bounds for the semi-discrete
 Heston operators and of the contractivity certificate chain.
 
-The chain runs: advection log-norm bounds; a block-Toeplitz symbol bound;
-similarity reduction of the diffusion part to block form; a sequence of
+The chain runs: advection log-norm bounds; the block-Toeplitz symbol bound on
+the similarity reduction of the diffusion part, checked in place; a sequence of
 sufficient symbol conditions on the unit circle that collapse to a single
 tridiagonal family indexed by a real parameter y; and finally per-row
 weighted inequalities that certify the family, split into the cases
@@ -30,13 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import GridSpec, scaling_diagonal
-from .linalg import (
-    _as_real,
-    log_norm_2,
-    log_norm_D,
-    log_norm_inf,
-    spectral_norm,
-)
+from .linalg import log_norm_2, log_norm_D, log_norm_inf, spectral_norm
 from .operators import OperatorSet
 
 __all__ = [
@@ -46,7 +40,6 @@ __all__ = [
     "check_advection_bounds",
     "check_diffusion_contractivity",
     "check_block_toeplitz_symbol_bound",
-    "diffusion_block_reduction",
     "check_symbol_conditions",
     "certificate_case_large_y",
     "certificate_case_small_y",
@@ -161,36 +154,26 @@ def check_diffusion_contractivity(ops: OperatorSet) -> BoundCheck:
     )
 
 
-def _block_toeplitz(B0: np.ndarray, B1: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Block tridiagonal Toeplitz matrix I (x) B0 + E (x) B1 + E^T (x) B1^T, E the forward shift."""
-    E = np.eye(n_blocks, k=1)
-    return np.kron(np.eye(n_blocks), B0) + np.kron(E, B1) + np.kron(E.T, B1.T)
-
-
-def check_block_toeplitz_symbol_bound(B0, B1, n_blocks: int) -> BoundCheck:
+def _block_toeplitz_bound(B0: np.ndarray, B1: np.ndarray, n_blocks: int) -> BoundCheck:
     """Log-norm of a block tridiagonal Toeplitz matrix vs its symbol maximum.
 
-    Assembles B = I (x) B0 + E (x) B1 + E^T (x) B1^T with n_blocks blocks and
-    checks mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] over the roots of unity
-    zeta_k = e^{2 pi i k / DEFAULT_ZETA_SAMPLES} on the closed upper half
-    circle (B0, B1 are real, so conjugate zeta give conjugate companions);
-    the one-sided companion B0 + 2 zeta B1 has the Hermitian part of the
-    full symbol B0 + zeta B1 + zeta^{-1} B1^T.  The check tolerance
-    is 1e-9 times the largest entry (at least 1) plus the sampling slack
-    2 ||B1||_2 times the maximal chord distance to a sample, since the sampled
-    maximum can fall below the true maximum over the circle by at most that
-    much.  Raises ValueError unless n_blocks >= 2 and B0, B1 are real square
-    matrices of equal size.
+    B = I (x) B0 + E (x) B1 + E^T (x) B1^T, E the forward shift, has n_blocks >= 2 blocks of the
+    real square matrices B0 and B1.  The check is mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] over the
+    roots of unity zeta_k = e^{2 pi i k / DEFAULT_ZETA_SAMPLES} on the closed upper half circle
+    (B0, B1 are real, so conjugate zeta give conjugate companions); the one-sided companion
+    B0 + 2 zeta B1 has the Hermitian part of the full symbol B0 + zeta B1 + zeta^{-1} B1^T.
+    mu2[B] is one ``eigvalsh`` of He(B), assembled block by block: He(B0) on the diagonal, B1
+    above it and B1^T below.  The check tolerance is 1e-9 times the largest entry (at least 1)
+    plus the sampling slack 2 ||B1||_2 times the maximal chord distance to a sample, since the
+    sampled maximum can fall below the true maximum over the circle by at most that much.
     """
-    if n_blocks < 2:
-        raise ValueError(f"need at least 2 blocks, got {n_blocks}")
-    B0 = _as_real(B0)
-    B1 = _as_real(B1)
-    if B0.ndim != 2 or B0.shape[0] != B0.shape[1] or B1.shape != B0.shape:
-        raise ValueError(
-            f"B0 and B1 must be square matrices of equal size, got shapes {B0.shape} and {B1.shape}"
-        )
-    lhs = log_norm_2(_block_toeplitz(B0, B1, n_blocks))
+    m = B0.shape[0]
+    j = np.arange(n_blocks)
+    H = np.zeros((n_blocks, m, n_blocks, m))
+    H[j, :, j] = 0.5 * (B0 + B0.T)
+    H[j[:-1], :, j[1:]] = B1
+    H[j[1:], :, j[:-1]] = B1.T
+    lhs = float(np.linalg.eigvalsh(H.reshape(n_blocks * m, n_blocks * m))[-1])
     companions = B0 + 2.0 * np.array(_UPPER_ZETAS)[:, None, None] * B1
     rhs = float(np.linalg.eigvalsh(0.5 * (companions + companions.conj().swapaxes(1, 2)))[:, -1].max())
     slack = 2.0 * spectral_norm(B1) * 2.0 * math.sin(math.pi / (2 * DEFAULT_ZETA_SAMPLES))
@@ -198,36 +181,38 @@ def check_block_toeplitz_symbol_bound(B0, B1, n_blocks: int) -> BoundCheck:
     return BoundCheck("block_toeplitz_symbol_bound", lhs, rhs, slack + _TOEPLITZ_TOL * scale)
 
 
-def diffusion_block_reduction(ops: OperatorSet):
-    """Similarity reduction of the diffusion part of ``ops`` to block tridiagonal form.
+def check_block_toeplitz_symbol_bound(ops: OperatorSet) -> BoundCheck:
+    """Block-Toeplitz symbol bound of the diffusion part of ``ops``.
 
-    Returns (B, B0, B1) where B is ``ops.diffusion`` transformed by the
-    diagonal similarity that removes the variance scaling and symmetrizes
-    the price scaling, B0 = (1/2)(diff_sym - 2 sv^2 I) is the diagonal
-    block, and B1 = (1/2)(rho sv adv_sym + sv^2 I) the off-diagonal block,
-    with sv = sigma / dv.  The block tridiagonal Toeplitz assembly of B0 and
-    B1 must reproduce B elementwise to roundoff; a mismatch raises,
-    signalling an assembly bug.
+    The diagonal similarity that removes the variance scaling and symmetrizes the price scaling
+    turns ``ops.diffusion`` into the block tridiagonal Toeplitz matrix with m2 blocks of order
+    m1: the diagonal block B0 = (1/2)(diff_sym - 2 sv^2 I) and the off-diagonal block
+    B1 = (1/2)(rho sv adv_sym + sv^2 I), sv = sigma / dv, with B1^T below the diagonal.  The
+    transformed diffusion, a fresh array, must match that assembly elementwise to 1e-10 times its
+    largest entry (at least 1); B0, B1 and B1^T are subtracted from its band blocks in place and
+    every entry left, on the band or off it, is compared with 0.  A mismatch raises ValueError,
+    signalling an assembly bug.  Returns the check mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] of
+    ``_block_toeplitz_bound``.
     """
     grid = ops.grid
+    m1, m2 = grid.m1, grid.m2
     sv = ops.params.sigma / grid.dv
-    ident1 = np.eye(grid.m1)
+    ident1 = np.eye(m1)
     B0 = 0.5 * (ops.diff_sym - 2.0 * sv**2 * ident1)
     B1 = 0.5 * (ops.params.rho * sv * ops.adv_sym + sv**2 * ident1)
 
     rt_s = np.sqrt(grid.s_points)
-    left = np.kron(1.0 / grid.v_points, 1.0 / rt_s)
-    right = np.kron(np.ones(grid.m2), rt_s)
-    B = ops.diffusion * right[None, :] * left[:, None]
-
-    blocks = _block_toeplitz(B0, B1, grid.m2)
+    left = np.outer(1.0 / grid.v_points, 1.0 / rt_s)
+    B = ops.diffusion.reshape(m2, m1, m2, m1) * rt_s * left[:, :, None, None]
     scale = max(1.0, float(np.abs(B).max()))
-    mismatch = float(np.abs(B - blocks).max())
+    j = np.arange(m2)
+    B[j, :, j] -= B0
+    B[j[:-1], :, j[1:]] -= B1
+    B[j[1:], :, j[:-1]] -= B1.T
+    mismatch = float(np.abs(B).max())
     if mismatch > 1e-10 * scale:
-        raise ValueError(
-            f"block assembly disagrees with similarity formula by {mismatch:.3e}"
-        )
-    return B, B0, B1
+        raise ValueError(f"block assembly disagrees with similarity formula by {mismatch:.3e}")
+    return _block_toeplitz_bound(B0, B1, m2)
 
 
 def _lambda_max_tridiagonal(T: np.ndarray, name: str) -> np.ndarray:

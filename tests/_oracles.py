@@ -122,6 +122,12 @@ def symbol_matrix(B0, B1, zeta: complex) -> np.ndarray:
     return B0 + zeta * B1 + (1.0 / zeta) * B1.T
 
 
+def block_toeplitz(B0, B1, n_blocks: int) -> np.ndarray:
+    """Block tridiagonal Toeplitz matrix I (x) B0 + E (x) B1 + E^T (x) B1^T, E the forward shift."""
+    E = np.eye(n_blocks, k=1)
+    return np.kron(np.eye(n_blocks), B0) + np.kron(E, B1) + np.kron(E.T, B1.T)
+
+
 def quartic_value(nu: float, theta: float) -> float:
     """Quartic 4 th(th-1) nu^4 + th^2 (4 th - 1) nu^2 + th^4.
 

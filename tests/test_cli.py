@@ -427,3 +427,22 @@ def test_main_numerical_failure_exit_code(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == f"numerical failure: {_ASSEMBLY_OVERFLOW}\n"
+
+
+def test_overflowing_similarity_exits_3(capsys):
+    # sigma = 3e153 assembles a finite operator whose D^{-1/2} A D^{1/2} overflows: check stops
+    # with the message and no numpy warning, and a sweep records the failed case
+    message = "scaled log norm overflowed: D^{-1/2} A D^{1/2} has non-finite entries"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", "--m2", "3", "--sigma", "3e153"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {message}\n"
+    code = main(["sweep", "--m2-values", "3", "--sigma-values", "0.1,3e153", "--rho-values", "0",
+                 "--L-values", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"FAIL sweep[m2=3,L=0,sigma=3e+153,rho=0]: {message}\n" in captured.out
+    assert captured.err == ""

@@ -179,13 +179,20 @@ def test_sweep_config_rejects_a_bad_combination_before_any_case_runs(fields, mes
         run_sweep(SweepConfig(**{**base, **fields}))
 
 
-@pytest.mark.parametrize("sigma", [1e154, 1e155])
-def test_sweep_overflowing_assembly_is_a_failed_case(sigma):
+_ASSEMBLY_OVERFLOW = "operator assembly overflowed: the operator has non-finite entries"
+_SIMILARITY_OVERFLOW = "scaled log norm overflowed: D^{-1/2} A D^{1/2} has non-finite entries"
+
+
+# at 3e153 the operator assembles finite and only its D-similarity overflows
+@pytest.mark.parametrize("sigma,error", [(1e154, _ASSEMBLY_OVERFLOW), (1e155, _ASSEMBLY_OVERFLOW),
+                                         (3e153, _SIMILARITY_OVERFLOW)],
+                         ids=["1e+154", "1e+155", "3e+153"])
+def test_sweep_overflowing_assembly_is_a_failed_case(sigma, error):
     cfg = SweepConfig(m2_values=(3,), sigma_values=(0.1, sigma), rho_values=(0.0,), L_values=(0.0,))
     ok, failed = run_sweep(cfg)
     assert ok.error == "" and ok.within_bound
     assert failed.sigma == sigma
-    assert failed.error == "operator assembly overflowed: the operator has non-finite entries"
+    assert failed.error == error
     assert math.isnan(failed.max_norm2) and not failed.within_bound
 
 

@@ -24,7 +24,6 @@ from hestonstab import (
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_symbol_conditions,
-    diffusion_block_reduction,
     log_norm_D,
     make_grid,
     max_norm_over_t,
@@ -53,8 +52,7 @@ def test_certificate_chain_holds_on_the_parameter_box(rho, sigma, S, L_fraction,
     assert mu_D <= 1e-8 * np.abs(ops.diffusion).max()
     # raises if a log norm leaves its sharp closed form
     assert all(c.holds for c in check_advection_bounds(ops))
-    _, B0, B1 = diffusion_block_reduction(ops)
-    assert check_block_toeplitz_symbol_bound(B0, B1, grid.m2).holds
+    assert check_block_toeplitz_symbol_bound(ops).holds
     assert all(c.holds for c in check_symbol_conditions(ops))
     for y in (*DEFAULT_Y_SAMPLES, *(-y for y in DEFAULT_Y_SAMPLES if y)):
         if abs(y) >= 0.5:

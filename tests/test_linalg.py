@@ -322,6 +322,13 @@ def test_log_norm_D_rejects_nonpositive_diagonal():
         log_norm_D(np.eye(3), np.array([1.0, 0.0, 2.0]))
 
 
+def test_log_norm_D_overflowing_similarity_raises():
+    # A and d are finite, but entry (0, 1) of D^{-1/2} A D^{1/2} is 1e300 * 1e100
+    A = np.array([[-1.0, 1e300], [0.0, -1.0]])
+    with pytest.raises(OverflowError, match="scaled log norm overflowed"):
+        log_norm_D(A, np.array([1.0, 1e200]))
+
+
 def test_log_norm_inf_rows():
     assert log_norm_inf(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
     assert log_norm_inf(np.array([[-2.0, 1.0], [0.0, -3.0]])) == pytest.approx(-1.0)

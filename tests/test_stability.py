@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    block_toeplitz,
     cubic_value,
     hermitian_lambda_max,
     quartic_value,
@@ -21,7 +22,6 @@ from hestonstab import (
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
     check_symbol_conditions,
-    diffusion_block_reduction,
     format_certificate_report,
     log_norm_2,
     log_norm_D,
@@ -39,6 +39,23 @@ def _setup(m1=10, m2=5, **extra):
     params = HestonParams(**dict(BASE, **extra))
     grid = make_grid(params, m1, m2)
     return params, grid, build_operators(params, grid)
+
+
+def _reduction(ops):
+    """(B, B0, B1) of the similarity reduction of ``ops.diffusion``, formed from their formulas.
+
+    B = (V^{-1} (x) S^{-1/2}) diffusion (I (x) S^{1/2}), B0 = (1/2)(diff_sym - 2 sv^2 I) and
+    B1 = (1/2)(rho sv adv_sym + sv^2 I), sv = sigma / dv.
+    """
+    grid = ops.grid
+    sv = ops.params.sigma / grid.dv
+    rt_s = np.sqrt(grid.s_points)
+    left = np.kron(1.0 / grid.v_points, 1.0 / rt_s)
+    right = np.kron(np.ones(grid.m2), rt_s)
+    B = left[:, None] * ops.diffusion * right[None, :]
+    B0 = 0.5 * (ops.diff_sym - 2.0 * sv**2 * np.eye(grid.m1))
+    B1 = 0.5 * (ops.params.rho * sv * ops.adv_sym + sv**2 * np.eye(grid.m1))
+    return B, B0, B1
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +154,7 @@ def test_symbol_and_companion_share_log_norm(seed):
 def test_block_toeplitz_bound_zero_offdiagonal():
     rng = np.random.default_rng(3)
     B0 = rng.standard_normal((4, 4))
-    check = check_block_toeplitz_symbol_bound(B0, np.zeros((4, 4)), n_blocks=5)
+    check = stability._block_toeplitz_bound(B0, np.zeros((4, 4)), n_blocks=5)
     assert check.holds
     assert check.lhs == pytest.approx(check.rhs, abs=1e-8)
 
@@ -145,7 +162,7 @@ def test_block_toeplitz_bound_zero_offdiagonal():
 def test_block_toeplitz_bound_scalar_shift():
     # B0 = 0, B1 = [[1]]: the assembled matrix is tridiag(1, 0, 1)
     for n in (4, 9):
-        check = check_block_toeplitz_symbol_bound(np.zeros((1, 1)), np.eye(1), n_blocks=n)
+        check = stability._block_toeplitz_bound(np.zeros((1, 1)), np.eye(1), n_blocks=n)
         assert check.lhs == pytest.approx(2.0 * math.cos(math.pi / (n + 1)), abs=1e-9)
         assert check.rhs == pytest.approx(2.0, abs=1e-12)
         assert check.holds
@@ -153,14 +170,14 @@ def test_block_toeplitz_bound_scalar_shift():
 
 def test_block_toeplitz_bound_on_reduction_blocks():
     params, grid, ops = _setup(m1=6, m2=4, rho=0.7)
-    _, B0, B1 = diffusion_block_reduction(ops)
-    check = check_block_toeplitz_symbol_bound(B0, B1, n_blocks=grid.m2)
+    check = check_block_toeplitz_symbol_bound(ops)
     assert check.holds
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_block_toeplitz_rhs_matches_every_sample_solved(seed):
-    # the bound solves k = 0 ... 32 only; the conjugate samples must give the same maximum
+    # the bound solves k = 0 ... 32 only; the conjugate samples must give the same maximum, and
+    # its block-by-block Hermitian part is bitwise that of the Kronecker assembly
     rng = np.random.default_rng(seed)
     B0 = rng.standard_normal((6, 6))
     B1 = rng.standard_normal((6, 6))
@@ -168,26 +185,10 @@ def test_block_toeplitz_rhs_matches_every_sample_solved(seed):
         float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1])
         for M in (B0 + 2.0 * cmath.exp(2j * math.pi * k / 64) * B1 for k in range(64))
     )
-    check = check_block_toeplitz_symbol_bound(B0, B1, n_blocks=3)
+    check = stability._block_toeplitz_bound(B0, B1, n_blocks=3)
     scale = max(1.0, float(np.abs(B0).max()), float(np.abs(B1).max()))
     assert abs(check.rhs - direct) <= 1e-12 * scale
-
-
-def test_block_toeplitz_bound_input_validation():
-    with pytest.raises(ValueError):
-        check_block_toeplitz_symbol_bound(np.eye(2), np.eye(2), n_blocks=1)
-    with pytest.raises(ValueError, match=r"shapes \(2, 2\) and \(3, 3\)"):
-        check_block_toeplitz_symbol_bound(np.eye(2), np.eye(3), n_blocks=3)
-    with pytest.raises(ValueError, match=r"shapes \(2, 3\) and \(2, 3\)"):
-        check_block_toeplitz_symbol_bound(np.ones((2, 3)), np.ones((2, 3)), n_blocks=3)
-    with pytest.raises(ValueError, match=r"shapes \(2,\) and \(2,\)"):
-        check_block_toeplitz_symbol_bound(np.ones(2), np.ones(2), n_blocks=3)
-
-
-def test_block_toeplitz_bound_refuses_complex_blocks():
-    # casting to float would drop the imaginary part of B1 and check B0 alone
-    with pytest.raises(ValueError, match="complex"):
-        check_block_toeplitz_symbol_bound(-np.eye(2), 0.5j * np.eye(2), n_blocks=3)
+    assert check.lhs == log_norm_2(block_toeplitz(B0, B1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +197,14 @@ def test_block_toeplitz_bound_refuses_complex_blocks():
 
 def test_reduction_zero_correlation_offdiagonal_block():
     params, grid, ops = _setup(rho=0.0)
-    _, _, B1 = diffusion_block_reduction(ops)
+    B1 = _reduction(ops)[0][: grid.m1, grid.m1 : 2 * grid.m1]
     sv = params.sigma / grid.dv
     np.testing.assert_allclose(B1, 0.5 * sv**2 * np.eye(grid.m1), atol=1e-14 * sv**2)
 
 
 def test_reduction_transpose_block_consistency():
     params, grid, ops = _setup(rho=0.9)
-    _, _, B1 = diffusion_block_reduction(ops)
+    B1 = _reduction(ops)[0][: grid.m1, grid.m1 : 2 * grid.m1]
     sv = params.sigma / grid.dv
     expected = 0.5 * (-params.rho * sv * ops.adv_sym + sv**2 * np.eye(grid.m1))
     np.testing.assert_allclose(B1.T, expected, atol=1e-12 * max(1.0, np.abs(B1).max()))
@@ -213,13 +214,25 @@ def test_reduction_rejects_operators_of_another_grid():
     _, _, ops = _setup(m1=6, m2=4, rho=0.5)
     _, _, other = _setup(m1=6, m2=4, rho=0.5, L=10.0)
     with pytest.raises(ValueError, match="block assembly disagrees"):
-        diffusion_block_reduction(dataclasses.replace(ops, diffusion=other.diffusion))
+        check_block_toeplitz_symbol_bound(dataclasses.replace(ops, diffusion=other.diffusion))
+
+
+def test_reduction_checks_every_block_and_leaves_the_diffusion_unchanged():
+    _, grid, ops = _setup(m1=6, m2=4, rho=0.5)
+    before = ops.diffusion.tobytes()
+    assert check_block_toeplitz_symbol_bound(ops).holds
+    assert ops.diffusion.tobytes() == before
+    # one entry of block (0, 2), two blocks off the band
+    perturbed = ops.diffusion.copy()
+    perturbed[1, 2 * grid.m1 + 3] = 1e-3 * np.abs(ops.diffusion).max()
+    with pytest.raises(ValueError, match="block assembly disagrees"):
+        check_block_toeplitz_symbol_bound(dataclasses.replace(ops, diffusion=perturbed))
 
 
 @pytest.mark.parametrize("rho,L", [(0.0, 0.0), (1.0, 0.0), (-0.6, 10.0)])
 def test_reduction_sign_equivalence_with_scaled_log_norm(rho, L):
     params, grid, ops = _setup(m1=8, m2=4, rho=rho, L=L)
-    B, _, _ = diffusion_block_reduction(ops)
+    B, _, _ = _reduction(ops)
     mu_B = log_norm_2(B)
     mu_D = log_norm_D(ops.diffusion, scaling_diagonal(grid))
     tol = 1e-8 * max(1.0, np.abs(B).max())
@@ -323,8 +336,8 @@ def test_hermitian_lhs_and_block_toeplitz_rhs_are_per_sample_log_norms(grid):
         row = min(k, 32 - k)  # zeta_k and zeta_{32-k} share Im zeta
         herm = sym_part + 2j * zetas[row].imag * params.rho * sv * ops.adv_sym
         assert checks[f"scaled_symbol_cond[zeta={k}/64]"].lhs == log_norm_2(herm)
-    _, B0, B1 = diffusion_block_reduction(ops)
-    bound = check_block_toeplitz_symbol_bound(B0, B1, grid_spec.m2)
+    _, B0, B1 = _reduction(ops)
+    bound = check_block_toeplitz_symbol_bound(ops)
     assert bound.rhs == max(log_norm_2(B0 + 2.0 * zeta * B1) for zeta in zetas)
 
 
@@ -580,7 +593,7 @@ def test_family_condition_implies_block_log_norm(sigma, rho, L):
     checks = check_symbol_conditions(ops)
     family = [c for c in checks if c.name.startswith("tridiag_family_cond")]
     assert all(c.holds for c in family)
-    B, _, _ = diffusion_block_reduction(ops)
+    B, _, _ = _reduction(ops)
     assert log_norm_2(B) <= 1e-8 * max(1.0, np.abs(B).max())
 
 
