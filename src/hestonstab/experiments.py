@@ -47,10 +47,9 @@ from .linalg import (
     _gram_sigma_max,
     _scaled_gram,
     _sigma_max_lanczos,
-    log_norm_D,
 )
 from .operators import build_operators
-from .stability import BoundCheck
+from .stability import BoundCheck, check_diffusion_contractivity
 
 __all__ = [
     "SweepConfig",
@@ -231,14 +230,13 @@ def run_sweep(config: SweepConfig | None = None) -> list:
         m1 = 2 * m2
         params = cfg._params(sigma, rho, L)
         grid = make_grid(params, m1, m2)
-        d = scaling_diagonal(grid)
-        bound = _sqrt_cond(d)
+        bound = _sqrt_cond(scaling_diagonal(grid))
         try:
-            diffusion = build_operators(params, grid).diffusion
-            mu = log_norm_D(diffusion, d)
+            ops = build_operators(params, grid)
+            mu = check_diffusion_contractivity(ops).lhs
             if mu > 0:
                 raise ArithmeticError(f"diffusion is not contractive in the D-norm: mu_D = {mu:.6g} > 0")
-            max_norm2, t_argmax = max_norm_over_t(diffusion)
+            max_norm2, t_argmax = max_norm_over_t(ops.diffusion)
             if not max_norm2 <= bound + _BOUND_TOL:
                 raise ArithmeticError(
                     f"semigroup norm scan exceeds the certified bound: "

@@ -1,26 +1,18 @@
-"""Core numerical kernels: spectral norm, logarithmic norms, and the matrix
-exponential.
+"""Core numerical kernels: spectral norm, logarithmic norms, and the matrix exponential.
 
-All public operations accept real or complex matrices.  The spectral norm
-and the logarithmic spectral norm return a float from one dense
-``eigvalsh``; the spectral norm solves the Gram matrix of its argument
-scaled by a power of two.  The sweep's norm scan decides the spectral norm
-of many nearby real matrices.  Below a moderate order it forms the same
-scaled Gram matrix and first tries a Cholesky factorisation that proves the
-norm at most a given bound (``_gram_bounds_norm``); only an unproved sample
-gets the ``eigvalsh``.  Above that order a private, warm-started Lanczos
-kernel on X^T X (``_sigma_max_lanczos``) starts from the Ritz vector of the
-scan's last sample (the first sample from the fixed vector sin(1..n)),
-tests its top Ritz pair every fourth step (an ``eigh`` on every step would
-cost more than the step's two matrix-vector products) and may run as many
-steps as X^T X has columns; only a breakdown or an exhausted Krylov space
-ends in a dense ``spectral_norm``.
+All public operations accept real or complex matrices.  The spectral norm and the logarithmic
+spectral norm return a float from one dense ``eigvalsh``; the spectral norm solves the Gram matrix
+of its argument scaled by a power of two.  The sweep's norm scan decides many nearby spectral norms:
+below a moderate order a Cholesky factorisation first tries to prove the norm at most a bound
+(``_gram_bounds_norm``), above it a warm-started Lanczos kernel on X^T X (``_sigma_max_lanczos``)
+computes it.  mu_D and the block-Toeplitz lhs are lambda_max of block tridiagonal matrices:
+``_block_lambda_max`` makes one dense ``eigvalsh`` at small order and above it brackets lambda_max
+between a Ritz value and a shift whose block Cholesky factorisation succeeds.
 
-``expm`` evaluates e^{tA} by scaling and squaring, with the fewest
-squarings s that bring ||tA / 2^s||_1 within theta_13.  The private
-generator behind it, ``_expm_squares``, goes on squaring: the sweep's scan
-takes its four step matrices e^{A/64}, e^{A/16}, e^{A/4} and e^{A} from one
-Pade evaluation.
+``expm`` evaluates e^{tA} by scaling and squaring, with the fewest squarings s that bring
+||tA / 2^s||_1 within theta_13.  The private generator behind it, ``_expm_squares``, goes on
+squaring: the sweep's scan takes its four step matrices e^{A/64}, e^{A/16}, e^{A/4} and e^{A} from
+one Pade evaluation.
 """
 
 from __future__ import annotations
@@ -38,6 +30,10 @@ __all__ = [
     "expm",
 ]
 
+#: ``_block_lambda_max``: dense below this order, then subspace width, tol / largest entry, solve budget.
+_BLOCK_DENSE_BELOW, _BLOCK_WIDTH, _BLOCK_TOL, _BLOCK_MAX_SOLVES = 256, 12, 1e-14, 60
+#: What ``log_norm_D`` raises for a finite A whose D-similarity leaves the float range.
+_SIMILARITY_OVERFLOW = "scaled log norm overflowed: D^{-1/2} A D^{1/2} has non-finite entries"
 #: Acceptance test of the scan's Lanczos kernel: Ritz residual <= tol * theta.
 _LANCZOS_TOL = 1e-10
 #: The kernel tests its top Ritz pair after every this many steps.
@@ -149,6 +145,62 @@ def _gram_bounds_norm(G: np.ndarray, e: int, b: float) -> bool:
     return True
 
 
+def _block_lambda_max(diag, upper) -> float:
+    """Largest eigenvalue of the symmetric block tridiagonal H with diagonal blocks ``diag`` (p, m, m)
+    and H[j, j+1] = ``upper`` (p - 1, m, m): a dense ``eigvalsh`` below the order ``_BLOCK_DENSE_BELOW``.
+
+    Above it H is never formed.  A block Cholesky factorisation of sigma I - H that succeeds proves
+    lambda_max < sigma, up to its O(n u ||H||) rounding (``_gram_bounds_norm``); sigma starts at 0,
+    else past every Gershgorin disc.  Inverse subspace iteration from the fixed sin(i j) gives after
+    each solve a Ritz value theta <= lambda_max, with residual r and Ritz gap g.  Once est = min(||r||,
+    ||r||^2 / g) (Kato-Temple) is <= tol or falls less than tenfold in a solve, sigma moves to theta +
+    max(est, tol) if that factorises; theta is returned once sigma <= theta + tol.
+    """
+    (p, m), k = diag.shape[:2], min(_BLOCK_WIDTH, diag.shape[0] * diag.shape[1])
+    if p * m < _BLOCK_DENSE_BELOW:
+        j, H = np.arange(p), np.zeros((p, m, p, m))
+        H[j, :, j], H[j[:-1], :, j[1:]], H[j[1:], :, j[:-1]] = diag, upper, upper.swapaxes(1, 2)
+        return float(np.linalg.eigvalsh(H.reshape(p * m, p * m))[-1])
+    e = math.frexp(max(float(np.abs(diag).max()), float(np.abs(upper).max(initial=0.0))))[1]
+    diag, upper = np.ldexp(diag, -e), np.ldexp(upper, -e)  # exact; every entry now below 1 in size
+
+    def factor(sigma):  # (Li, W): chol(sigma I - H) has Li[j]^-1 and -W[j]^T = -(Li[j] upper[j])^T
+        Li, W = [], []
+        for j, S in enumerate(sigma * np.eye(m) - diag):
+            try:
+                Li.append(np.linalg.inv(np.linalg.cholesky(S - W[-1].T @ W[-1] if j else S)))
+            except np.linalg.LinAlgError:
+                return None  # sigma I - H is not positive definite
+            W += [Li[-1] @ upper[j]] if j < p - 1 else []
+        return Li, W
+
+    sigma = 0.0 if (fac := factor(0.0)) else 4.0 * m  # a row holds at most 3 m entries
+    fac, last = fac or factor(sigma), math.inf
+    V = np.sin(np.outer(np.arange(1.0, p * m + 1), np.arange(1.0, k + 1))).reshape(p, m, k)
+    for _ in range(_BLOCK_MAX_SOLVES):
+        Li, W = fac  # X = (sigma I - H)^{-1} V by a forward and a backward block sweep
+        X = []
+        for j in range(p):
+            X.append(Li[j] @ (V[j] + W[j - 1].T @ X[-1] if j else V[j]))
+        for j in reversed(range(p)):
+            X[j] = Li[j].T @ (X[j] + W[j] @ X[j + 1] if j < p - 1 else X[j])
+        Q = np.linalg.qr(np.reshape(X, (p * m, k)))[0]
+        HQ = diag @ Q.reshape(p, m, k)
+        HQ[:-1] += upper @ Q.reshape(p, m, k)[1:]
+        HQ[1:] += upper.transpose(0, 2, 1) @ Q.reshape(p, m, k)[:-1]
+        thetas, S = np.linalg.eigh(Q.T @ HQ.reshape(p * m, k))
+        theta, V = float(thetas[-1]), (Q @ S).reshape(p, m, k)
+        r = float(np.linalg.norm(HQ.reshape(p * m, k) @ S[:, -1] - theta * (Q @ S[:, -1])))
+        est = min(r, r * r / (theta - thetas[-2])) if k > 1 and theta > thetas[-2] else r
+        shift = theta + max(est, _BLOCK_TOL)  # a factorisation costs about four solves: try it sparingly
+        if shift < sigma and (est <= _BLOCK_TOL or est > 0.1 * last) and (new := factor(shift)):
+            sigma, fac, est = shift, new, math.inf  # the rate is measured afresh from the new shift
+        last = est
+        if sigma <= theta + _BLOCK_TOL:
+            return math.ldexp(theta, e)
+    raise ArithmeticError(f"block lambda_max did not converge in {_BLOCK_MAX_SOLVES} solves")
+
+
 def spectral_norm(A) -> float:
     """Largest singular value 2^e sqrt(lambda_max(B*B)) of A by one dense eigensolve.
 
@@ -194,7 +246,7 @@ def log_norm_D(A, D) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         M = _scale_similar(_as_matrix(A), D)
     if not np.all(np.isfinite(M)):
-        raise OverflowError("scaled log norm overflowed: D^{-1/2} A D^{1/2} has non-finite entries")
+        raise OverflowError(_SIMILARITY_OVERFLOW)
     return log_norm_2(M)
 
 

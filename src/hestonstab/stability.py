@@ -2,7 +2,7 @@
 Heston operators and of the contractivity certificate chain.
 
 The chain runs: advection log-norm bounds; the block-Toeplitz symbol bound on
-the similarity reduction of the diffusion part, checked in place; a sequence of
+the similarity reduction of the diffusion part, checked block by block; a sequence of
 sufficient symbol conditions on the unit circle that collapse to a single
 tridiagonal family indexed by a real parameter y; and finally per-row
 weighted inequalities that certify the family, split into the cases
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import GridSpec, scaling_diagonal
-from .linalg import log_norm_2, log_norm_D, log_norm_inf, spectral_norm
+from .linalg import _SIMILARITY_OVERFLOW, _block_lambda_max, log_norm_2, log_norm_inf, spectral_norm
 from .operators import OperatorSet
 
 __all__ = [
@@ -139,19 +139,31 @@ def check_advection_bounds(ops: OperatorSet):
     )
 
 
+def _diffusion_band(ops: OperatorSet, col: np.ndarray, row: np.ndarray, overflow: str):
+    """Diagonal, upper and lower blocks of the diffusion, entry ((j, i), (k, l)) scaled to (a * col[k, l])
+    / row[j, i]; ValueError off the block tridiagonal band, OverflowError(overflow) past the float range."""
+    A, j = ops.diffusion.reshape(2 * (ops.grid.m2, ops.grid.m1)), np.arange(ops.grid.m2)
+    pairs = (j, j), (j[:-1], j[1:]), (j[1:], j[:-1])
+    if np.count_nonzero(ops.diffusion) != sum(np.count_nonzero(A[r, :, c]) for r, c in pairs):
+        raise ValueError("block assembly disagrees: nonzero entries off the block tridiagonal band")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        band = [A[r, :, c] * col[c, None, :] / row[r, :, None] for r, c in pairs]
+    if not all(np.isfinite(B).all() for B in band):
+        raise OverflowError(overflow)
+    return band
+
+
 def check_diffusion_contractivity(ops: OperatorSet) -> BoundCheck:
     """Contractivity certificate of the diffusion part on ``ops.grid``.
 
-    Returns the check mu_D[diffusion] <= 0 up to 1e-8 times the largest
-    entry, D = ``scaling_diagonal(ops.grid)``.  It gives
-    ||e^{t diffusion}||_D <= 1 and ||e^{t diffusion}||_2 <= sqrt(cond D)
-    for every t >= 0.
+    Returns the check mu_D[diffusion] <= 0 up to 1e-8 times the largest entry, D =
+    ``scaling_diagonal(ops.grid)``, which gives ||e^{t diffusion}||_D <= 1 and ||e^{t diffusion}||_2
+    <= sqrt(cond D) for every t >= 0; mu_D is ``_block_lambda_max`` of He(D^{-1/2} diffusion D^{1/2}).
     """
-    A = ops.diffusion
-    scale = float(np.abs(A).max())
-    return BoundCheck(
-        "diffusion_log_norm_D", log_norm_D(A, scaling_diagonal(ops.grid)), 0.0, _CHECK_TOL * scale
-    )
+    rt = np.sqrt(scaling_diagonal(ops.grid)).reshape(ops.grid.m2, ops.grid.m1)
+    diag, up, low = _diffusion_band(ops, rt, rt, _SIMILARITY_OVERFLOW)
+    lhs = _block_lambda_max(0.5 * (diag + diag.swapaxes(1, 2)), 0.5 * (up + low.swapaxes(1, 2)))
+    return BoundCheck("diffusion_log_norm_D", lhs, 0.0, _CHECK_TOL * float(np.abs(ops.diffusion).max()))
 
 
 def _block_toeplitz_bound(B0: np.ndarray, B1: np.ndarray, n_blocks: int) -> BoundCheck:
@@ -162,18 +174,13 @@ def _block_toeplitz_bound(B0: np.ndarray, B1: np.ndarray, n_blocks: int) -> Boun
     roots of unity zeta_k = e^{2 pi i k / DEFAULT_ZETA_SAMPLES} on the closed upper half circle
     (B0, B1 are real, so conjugate zeta give conjugate companions); the one-sided companion
     B0 + 2 zeta B1 has the Hermitian part of the full symbol B0 + zeta B1 + zeta^{-1} B1^T.
-    mu2[B] is one ``eigvalsh`` of He(B), assembled block by block: He(B0) on the diagonal, B1
-    above it and B1^T below.  The check tolerance is 1e-9 times the largest entry (at least 1)
-    plus the sampling slack 2 ||B1||_2 times the maximal chord distance to a sample, since the
-    sampled maximum can fall below the true maximum over the circle by at most that much.
+    mu2[B] is ``_block_lambda_max`` of He(B0) and B1 broadcast along the block diagonals.  The
+    check tolerance is 1e-9 times the largest entry (at least 1) plus the sampling slack
+    2 ||B1||_2 times the maximal chord distance to a sample, since the sampled maximum can fall
+    below the true maximum over the circle by at most that much.
     """
-    m = B0.shape[0]
-    j = np.arange(n_blocks)
-    H = np.zeros((n_blocks, m, n_blocks, m))
-    H[j, :, j] = 0.5 * (B0 + B0.T)
-    H[j[:-1], :, j[1:]] = B1
-    H[j[1:], :, j[:-1]] = B1.T
-    lhs = float(np.linalg.eigvalsh(H.reshape(n_blocks * m, n_blocks * m))[-1])
+    lhs = _block_lambda_max(np.broadcast_to(0.5 * (B0 + B0.T), (n_blocks, *B0.shape)),
+                            np.broadcast_to(B1, (n_blocks - 1, *B1.shape)))
     companions = B0 + 2.0 * np.array(_UPPER_ZETAS)[:, None, None] * B1
     rhs = float(np.linalg.eigvalsh(0.5 * (companions + companions.conj().swapaxes(1, 2)))[:, -1].max())
     slack = 2.0 * spectral_norm(B1) * 2.0 * math.sin(math.pi / (2 * DEFAULT_ZETA_SAMPLES))
@@ -187,32 +194,20 @@ def check_block_toeplitz_symbol_bound(ops: OperatorSet) -> BoundCheck:
     The diagonal similarity that removes the variance scaling and symmetrizes the price scaling
     turns ``ops.diffusion`` into the block tridiagonal Toeplitz matrix with m2 blocks of order
     m1: the diagonal block B0 = (1/2)(diff_sym - 2 sv^2 I) and the off-diagonal block
-    B1 = (1/2)(rho sv adv_sym + sv^2 I), sv = sigma / dv, with B1^T below the diagonal.  The
-    transformed diffusion, a fresh array, must match that assembly elementwise to 1e-10 times its
-    largest entry (at least 1); B0, B1 and B1^T are subtracted from its band blocks in place and
-    every entry left, on the band or off it, is compared with 0.  A mismatch raises ValueError,
-    signalling an assembly bug.  Returns the check mu2[B] <= max_k mu2[B0 + 2 zeta_k B1] of
-    ``_block_toeplitz_bound``.
+    B1 = (1/2)(rho sv adv_sym + sv^2 I), sv = sigma / dv, with B1^T below the diagonal.  Its band
+    blocks (``_diffusion_band``) must match that assembly to 1e-10 times their largest entry (at least
+    1), or ValueError signals an assembly bug.  Returns ``_block_toeplitz_bound``'s check.
     """
-    grid = ops.grid
-    m1, m2 = grid.m1, grid.m2
-    sv = ops.params.sigma / grid.dv
-    ident1 = np.eye(m1)
-    B0 = 0.5 * (ops.diff_sym - 2.0 * sv**2 * ident1)
-    B1 = 0.5 * (ops.params.rho * sv * ops.adv_sym + sv**2 * ident1)
-
+    grid, sv = ops.grid, ops.params.sigma / ops.grid.dv
+    B0 = 0.5 * (ops.diff_sym - 2.0 * sv**2 * np.eye(grid.m1))
+    B1 = 0.5 * (ops.params.rho * sv * ops.adv_sym + sv**2 * np.eye(grid.m1))
     rt_s = np.sqrt(grid.s_points)
-    left = np.outer(1.0 / grid.v_points, 1.0 / rt_s)
-    B = ops.diffusion.reshape(m2, m1, m2, m1) * rt_s * left[:, :, None, None]
-    scale = max(1.0, float(np.abs(B).max()))
-    j = np.arange(m2)
-    B[j, :, j] -= B0
-    B[j[:-1], :, j[1:]] -= B1
-    B[j[1:], :, j[:-1]] -= B1.T
-    mismatch = float(np.abs(B).max())
-    if mismatch > 1e-10 * scale:
+    band = _diffusion_band(ops, np.broadcast_to(rt_s, (grid.m2, grid.m1)), np.outer(grid.v_points, rt_s),
+                           "block-Toeplitz reduction overflowed: non-finite transformed diffusion")
+    mismatch = max(float(np.abs(B - C).max(initial=0.0)) for B, C in zip(band, (B0, B1, B1.T)))
+    if mismatch > 1e-10 * max(1.0, *(float(np.abs(B).max(initial=0.0)) for B in band)):
         raise ValueError(f"block assembly disagrees with similarity formula by {mismatch:.3e}")
-    return _block_toeplitz_bound(B0, B1, m2)
+    return _block_toeplitz_bound(B0, B1, grid.m2)
 
 
 def _lambda_max_tridiagonal(T: np.ndarray, name: str) -> np.ndarray:

@@ -128,6 +128,18 @@ def block_toeplitz(B0, B1, n_blocks: int) -> np.ndarray:
     return np.kron(np.eye(n_blocks), B0) + np.kron(E, B1) + np.kron(E.T, B1.T)
 
 
+def block_tridiagonal(diag, upper) -> np.ndarray:
+    """The symmetric block tridiagonal matrix with diagonal blocks diag[j] and H[j, j+1] = upper[j]."""
+    p, m = np.shape(diag)[:2]
+    H = np.zeros((p * m, p * m))
+    for j in range(p):
+        H[j * m:(j + 1) * m, j * m:(j + 1) * m] = diag[j]
+        if j + 1 < p:
+            H[j * m:(j + 1) * m, (j + 1) * m:(j + 2) * m] = upper[j]
+            H[(j + 1) * m:(j + 2) * m, j * m:(j + 1) * m] = np.transpose(upper[j])
+    return H
+
+
 def quartic_value(nu: float, theta: float) -> float:
     """Quartic 4 th(th-1) nu^4 + th^2 (4 th - 1) nu^2 + th^4.
 

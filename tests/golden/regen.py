@@ -62,8 +62,9 @@ CASES = {
     "check-m2_3_sigma1e154": ["check", "--m2", "3", "--sigma", "1e154"],
     "sweep-m2_3_sigma0.1_1e154": ["sweep", "--m2-values", "3", "--sigma-values", "0.1,1e154",
                                   "--rho-values", "0", "--L-values", "0", "--out", "sweep.csv"],
-    # so is a finite operator whose D-similarity overflows
+    # so is a finite operator whose D-similarity or block-Toeplitz reduction overflows
     "check-m2_3_sigma3e153": ["check", "--m2", "3", "--sigma", "3e153"],
+    "certificate-m2_3_sigma3e153": ["certificate", "--m2", "3", "--sigma", "3e153"],
     "sweep-m2_3_sigma0.1_3e153": ["sweep", "--m2-values", "3", "--sigma-values", "0.1,3e153",
                                   "--rho-values", "0", "--L-values", "0", "--out", "sweep.csv"],
 }

@@ -99,10 +99,10 @@ def test_sweep_max_normD_is_the_certified_one(small_sweep):
 
 
 def test_sweep_positive_mu_D_is_a_failed_case(monkeypatch, capsys):
-    def expansive(A, D):
-        return 0.25
+    def expansive(ops):
+        return experiments.BoundCheck("diffusion_log_norm_D", 0.25, 0.0, 0.0)
 
-    monkeypatch.setattr(experiments, "log_norm_D", expansive)
+    monkeypatch.setattr(experiments, "check_diffusion_contractivity", expansive)
     cfg = SweepConfig(m2_values=(3,), sigma_values=(0.1,), rho_values=(0.0,), L_values=(0.0,))
     (rec,) = run_sweep(cfg)
     assert "mu_D = 0.25 > 0" in rec.error

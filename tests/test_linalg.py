@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (
+    block_tridiagonal,
     hermitian_lambda_max,
     log_norm_limit,
     pair_average,
@@ -244,6 +246,41 @@ def test_lambda_max_uses_both_triangles_of_an_admissible_asymmetry():
 def test_lambda_max_degenerate_top_converges_in_value():
     H = np.diag([2.0, 2.0, -1.0])  # doubly degenerate top eigenvalue
     assert log_norm_2(H) == pytest.approx(2.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# block tridiagonal lambda_max of the certificate chain
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-50.0, 50.0),
+    log_scale=st.floats(-3.0, 3.0),
+    kind=st.sampled_from(["general", "repeated", "zero"]),
+)
+@example(p=8, m=8, seed=1, shift=-50.0, log_scale=0.0, kind="general")  # lambda_max < 0, far from 0
+@example(p=8, m=8, seed=2, shift=50.0, log_scale=0.0, kind="general")  # lambda_max > 0
+@example(p=6, m=3, seed=3, shift=0.0, log_scale=0.0, kind="repeated")  # every eigenvalue 6-fold
+@example(p=4, m=5, seed=4, shift=0.0, log_scale=0.0, kind="zero")  # H = 0
+def test_block_lambda_max_matches_the_dense_eigenvalue(p, m, seed, shift, log_scale, kind):
+    rng = np.random.default_rng(seed)
+    diag = rng.standard_normal((p, m, m))
+    diag = 0.5 * (diag + diag.swapaxes(1, 2)) + shift * np.eye(m)
+    upper = rng.standard_normal((p - 1, m, m))
+    if kind == "repeated":  # equal diagonal blocks and no coupling repeat each eigenvalue p times
+        diag[:], upper[:] = diag[0], 0.0
+    diag, upper = 10.0**log_scale * diag, 10.0**log_scale * upper
+    if kind == "zero":
+        diag[:], upper[:] = 0.0, 0.0
+    H = block_tridiagonal(diag, upper)
+    expected = float(np.linalg.eigvalsh(H)[-1])
+    assert linalg._block_lambda_max(diag, upper) == expected  # below the cut-over: the same dense eigvalsh
+    with mock.patch.object(linalg, "_BLOCK_DENSE_BELOW", 0):  # the iterative kernel at every order
+        got = linalg._block_lambda_max(diag, upper)
+    assert abs(got - expected) <= 1e-12 * max(1.0, float(np.abs(H).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from hestonstab import (
     operator_block,
     scaling_diagonal,
 )
-from hestonstab import stability
+from hestonstab import cli, stability
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -189,6 +189,34 @@ def test_block_toeplitz_rhs_matches_every_sample_solved(seed):
     scale = max(1.0, float(np.abs(B0).max()), float(np.abs(B1).max()))
     assert abs(check.rhs - direct) <= 1e-12 * scale
     assert check.lhs == log_norm_2(block_toeplitz(B0, B1, 3))
+
+
+@pytest.mark.parametrize("command", ["check", "certificate"])
+def test_no_eigensolve_above_the_block_order_at_m2_13(command, monkeypatch):
+    # mu_D and the block-Toeplitz lhs come from the block kernel: no dense solve of order m1 m2
+    orders = []
+    for name in ("eigvalsh", "eigh"):
+        def record(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            orders.append(np.shape(a)[-1])
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    assert cli.main([command, "--m2", "13"]) == 0
+    assert orders and max(orders) <= 26
+
+
+@pytest.mark.parametrize("rho", [-1.0, 1.0])
+@pytest.mark.parametrize("m1, m2", [(39, 13), (40, 40)])
+def test_block_kernel_checks_match_the_dense_oracle_off_the_default_grids(m1, m2, rho):
+    # orders 507 and 1600 take the iterative block kernel; an independent m1 and a larger m2 than
+    # the default grids, at the extreme correlations
+    params, grid, ops = _setup(m1=m1, m2=m2, rho=rho)
+    scale = float(np.abs(ops.diffusion).max())
+    mu = check_diffusion_contractivity(ops).lhs
+    assert abs(mu - log_norm_D(ops.diffusion, scaling_diagonal(grid))) <= 1e-12 * scale
+    _, B0, B1 = _reduction(ops)
+    scale = max(1.0, float(np.abs(B0).max()), float(np.abs(B1).max()))
+    lhs = check_block_toeplitz_symbol_bound(ops).lhs
+    assert abs(lhs - log_norm_2(block_toeplitz(B0, B1, m2))) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
