@@ -17,7 +17,6 @@ from .grid import GridSpec, HestonParams, make_grid, scaling_diagonal
 from .linalg import (
     expm,
     log_norm_2,
-    log_norm_D,
     log_norm_inf,
     spectral_norm,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "expm",
     "format_certificate_report",
     "log_norm_2",
-    "log_norm_D",
     "log_norm_inf",
     "make_grid",
     "max_norm_over_t",

@@ -88,11 +88,6 @@ class GridSpec:
         if not (np.all(np.diff(self.v_points) > 0) and self.v_points[0] > 0):
             raise ValueError("v_points must be strictly increasing and positive")
 
-    @property
-    def m(self) -> int:
-        """Total number of unknowns m1 * m2."""
-        return self.m1 * self.m2
-
 
 def make_grid(params: HestonParams, m1: int, m2: int) -> GridSpec:
     """Build the interior grid for the truncated domain of ``params``.

@@ -5,9 +5,10 @@ spectral norm return a float from one dense ``eigvalsh``; the spectral norm solv
 of its argument scaled by a power of two.  The sweep's norm scan decides many nearby spectral norms:
 below a moderate order a Cholesky factorisation first tries to prove the norm at most a bound
 (``_gram_bounds_norm``), above it a warm-started Lanczos kernel on X^T X (``_sigma_max_lanczos``)
-computes it.  mu_D and the block-Toeplitz lhs are lambda_max of block tridiagonal matrices:
-``_block_lambda_max`` makes one dense ``eigvalsh`` at small order and above it brackets lambda_max
-between a Ritz value and a shift whose block Cholesky factorisation succeeds.
+computes it.  mu_D and the block-Toeplitz lhs are lambda_max of block tridiagonal matrices, given
+by their band of blocks: ``_block_lambda_max`` makes one dense ``eigvalsh`` at small order and above
+it brackets lambda_max between a Ritz value and a shift whose block Cholesky factorisation succeeds.
+``_band_matrix`` forms the dense matrix of a band.
 
 ``expm`` evaluates e^{tA} by scaling and squaring, with the fewest squarings s that bring
 ||tA / 2^s||_1 within theta_13.  The private generator behind it, ``_expm_squares``, goes on
@@ -25,15 +26,12 @@ import numpy as np
 __all__ = [
     "spectral_norm",
     "log_norm_2",
-    "log_norm_D",
     "log_norm_inf",
     "expm",
 ]
 
 #: ``_block_lambda_max``: dense below this order, then subspace width, tol / largest entry, solve budget.
 _BLOCK_DENSE_BELOW, _BLOCK_WIDTH, _BLOCK_TOL, _BLOCK_MAX_SOLVES = 256, 12, 1e-14, 60
-#: What ``log_norm_D`` raises for a finite A whose D-similarity leaves the float range.
-_SIMILARITY_OVERFLOW = "scaled log norm overflowed: D^{-1/2} A D^{1/2} has non-finite entries"
 #: Acceptance test of the scan's Lanczos kernel: Ritz residual <= tol * theta.
 _LANCZOS_TOL = 1e-10
 #: The kernel tests its top Ritz pair after every this many steps.
@@ -145,6 +143,15 @@ def _gram_bounds_norm(G: np.ndarray, e: int, b: float) -> bool:
     return True
 
 
+def _band_matrix(diag, upper, lower) -> np.ndarray:
+    """The dense block tridiagonal matrix with diagonal blocks ``diag`` (p, m, m), H[j, j+1] =
+    ``upper[j]`` and H[j+1, j] = ``lower[j]`` ((p - 1, m, m) each), and 0 off the band."""
+    (p, m), j = diag.shape[:2], np.arange(diag.shape[0])
+    H = np.zeros((p, m, p, m))
+    H[j, :, j], H[j[:-1], :, j[1:]], H[j[1:], :, j[:-1]] = diag, upper, lower
+    return H.reshape(p * m, p * m)
+
+
 def _block_lambda_max(diag, upper) -> float:
     """Largest eigenvalue of the symmetric block tridiagonal H with diagonal blocks ``diag`` (p, m, m)
     and H[j, j+1] = ``upper`` (p - 1, m, m): a dense ``eigvalsh`` below the order ``_BLOCK_DENSE_BELOW``.
@@ -158,9 +165,7 @@ def _block_lambda_max(diag, upper) -> float:
     """
     (p, m), k = diag.shape[:2], min(_BLOCK_WIDTH, diag.shape[0] * diag.shape[1])
     if p * m < _BLOCK_DENSE_BELOW:
-        j, H = np.arange(p), np.zeros((p, m, p, m))
-        H[j, :, j], H[j[:-1], :, j[1:]], H[j[1:], :, j[:-1]] = diag, upper, upper.swapaxes(1, 2)
-        return float(np.linalg.eigvalsh(H.reshape(p * m, p * m))[-1])
+        return float(np.linalg.eigvalsh(_band_matrix(diag, upper, upper.swapaxes(1, 2)))[-1])
     e = math.frexp(max(float(np.abs(diag).max()), float(np.abs(upper).max(initial=0.0))))[1]
     diag, upper = np.ldexp(diag, -e), np.ldexp(upper, -e)  # exact; every entry now below 1 in size
 
@@ -216,38 +221,6 @@ def log_norm_2(A) -> float:
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     return float(np.linalg.eigvalsh(0.5 * (A + A.conj().T))[-1])
-
-
-def _scale_similar(M: np.ndarray, d) -> np.ndarray:
-    """D^{-1/2} M D^{1/2} for the diagonal D = diag(d) of a square matrix M.
-
-    ``d`` must be a vector of strictly positive entries, one per row of M;
-    anything else raises ValueError.
-    """
-    d = np.asarray(d)
-    if d.ndim != 1 or M.shape != (d.shape[0], d.shape[0]):
-        raise ValueError(
-            f"scaling diagonal of shape {d.shape} does not match the matrix shape {M.shape}"
-        )
-    if np.any(d <= 0):
-        raise ValueError("scaling diagonal must be strictly positive")
-    rt = np.sqrt(d)
-    return (M * rt[None, :]) / rt[:, None]
-
-
-def log_norm_D(A, D) -> float:
-    """Logarithmic norm in the scaled inner product induced by diagonal D > 0.
-
-    Equals the logarithmic spectral norm of D^{-1/2} A D^{1/2}.  ``D`` is
-    the diagonal as a vector of positive entries, one per row of A.  A
-    finite A whose similarity transform leaves the float range raises
-    OverflowError.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        M = _scale_similar(_as_matrix(A), D)
-    if not np.all(np.isfinite(M)):
-        raise OverflowError(_SIMILARITY_OVERFLOW)
-    return log_norm_2(M)
 
 
 def log_norm_inf(A) -> float:

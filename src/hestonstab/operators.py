@@ -1,11 +1,14 @@
-"""The Kronecker-assembled Heston operators of the central finite-difference scheme.
+"""The Heston operators of the central finite-difference scheme, as block tridiagonal bands.
 
 The five PDE terms (price advection, variance advection, price diffusion,
-mixed derivative, variance diffusion) map to five m x m blocks, each a scalar
-times a Kronecker product of 1-D operators built from the central difference
-stencils of the private ``_differences`` in each direction.  ``build_operators``
-assembles a grid once and keeps what the analysis reads; ``operator_block``
-forms any other block on demand.
+mixed derivative, variance diffusion) map to five terms coef * kron(left, right)
+of order m = m1 m2: left an m2 x m2 operator in the variance direction, right an
+m1 x m1 operator in the price direction, both built from the central difference
+stencils of the private ``_differences``.  Every left factor is tridiagonal, so
+in grid ordering each 2-D operator is block tridiagonal, with m2 blocks of
+order m1.  ``build_operators`` keeps only the 1-D operators; the private
+``_band`` forms the diagonal, upper and lower blocks of any 2-D operator from
+them, and ``operator_block`` the dense m x m matrix, on demand.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, HestonParams
+from .linalg import _band_matrix
 
 __all__ = ["OperatorSet", "BLOCK_NAMES", "build_operators", "operator_block"]
 
@@ -46,13 +50,12 @@ class OperatorSet:
         adv_1d   = Ds d1_s                  (discrete s*u_s)
         diff_1d  = (1/2) Ds^2 d2_s          (discrete (1/2)*s^2*u_ss)
 
-    ``operator_block`` forms the 2-D blocks from them: adv_s discretizes r*s*u_s,
-    adv_v kappa*(eta - v)*u_v, diff_ss (1/2)*s^2*v*u_ss, mixed_sv rho*sigma*s*v*u_sv
-    and diff_vv (1/2)*sigma^2*v*u_vv.  Only ``diffusion`` = diff_ss + mixed_sv +
-    diff_vv, the part covered by the contractivity result, is kept.  As
-    adv_s = I2 (x) adv_s_factor, adv_v = adv_v_factor (x) I1, e^{t(I (x) B)} =
-    I (x) e^{tB}, ||I (x) X||_2 = ||X||_2 and mu2[I (x) X] = mu2[X] (likewise
-    for X (x) I), the advection checks run on the factors.
+    The 2-D blocks are formed from them on demand (``_band``, ``operator_block``): adv_s
+    discretizes r*s*u_s, adv_v kappa*(eta - v)*u_v, diff_ss (1/2)*s^2*v*u_ss, mixed_sv
+    rho*sigma*s*v*u_sv and diff_vv (1/2)*sigma^2*v*u_vv; ``diffusion`` = diff_ss + mixed_sv +
+    diff_vv is the part covered by the contractivity result.  As adv_s = I2 (x) adv_s_factor,
+    adv_v = adv_v_factor (x) I1, e^{t(I (x) B)} = I (x) e^{tB}, ||I (x) X||_2 = ||X||_2 and
+    mu2[I (x) X] = mu2[X] (likewise for X (x) I), the advection checks run on the factors.
     """
 
     params: HestonParams
@@ -63,39 +66,53 @@ class OperatorSet:
     diff_1d: np.ndarray
     adv_s_factor: np.ndarray
     adv_v_factor: np.ndarray
-    diffusion: np.ndarray
+
+    @property
+    def diffusion(self) -> np.ndarray:
+        """The dense diffusion part diff_ss + mixed_sv + diff_vv, formed on each access."""
+        return operator_block(self, "diffusion")
 
 
-def _form(params, grid, adv_1d, diff_1d, adv_s_factor, adv_v_factor, names) -> np.ndarray:
-    """The sum of the 2-D blocks ``names``, left to right, accumulated in place."""
-    (d1_v, d2_v), Dv, I1 = _differences(grid.m2, grid.dv), np.diag(grid.v_points), np.eye(grid.m1)
+#: The terms of the sums among ``BLOCK_NAMES``, added left to right; "reaction" is -r I.
+_SUMS = {"full": ("adv-s", "adv-v", "diff-ss", "mixed-sv", "diff-vv", "reaction"),
+         "diffusion": ("diff-ss", "mixed-sv", "diff-vv")}
+
+
+def _band(ops: OperatorSet, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonal (m2, m1, m1), upper and lower (m2 - 1, m1, m1) blocks of the block ``which``.
+
+    Each term coef * kron(left, right) has a tridiagonal left factor, so it is formed on the
+    three block diagonals only: block (j, k) is (left[j, k] * right) * coef, the product
+    ``np.kron`` forms, and the terms are added left to right.  In any entry at most two of the
+    five PDE terms are nonzero and -r I comes last, so the grouping of the sum does not matter:
+    the blocks are bitwise those of the dense Kronecker sum.
+    """
+    grid, params = ops.grid, ops.params
+    (d1_v, d2_v), Dv = _differences(grid.m2, grid.dv), np.diag(grid.v_points)
+    I1, I2 = np.eye(grid.m1), np.eye(grid.m2)
     terms = {  # name: (coefficient or None for 1, left, right) of coefficient * kron(left, right)
-        "adv-s": (None, np.eye(grid.m2), adv_s_factor),
-        "adv-v": (None, adv_v_factor, I1),
-        "diff-ss": (None, Dv, diff_1d),
-        "mixed-sv": (params.rho * params.sigma, Dv @ d1_v, adv_1d),
+        "adv-s": (None, I2, ops.adv_s_factor),
+        "adv-v": (None, ops.adv_v_factor, I1),
+        "diff-ss": (None, Dv, ops.diff_1d),
+        "mixed-sv": (params.rho * params.sigma, Dv @ d1_v, ops.adv_1d),
         "diff-vv": (0.5 * np.float64(params.sigma) ** 2, Dv @ d2_v, I1),
+        "reaction": (-params.r, I2, I1),
     }
-    total = None
-    for coef, left, right in (terms[name] for name in names):
-        block = np.kron(left, right)
-        if coef is not None:
-            block *= coef
-        total = block if total is None else np.add(total, block, out=total)
-    return total
+    parts, band = [terms[name] for name in _SUMS.get(which, (which,))], []
+    for k in (0, 1, -1):  # one block diagonal at a time: besides the finished ones, three arrays live
+        total = None
+        for coef, left, right in parts:
+            term = np.diagonal(left, k)[:, None, None] * right
+            if coef is not None:
+                term *= coef
+            total = term if total is None else np.add(total, term, out=total)
+        band.append(total)
+    return tuple(band)
 
 
 def operator_block(ops: OperatorSet, which: str) -> np.ndarray:
-    """The block ``which`` (one of ``BLOCK_NAMES``); full = adv_s + adv_v + diffusion - r*I."""
-    if which == "diffusion":
-        return ops.diffusion
-    pieces = (ops.params, ops.grid, ops.adv_1d, ops.diff_1d, ops.adv_s_factor, ops.adv_v_factor)
-    if which != "full":
-        return _form(*pieces, (which,))
-    full = _form(*pieces, ("adv-s", "adv-v"))
-    full += ops.diffusion
-    full[np.diag_indices_from(full)] -= ops.params.r
-    return full
+    """The dense block ``which`` (one of ``BLOCK_NAMES``); full = adv_s + adv_v + diffusion - r*I."""
+    return _band_matrix(*_band(ops, which))
 
 
 def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
@@ -106,8 +123,9 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
     fails beyond roundoff, which would signal an assembly bug, and
     OverflowError if the full operator, not only a block of it, has a non-finite entry.
     """
-    # an overflow shows up as a non-finite entry of the full operator, formed and checked
-    # below; np.float64 turns an overflowing sigma^2 into inf instead of raising
+    # an overflow shows up as a non-finite entry of the full operator's band, formed and checked
+    # below (every entry off the band is 0 times a factor entry that is also in the band, times
+    # a nonzero); np.float64 turns an overflowing sigma^2 into inf instead of raising
     with np.errstate(over="ignore", invalid="ignore"):
         d1_s, d2_s = _differences(grid.m1, grid.ds)
         s = grid.s_points
@@ -129,10 +147,7 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
         adv_s_factor = params.r * adv_1d
         d1_v, _ = _differences(grid.m2, grid.dv)
         adv_v_factor = params.kappa * ((params.eta * np.eye(grid.m2) - np.diag(grid.v_points)) @ d1_v)
-        diffusion = _form(params, grid, adv_1d, diff_1d, adv_s_factor, adv_v_factor,
-                          ("diff-ss", "mixed-sv", "diff-vv"))
-        ops = OperatorSet(params, grid, adv_sym, diff_sym, adv_1d, diff_1d,
-                          adv_s_factor, adv_v_factor, diffusion)
-        if not np.all(np.isfinite(operator_block(ops, "full"))):
+        ops = OperatorSet(params, grid, adv_sym, diff_sym, adv_1d, diff_1d, adv_s_factor, adv_v_factor)
+        if not all(np.isfinite(B).all() for B in _band(ops, "full")):
             raise OverflowError("operator assembly overflowed: the operator has non-finite entries")
     return ops

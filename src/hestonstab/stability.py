@@ -17,7 +17,9 @@ tridiagonal convection-form and family matrices similar to real symmetric ones.
 The certificates of the stability bounds themselves are log norms:
 mu_2 of the two advection blocks and mu_D of the diffusion part.  A log
 norm mu bounds ||e^{tA}|| <= e^{t mu} for every t >= 0, so no exponential
-is sampled here.
+is sampled here.  The advection checks read the 1-D factors and the diffusion
+checks read its band of m2 block rows (``operators._band``), so no check forms
+a matrix of order m1 m2.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, scaling_diagonal
-from .linalg import _SIMILARITY_OVERFLOW, _block_lambda_max, log_norm_2, log_norm_inf, spectral_norm
-from .operators import OperatorSet
+from .grid import GridSpec
+from .linalg import _block_lambda_max, log_norm_2, log_norm_inf, spectral_norm
+from .operators import OperatorSet, _band
 
 __all__ = [
     "BoundCheck",
@@ -62,6 +64,8 @@ _UPPER_ZETAS = tuple(
 _CHECK_TOL = 1e-8
 # Rounding allowance of the block-Toeplitz bound, on top of its sampling slack.
 _TOEPLITZ_TOL = 1e-9
+# What mu_D raises for a finite diffusion whose D-similarity leaves the float range.
+_SIMILARITY_OVERFLOW = "scaled log norm overflowed: D^{-1/2} A D^{1/2} has non-finite entries"
 
 
 @dataclass(frozen=True)
@@ -139,18 +143,17 @@ def check_advection_bounds(ops: OperatorSet):
     )
 
 
-def _diffusion_band(ops: OperatorSet, col: np.ndarray, row: np.ndarray, overflow: str):
-    """Diagonal, upper and lower blocks of the diffusion, entry ((j, i), (k, l)) scaled to (a * col[k, l])
-    / row[j, i]; ValueError off the block tridiagonal band, OverflowError(overflow) past the float range."""
-    A, j = ops.diffusion.reshape(2 * (ops.grid.m2, ops.grid.m1)), np.arange(ops.grid.m2)
+def _scale_band(band, col: np.ndarray, row: np.ndarray, overflow: str) -> None:
+    """Scale the diagonal, upper and lower blocks of ``band`` (``operators._band``) in place, entry
+    ((j, i), (k, l)) to (a * col[k, l]) / row[j, i]; OverflowError(overflow) past the float range."""
+    j = np.arange(len(col))
     pairs = (j, j), (j[:-1], j[1:]), (j[1:], j[:-1])
-    if np.count_nonzero(ops.diffusion) != sum(np.count_nonzero(A[r, :, c]) for r, c in pairs):
-        raise ValueError("block assembly disagrees: nonzero entries off the block tridiagonal band")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        band = [A[r, :, c] * col[c, None, :] / row[r, :, None] for r, c in pairs]
+        for B, (r, c) in zip(band, pairs):
+            B *= col[c, None, :]
+            B /= row[r, :, None]
     if not all(np.isfinite(B).all() for B in band):
         raise OverflowError(overflow)
-    return band
 
 
 def check_diffusion_contractivity(ops: OperatorSet) -> BoundCheck:
@@ -158,12 +161,15 @@ def check_diffusion_contractivity(ops: OperatorSet) -> BoundCheck:
 
     Returns the check mu_D[diffusion] <= 0 up to 1e-8 times the largest entry, D =
     ``scaling_diagonal(ops.grid)``, which gives ||e^{t diffusion}||_D <= 1 and ||e^{t diffusion}||_2
-    <= sqrt(cond D) for every t >= 0; mu_D is ``_block_lambda_max`` of He(D^{-1/2} diffusion D^{1/2}).
+    <= sqrt(cond D) for every t >= 0; mu_D is ``_block_lambda_max`` of He(D^{-1/2} diffusion D^{1/2}),
+    formed from the diffusion's band.  A finite diffusion whose similarity overflows raises OverflowError.
     """
-    rt = np.sqrt(scaling_diagonal(ops.grid)).reshape(ops.grid.m2, ops.grid.m1)
-    diag, up, low = _diffusion_band(ops, rt, rt, _SIMILARITY_OVERFLOW)
+    diag, up, low = band = _band(ops, "diffusion")
+    tol = _CHECK_TOL * max(float(np.abs(B).max()) for B in band)
+    rt = np.sqrt(np.outer(ops.grid.v_points, ops.grid.s_points))  # sqrt(D) in grid order, a row per v_j
+    _scale_band(band, rt, rt, _SIMILARITY_OVERFLOW)
     lhs = _block_lambda_max(0.5 * (diag + diag.swapaxes(1, 2)), 0.5 * (up + low.swapaxes(1, 2)))
-    return BoundCheck("diffusion_log_norm_D", lhs, 0.0, _CHECK_TOL * float(np.abs(ops.diffusion).max()))
+    return BoundCheck("diffusion_log_norm_D", lhs, 0.0, tol)
 
 
 def _block_toeplitz_bound(B0: np.ndarray, B1: np.ndarray, n_blocks: int) -> BoundCheck:
@@ -192,18 +198,20 @@ def check_block_toeplitz_symbol_bound(ops: OperatorSet) -> BoundCheck:
     """Block-Toeplitz symbol bound of the diffusion part of ``ops``.
 
     The diagonal similarity that removes the variance scaling and symmetrizes the price scaling
-    turns ``ops.diffusion`` into the block tridiagonal Toeplitz matrix with m2 blocks of order
+    turns the diffusion part into the block tridiagonal Toeplitz matrix with m2 blocks of order
     m1: the diagonal block B0 = (1/2)(diff_sym - 2 sv^2 I) and the off-diagonal block
-    B1 = (1/2)(rho sv adv_sym + sv^2 I), sv = sigma / dv, with B1^T below the diagonal.  Its band
-    blocks (``_diffusion_band``) must match that assembly to 1e-10 times their largest entry (at least
-    1), or ValueError signals an assembly bug.  Returns ``_block_toeplitz_bound``'s check.
+    B1 = (1/2)(rho sv adv_sym + sv^2 I), sv = sigma / dv, with B1^T below the diagonal.  The
+    transformed band of the diffusion (``_scale_band``) must match that assembly to 1e-10 times
+    its largest entry (at least 1), or ValueError signals an assembly bug.  Returns
+    ``_block_toeplitz_bound``'s check.
     """
     grid, sv = ops.grid, ops.params.sigma / ops.grid.dv
     B0 = 0.5 * (ops.diff_sym - 2.0 * sv**2 * np.eye(grid.m1))
     B1 = 0.5 * (ops.params.rho * sv * ops.adv_sym + sv**2 * np.eye(grid.m1))
     rt_s = np.sqrt(grid.s_points)
-    band = _diffusion_band(ops, np.broadcast_to(rt_s, (grid.m2, grid.m1)), np.outer(grid.v_points, rt_s),
-                           "block-Toeplitz reduction overflowed: non-finite transformed diffusion")
+    band = _band(ops, "diffusion")
+    _scale_band(band, np.broadcast_to(rt_s, (grid.m2, grid.m1)), np.outer(grid.v_points, rt_s),
+                "block-Toeplitz reduction overflowed: non-finite transformed diffusion")
     mismatch = max(float(np.abs(B - C).max(initial=0.0)) for B, C in zip(band, (B0, B1, B1.T)))
     if mismatch > 1e-10 * max(1.0, *(float(np.abs(B).max(initial=0.0)) for B in band)):
         raise ValueError(f"block assembly disagrees with similarity formula by {mismatch:.3e}")

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own computational paths: eigenvalues
 come from a cyclic Jacobi rotation solver, matrix exponentials from a
-truncated Taylor series accumulated in extended precision, and norms in the
-limit-definition checks from LAPACK's SVD.  The closed-form reference
+truncated Taylor series accumulated in extended precision, norms in the
+limit-definition checks from LAPACK's SVD, and the dense mu_D reference from
+LAPACK's symmetric eigensolver.  The closed-form reference
 helpers below (symbols, certificate polynomials, the stencil commutator)
 are written from their formulas.  Nothing here imports ``hestonstab``.
 """
@@ -92,6 +93,19 @@ def log_norm_limit(A, h: float = 1e-7) -> float:
     A = np.asarray(A)
     n = A.shape[0]
     return float((np.linalg.norm(np.eye(n) + h * A, 2) - 1.0) / h)
+
+
+def scale_similar(M, d) -> np.ndarray:
+    """D^{-1/2} M D^{1/2} for the diagonal D = diag(d), d > 0."""
+    rt = np.sqrt(np.asarray(d, dtype=float))
+    return (np.asarray(M) * rt[None, :]) / rt[:, None]
+
+
+def log_norm_D(A, d) -> float:
+    """Dense mu_D[A]: the largest eigenvalue of the symmetric part of D^{-1/2} A D^{1/2} for real A,
+    by LAPACK's ``eigvalsh``."""
+    M = scale_similar(A, d)
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
 
 
 def pair_average_eigs(n: int) -> np.ndarray:

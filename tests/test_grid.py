@@ -42,7 +42,6 @@ def test_point_reconstruction_exact(m1, m2, L, S, V):
 def test_counts_and_dimensions():
     params = HestonParams(**BASE)
     grid = make_grid(params, 6, 4)
-    assert grid.m == 24
     assert len(grid.s_points) == 6 and len(grid.v_points) == 4
     assert np.all(np.diff(grid.s_points) > 0)
     assert grid.v_points[0] == pytest.approx(grid.dv)
@@ -52,7 +51,7 @@ def test_scaling_matrices_kronecker_order():
     params = HestonParams(**BASE, L=0.0, S=8.0, V=5.0)
     grid = make_grid(params, 3, 4)
     diag = scaling_diagonal(grid)
-    assert diag.shape == (grid.m,)
+    assert diag.shape == (grid.m1 * grid.m2,)
     assert np.all(diag > 0)
     for j in range(1, grid.m2 + 1):
         for i in range(1, grid.m1 + 1):

@@ -15,6 +15,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st, target
 import numpy as np
 
+from _oracles import log_norm_D
 from hestonstab import (
     DEFAULT_Y_SAMPLES,
     HestonParams,
@@ -24,7 +25,6 @@ from hestonstab import (
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_symbol_conditions,
-    log_norm_D,
     make_grid,
     max_norm_over_t,
     scaling_diagonal,

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import commutator_check, pair_average
 from hestonstab import HestonParams, build_operators, make_grid, operator_block
-from hestonstab.operators import _differences
+from hestonstab.operators import BLOCK_NAMES, _differences
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -97,7 +97,7 @@ def test_mixed_product_assembly_identity():
 def test_sparsity_budgets():
     params, grid = _grid(m1=7, m2=6, rho=0.9)
     ops = build_operators(params, grid)
-    m = grid.m
+    m = grid.m1 * grid.m2
     for name, cap in (("adv-s", 3), ("adv-v", 3), ("diff-ss", 3), ("mixed-sv", 9), ("diff-vv", 3)):
         A = operator_block(ops, name)
         assert np.count_nonzero(A) <= cap * m
@@ -110,7 +110,7 @@ def test_operator_sums():
     adv_s, adv_v, diff_ss, mixed_sv, diff_vv, full = (
         operator_block(ops, name) for name in ("adv-s", "adv-v", "diff-ss", "mixed-sv", "diff-vv", "full")
     )
-    total = adv_s + adv_v + diff_ss + mixed_sv + diff_vv - params.r * np.eye(grid.m)
+    total = adv_s + adv_v + diff_ss + mixed_sv + diff_vv - params.r * np.eye(grid.m1 * grid.m2)
     np.testing.assert_array_equal(full, total)
     np.testing.assert_array_equal(ops.diffusion, diff_ss + mixed_sv + diff_vv)
     np.testing.assert_array_equal(operator_block(ops, "diffusion"), ops.diffusion)
@@ -152,13 +152,15 @@ def test_scaled_operators_unit_grid_row():
 
 
 @pytest.mark.parametrize("m1,m2,extra", [(10, 5, {}), (7, 5, {"rho": 0.9, "L": 10.0}),
-                                         (6, 3, {"rho": -1.0, "sigma": 0.1, "L": 7.3})])
+                                         (6, 3, {"rho": -1.0, "sigma": 0.1, "L": 7.3}),
+                                         (12, 4, {"rho": 1.0, "L": 10.0}),
+                                         (15, 5, {"rho": -1.0, "sigma": 0.5, "L": 250.0})])
 def test_blocks_equal_the_diagonal_scaled_products(m1, m2, extra):
     # the 2-D blocks are formed from adv_1d and diff_1d; they equal the Ds-product formulas exactly
     params, grid = _grid(m1=m1, m2=m2, **extra)
     ops = build_operators(params, grid)
     d1_s, d2_s = _differences(grid.m1, grid.ds)
-    d1_v, _ = _differences(grid.m2, grid.dv)
+    d1_v, d2_v = _differences(grid.m2, grid.dv)
     Ds, Dv = np.diag(grid.s_points), np.diag(grid.v_points)
     np.testing.assert_array_equal(ops.adv_1d, Ds @ d1_s)
     np.testing.assert_array_equal(ops.adv_s_factor, params.r * (Ds @ d1_s))
@@ -166,6 +168,24 @@ def test_blocks_equal_the_diagonal_scaled_products(m1, m2, extra):
     np.testing.assert_array_equal(
         operator_block(ops, "mixed-sv"), params.rho * params.sigma * np.kron(Dv @ d1_v, Ds @ d1_s)
     )
+    # every block against its dense Kronecker assembly; the sums bit for bit
+    I1, I2 = np.eye(grid.m1), np.eye(grid.m2)
+    kron = {
+        "adv-s": np.kron(I2, ops.adv_s_factor),
+        "adv-v": np.kron(ops.adv_v_factor, I1),
+        "diff-ss": np.kron(Dv, ops.diff_1d),
+        "mixed-sv": params.rho * params.sigma * np.kron(Dv @ d1_v, ops.adv_1d),
+        "diff-vv": 0.5 * np.float64(params.sigma) ** 2 * np.kron(Dv @ d2_v, I1),
+    }
+    kron["diffusion"] = kron["diff-ss"] + kron["mixed-sv"] + kron["diff-vv"]
+    kron["full"] = kron["adv-s"] + kron["adv-v"] + kron["diffusion"]
+    kron["full"][np.diag_indices_from(kron["full"])] -= params.r
+    assert set(kron) == set(BLOCK_NAMES)
+    for name in BLOCK_NAMES:
+        np.testing.assert_array_equal(operator_block(ops, name), kron[name], err_msg=name)
+    for name in ("diffusion", "full"):
+        assert np.array_equal(operator_block(ops, name).view(np.uint64), kron[name].view(np.uint64)), name
+    assert np.array_equal(ops.diffusion.view(np.uint64), kron["diffusion"].view(np.uint64))
 
 
 @pytest.mark.parametrize("sigma", [1e154, 1e155, 1e300])

@@ -9,6 +9,7 @@ from _oracles import (
     block_toeplitz,
     cubic_value,
     hermitian_lambda_max,
+    log_norm_D,
     quartic_value,
     small_y_row_coefficients,
     symbol_matrix,
@@ -24,13 +25,12 @@ from hestonstab import (
     check_symbol_conditions,
     format_certificate_report,
     log_norm_2,
-    log_norm_D,
     log_norm_inf,
     make_grid,
     operator_block,
     scaling_diagonal,
 )
-from hestonstab import cli, stability
+from hestonstab import cli, linalg, operators, stability
 
 BASE = dict(r=0.05, kappa=2.0, eta=0.04, sigma=0.2, rho=-0.5)
 
@@ -204,6 +204,17 @@ def test_no_eigensolve_above_the_block_order_at_m2_13(command, monkeypatch):
     assert orders and max(orders) <= 26
 
 
+@pytest.mark.parametrize("command", ["check", "certificate"])
+def test_no_matrix_of_order_m1_m2_at_m2_13(command, monkeypatch):
+    # every 2-D operator is read as its band: no Kronecker product, no dense band matrix
+    def fail(*args, **kwargs):
+        pytest.fail("a matrix of order m1 m2 was formed")
+    monkeypatch.setattr(np, "kron", fail)
+    monkeypatch.setattr(linalg, "_band_matrix", fail)
+    monkeypatch.setattr(operators, "_band_matrix", fail)
+    assert cli.main([command, "--m2", "13"]) == 0
+
+
 @pytest.mark.parametrize("rho", [-1.0, 1.0])
 @pytest.mark.parametrize("m1, m2", [(39, 13), (40, 40)])
 def test_block_kernel_checks_match_the_dense_oracle_off_the_default_grids(m1, m2, rho):
@@ -239,22 +250,26 @@ def test_reduction_transpose_block_consistency():
 
 
 def test_reduction_rejects_operators_of_another_grid():
+    # the diffusion's diagonal blocks from another grid's diff_1d, B0 from this grid's diff_sym
     _, _, ops = _setup(m1=6, m2=4, rho=0.5)
     _, _, other = _setup(m1=6, m2=4, rho=0.5, L=10.0)
     with pytest.raises(ValueError, match="block assembly disagrees"):
-        check_block_toeplitz_symbol_bound(dataclasses.replace(ops, diffusion=other.diffusion))
+        check_block_toeplitz_symbol_bound(dataclasses.replace(ops, diff_1d=other.diff_1d))
 
 
 def test_reduction_checks_every_block_and_leaves_the_diffusion_unchanged():
-    _, grid, ops = _setup(m1=6, m2=4, rho=0.5)
-    before = ops.diffusion.tobytes()
+    _, _, ops = _setup(m1=6, m2=4, rho=0.5)
+    arrays = {f.name: getattr(ops, f.name) for f in dataclasses.fields(ops)
+              if isinstance(getattr(ops, f.name), np.ndarray)}
+    before = {name: a.tobytes() for name, a in arrays.items()}
     assert check_block_toeplitz_symbol_bound(ops).holds
-    assert ops.diffusion.tobytes() == before
-    # one entry of block (0, 2), two blocks off the band
-    perturbed = ops.diffusion.copy()
-    perturbed[1, 2 * grid.m1 + 3] = 1e-3 * np.abs(ops.diffusion).max()
-    with pytest.raises(ValueError, match="block assembly disagrees"):
-        check_block_toeplitz_symbol_bound(dataclasses.replace(ops, diffusion=perturbed))
+    assert {name: a.tobytes() for name, a in arrays.items()} == before
+    # diff_1d reaches only the diagonal blocks (diff_ss), adv_1d only the off-diagonal ones (mixed_sv)
+    for name in ("diff_1d", "adv_1d"):
+        perturbed = getattr(ops, name).copy()
+        perturbed[2, 3] += 1e-3 * np.abs(perturbed).max()
+        with pytest.raises(ValueError, match="block assembly disagrees"):
+            check_block_toeplitz_symbol_bound(dataclasses.replace(ops, **{name: perturbed}))
 
 
 @pytest.mark.parametrize("rho,L", [(0.0, 0.0), (1.0, 0.0), (-0.6, 10.0)])
