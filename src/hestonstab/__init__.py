@@ -25,8 +25,7 @@ from .stability import (
     BoundCheck,
     CertificateRow,
     DEFAULT_Y_SAMPLES,
-    certificate_case_large_y,
-    certificate_case_small_y,
+    certificate_rows,
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
@@ -46,8 +45,7 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "build_operators",
-    "certificate_case_large_y",
-    "certificate_case_small_y",
+    "certificate_rows",
     "check_advection_bounds",
     "check_block_toeplitz_symbol_bound",
     "check_diffusion_contractivity",

@@ -31,8 +31,7 @@ from .operators import BLOCK_NAMES, build_operators, operator_block
 from .stability import (
     BoundCheck,
     DEFAULT_Y_SAMPLES,
-    certificate_case_large_y,
-    certificate_case_small_y,
+    certificate_rows,
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
@@ -235,8 +234,7 @@ def _run_certificate(ns: argparse.Namespace) -> int:
     checks = check_symbol_conditions(ops)
     rows = []
     for y in DEFAULT_Y_SAMPLES:
-        certify = certificate_case_large_y if abs(y) >= 0.5 else certificate_case_small_y
-        y_rows, check = certify(ops, y)
+        y_rows, check = certificate_rows(ops, y)
         rows.extend(y_rows)
         checks.append(check)
     checks.append(check_block_toeplitz_symbol_bound(ops))

@@ -125,8 +125,9 @@ def build_operators(params: HestonParams, grid: GridSpec) -> OperatorSet:
     """
     # an overflow shows up as a non-finite entry of the full operator's band, formed and checked
     # below (every entry off the band is 0 times a factor entry that is also in the band, times
-    # a nonzero); np.float64 turns an overflowing sigma^2 into inf instead of raising
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a nonzero); np.float64 turns an overflowing sigma^2 into inf instead of raising, and a
+    # mesh width whose square underflows to 0 gives an infinite stencil
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d1_s, d2_s = _differences(grid.m1, grid.ds)
         s = grid.s_points
         rt = np.sqrt(s)

@@ -5,14 +5,15 @@ The chain runs: advection log-norm bounds; the block-Toeplitz symbol bound on
 the similarity reduction of the diffusion part, checked block by block; a sequence of
 sufficient symbol conditions on the unit circle that collapse to a single
 tridiagonal family indexed by a real parameter y; and finally per-row
-weighted inequalities that certify the family, split into the cases
-|y| >= 1/2 (a quartic polynomial inequality) and |y| < 1/2 (diagonal
-weights with closed-form row coefficients).  Every matrix of the symbol
-conditions and of the family is real plus i Im(zeta) or i y times a real
-matrix, so a conjugate zeta or -y gives the conjugate matrix: the checks
-sample the closed upper half circle and y >= 0 only.  Each sample set takes
-one batched ``eigvalsh``; the uniform grid (nu_{i+1} = nu_i + 1) makes the
-tridiagonal convection-form and family matrices similar to real symmetric ones.
+weighted inequalities that certify the family (``certificate_rows``), which
+picks its case from y: |y| >= 1/2 (a quartic polynomial inequality) or
+|y| < 1/2 (diagonal weights with closed-form row coefficients).  Every
+matrix of the symbol conditions and of the family is real plus i Im(zeta) or
+i y times a real matrix, so a conjugate zeta or -y gives the conjugate
+matrix: the checks sample the closed upper half circle and y >= 0 only.
+Each sample set takes one batched ``eigvalsh``; the uniform grid
+(nu_{i+1} = nu_i + 1) makes the tridiagonal convection-form and family
+matrices similar to real symmetric ones.
 
 The certificates of the stability bounds themselves are log norms:
 mu_2 of the two advection blocks and mu_D of the diffusion part.  A log
@@ -31,7 +32,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GridSpec
 from .linalg import _block_lambda_max, log_norm_2, log_norm_inf, spectral_norm
 from .operators import OperatorSet, _band
 
@@ -43,8 +43,7 @@ __all__ = [
     "check_diffusion_contractivity",
     "check_block_toeplitz_symbol_bound",
     "check_symbol_conditions",
-    "certificate_case_large_y",
-    "certificate_case_small_y",
+    "certificate_rows",
     "format_certificate_report",
 ]
 
@@ -168,8 +167,9 @@ def check_diffusion_contractivity(ops: OperatorSet) -> BoundCheck:
     tol = _CHECK_TOL * max(float(np.abs(B).max()) for B in band)
     rt = np.sqrt(np.outer(ops.grid.v_points, ops.grid.s_points))  # sqrt(D) in grid order, a row per v_j
     _scale_band(band, rt, rt, _SIMILARITY_OVERFLOW)
-    lhs = _block_lambda_max(0.5 * (diag + diag.swapaxes(1, 2)), 0.5 * (up + low.swapaxes(1, 2)))
-    return BoundCheck("diffusion_log_norm_D", lhs, 0.0, tol)
+    herm = 0.5 * (diag + diag.swapaxes(1, 2)), 0.5 * (up + low.swapaxes(1, 2))
+    del band, diag, up, low  # release the scaled band: the kernel reads only its Hermitian part
+    return BoundCheck("diffusion_log_norm_D", _block_lambda_max(*herm), 0.0, tol)
 
 
 def _block_toeplitz_bound(B0: np.ndarray, B1: np.ndarray, n_blocks: int) -> BoundCheck:
@@ -215,6 +215,7 @@ def check_block_toeplitz_symbol_bound(ops: OperatorSet) -> BoundCheck:
     mismatch = max(float(np.abs(B - C).max(initial=0.0)) for B, C in zip(band, (B0, B1, B1.T)))
     if mismatch > 1e-10 * max(1.0, *(float(np.abs(B).max(initial=0.0)) for B in band)):
         raise ValueError(f"block assembly disagrees with similarity formula by {mismatch:.3e}")
+    del band  # release the transformed band: the bound reads only B0 and B1
     return _block_toeplitz_bound(B0, B1, grid.m2)
 
 
@@ -291,75 +292,42 @@ def check_symbol_conditions(ops: OperatorSet):
     return checks
 
 
-def _family_entries(grid: GridSpec, y: float):
-    """Row data (nu, alpha, |beta|, |gamma|) of the tridiagonal family.
+def certificate_rows(ops: OperatorSet, y: float):
+    """Row certificate for the tridiagonal family diff_1d + (1/2 + 2iy) adv_1d on ``ops.grid``.
 
-    Row i has diagonal -nu_i^2, sub-diagonal (1/2) nu_i (nu_i - 1/2 - 2iy)
-    and super-diagonal (1/2) nu_i (nu_i + 1/2 + 2iy); the first row has no
-    sub-diagonal and the last row no super-diagonal.
+    Row i, nu_i = s_i / ds, has diagonal alpha_i = -nu_i^2, sub-diagonal (1/2) nu_i (nu_i - 1/2 - 2iy)
+    and super-diagonal (1/2) nu_i (nu_i + 1/2 + 2iy); the first row has no sub-diagonal and the
+    last row no super-diagonal.  The case follows |y|, and either one bounds the row sums by 2 y^2.
+
+    |y| >= 1/2: each unweighted row sum alpha_i + |beta_i| + |gamma_i| <= 2 y^2; with theta = 4 y^2
+    >= 1 the row inequality is equivalent to the quartic 4 th(th-1) nu_i^4 + th^2 (4 th - 1) nu_i^2
+    + th^4 >= 0, which holds identically.  The check ``family_log_norm_inf[y=...]`` is that the
+    logarithmic maximum norm of the family matrix is at most 2 y^2.
+
+    |y| < 1/2: a diagonal similarity with weights whose consecutive ratios are eps_j turns the row
+    sums into alpha_i + eps_i |beta_i| + |gamma_i| / eps_{i+1}.  For interior rows this is bounded
+    by a_i + b_i * 2 y^2 where a_i and b_i come from the estimate |x + 2iy| <= x + 2 y^2 / x; the
+    weighted bound stays below 2 y^2 exactly when a_i <= 0 and 2 a_i + b_i <= 1, which for these
+    weights reduces to nu_i^3 - (3/4) nu_i^2 - (3/2) nu_i - 9/16 >= 0, true for nu_i >= 2.  The
+    closed form for a_i is cross-checked against its defining bracket to 1e-12 (both evaluated in
+    extended precision) on interior rows; a mismatch raises.  A boundary row uses the interior
+    expressions with its missing neighbour's term set to 0, and reports a from the bracket.  The
+    check ``family_weighted_row_bound[y=...]`` is that the weighted row maximum is at most 2 y^2.
+
+    Returns the per-row data and the check, which allows 1e-8.
     """
-    nu = grid.s_points / grid.ds
-    m1 = grid.m1
-    alpha = -(nu**2)
-    beta_mag = 0.5 * nu * np.hypot(nu - 0.5, 2.0 * y)
-    gamma_mag = 0.5 * nu * np.hypot(nu + 0.5, 2.0 * y)
-    beta_mag[0] = 0.0
-    gamma_mag[m1 - 1] = 0.0
-    return nu, alpha, beta_mag, gamma_mag
-
-
-def certificate_case_large_y(ops: OperatorSet, y: float):
-    """Row certificate for the tridiagonal family on ``ops.grid`` when |y| >= 1/2.
-
-    Each unweighted row sum alpha_i + |beta_i| + |gamma_i| is bounded by
-    2 y^2; with theta = 4 y^2 >= 1 the generic row inequality is equivalent
-    to the quartic 4 th(th-1) nu_i^4 + th^2 (4 th - 1) nu_i^2 + th^4 >= 0,
-    which holds identically.  Returns the per-row data and the overall check
-    ``family_log_norm_inf[y=...]`` that the logarithmic maximum norm of the
-    family matrix diff_1d + (1/2 + 2iy) adv_1d is at most 2 y^2, up to 1e-8.
-    """
-    if abs(y) < 0.5:
-        raise ValueError(f"this certificate covers |y| >= 1/2, got y = {y}")
-    grid = ops.grid
-    nu, alpha, beta_mag, gamma_mag = _family_entries(grid, y)
-    theta = 4.0 * y**2
-    rows = [
-        CertificateRow(
-            i=i + 1,
-            nu=float(nu[i]),
-            alpha=float(alpha[i]),
-            beta_mag=float(beta_mag[i]),
-            gamma_mag=float(gamma_mag[i]),
-            y=y,
-            theta=theta,
-        )
-        for i in range(grid.m1)
-    ]
-    family = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
-    check = BoundCheck(f"family_log_norm_inf[y={y:g}]", log_norm_inf(family), 2.0 * y**2, _CHECK_TOL)
-    return rows, check
-
-
-def certificate_case_small_y(ops: OperatorSet, y: float):
-    """Row certificate for the tridiagonal family on ``ops.grid`` when |y| < 1/2.
-
-    A diagonal similarity with weights whose consecutive ratios are eps_j
-    turns the row sums into alpha_i + eps_i |beta_i| + |gamma_i| / eps_{i+1}.
-    For interior rows this is bounded by a_i + b_i * 2 y^2 where a_i and
-    b_i come from the estimate |x + 2iy| <= x + 2 y^2 / x; the weighted
-    bound stays below 2 y^2 exactly when a_i <= 0 and 2 a_i + b_i <= 1,
-    which for these weights reduces to nu_i^3 - (3/4) nu_i^2 - (3/2) nu_i - 9/16
-    >= 0, true for nu_i >= 2.  The closed
-    form for a_i is cross-checked against its defining bracket to 1e-12
-    (both evaluated in extended precision) on interior rows; a mismatch
-    raises.  A boundary row uses the interior expressions with its missing
-    neighbour's term set to 0, and reports a from the bracket.  Returns the
-    per-row data and the overall check ``family_weighted_row_bound[y=...]``
-    that the weighted row maximum is at most 2 y^2, up to 1e-8.
-    """
+    nu64 = ops.grid.s_points / ops.grid.ds
+    alpha = -(nu64**2)
+    beta_mag = 0.5 * nu64 * np.hypot(nu64 - 0.5, 2.0 * y)
+    gamma_mag = 0.5 * nu64 * np.hypot(nu64 + 0.5, 2.0 * y)
+    beta_mag[0] = gamma_mag[-1] = 0.0
+    columns = zip(nu64.tolist(), alpha.tolist(), beta_mag.tolist(), gamma_mag.tolist())
     if abs(y) >= 0.5:
-        raise ValueError(f"this certificate covers |y| < 1/2, got y = {y}")
-    nu64, alpha, beta_mag, gamma_mag = _family_entries(ops.grid, y)
+        theta = 4.0 * y**2
+        rows = [CertificateRow(i, *row, y, theta=theta) for i, row in enumerate(columns, start=1)]
+        lhs = log_norm_inf(ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d)
+        return rows, BoundCheck(f"family_log_norm_inf[y={y:g}]", lhs, 2.0 * y**2, _CHECK_TOL)
+
     # Weight ratios eps_j = (nu_j - 1/2)(nu_j + 1/2) / nu_j^2 in extended precision, because the
     # brackets below cancel heavily.  Row i reads its lower neighbour's ratio eps_i (0 on row 1)
     # and its upper neighbour's eps_{i+1} (infinite on row m1), so a missing neighbour adds 0.
@@ -379,20 +347,13 @@ def certificate_case_small_y(ops: OperatorSet, y: float):
     a = a_bracket.copy()
     a[1:-1] = a_closed[1:-1]
     eps_lo, eps_up = eps_lo.astype(float), eps_up.astype(float)
-    weighted = alpha + eps_lo * beta_mag + gamma_mag / eps_up
-    columns = zip(
-        nu64.tolist(), alpha.tolist(), beta_mag.tolist(), gamma_mag.tolist(),
-        [None, *eps_lo[1:].tolist()], a.tolist(), a_bracket.tolist(), b.tolist(),
-    )
+    lhs = float((alpha + eps_lo * beta_mag + gamma_mag / eps_up).max())
+    coefficients = zip([None, *eps_lo[1:].tolist()], a.tolist(), a_bracket.tolist(), b.tolist())
     rows = [
-        CertificateRow(i=i, nu=nu_i, alpha=al, beta_mag=be, gamma_mag=ga, y=y,
-                       eps=eps_i, a=a_i, a_bracket=a_br, b=b_i)
-        for i, (nu_i, al, be, ga, eps_i, a_i, a_br, b_i) in enumerate(columns, start=1)
+        CertificateRow(i, *row, y, eps=eps_i, a=a_i, a_bracket=a_br, b=b_i)
+        for i, (row, (eps_i, a_i, a_br, b_i)) in enumerate(zip(columns, coefficients), start=1)
     ]
-    check = BoundCheck(
-        f"family_weighted_row_bound[y={y:g}]", float(weighted.max()), 2.0 * y**2, _CHECK_TOL
-    )
-    return rows, check
+    return rows, BoundCheck(f"family_weighted_row_bound[y={y:g}]", lhs, 2.0 * y**2, _CHECK_TOL)
 
 
 def format_certificate_report(rows: Sequence[CertificateRow], checks: Sequence[BoundCheck]) -> str:

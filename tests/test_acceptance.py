@@ -24,8 +24,7 @@ from hestonstab import (
     HestonParams,
     SweepConfig,
     build_operators,
-    certificate_case_large_y,
-    certificate_case_small_y,
+    certificate_rows,
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
@@ -173,16 +172,14 @@ def test_criterion_5_certificate_chain():
 
             # case-split row certificates
             for y in ys:
+                rows, check = certificate_rows(ops, y)
+                ok &= check.holds
                 if abs(y) >= 0.5:
-                    rows, check = certificate_case_large_y(ops, y)
                     theta = 4.0 * y**2
-                    ok &= check.holds
                     for row in rows:
                         ok &= row.alpha + row.beta_mag + row.gamma_mag <= 2.0 * y**2 + 1e-8
                         ok &= quartic_value(row.nu, theta) >= 0.0
                 else:
-                    rows, check = certificate_case_small_y(ops, y)
-                    ok &= check.holds
                     for row in rows[1:-1]:
                         if row.nu >= 2.0:
                             ok &= cubic_value(row.nu) >= 0.0

@@ -406,6 +406,26 @@ def test_sweep_sum_only_overflow_is_a_failed_case(capsys):
     assert f"FAIL sweep[m2=3,L=0,sigma=3e+153,rho=0]: {_ASSEMBLY_OVERFLOW}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["operators", "check", "certificate", "sweep"])
+@pytest.mark.parametrize("truncation", ["--S", "--V"])
+def test_underflowing_mesh_width_exits_3(command, truncation, capsys):
+    # at S or V = 1e-300 the squared mesh width underflows to 0 and a stencil divides by it: the
+    # run stops with the assembly failure, and no numpy warning comes ahead of the message
+    grid = (["--m2-values", "4", "--sigma-values", "0.1", "--rho-values", "0", "--L-values", "0"]
+            if command == "sweep" else ["--m2", "4"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, *grid, truncation, "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 3
+    if command == "sweep":
+        assert captured.out == f"FAIL sweep[m2=4,L=0,sigma=0.1,rho=0]: {_ASSEMBLY_OVERFLOW}\n"
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {_ASSEMBLY_OVERFLOW}\n"
+
+
 def test_sweep_unresolved_exponential_is_a_failed_case(capsys):
     # ||A||_1 = 3.2e8 > 2^27: the scan's last step matrix e^{A} is refused before any Pade work
     code = main(["sweep", "--m2-values", "3", "--sigma-values", "1e4", "--rho-values", "0",

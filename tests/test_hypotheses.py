@@ -20,8 +20,7 @@ from hestonstab import (
     DEFAULT_Y_SAMPLES,
     HestonParams,
     build_operators,
-    certificate_case_large_y,
-    certificate_case_small_y,
+    certificate_rows,
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_symbol_conditions,
@@ -55,10 +54,7 @@ def test_certificate_chain_holds_on_the_parameter_box(rho, sigma, S, L_fraction,
     assert check_block_toeplitz_symbol_bound(ops).holds
     assert all(c.holds for c in check_symbol_conditions(ops))
     for y in (*DEFAULT_Y_SAMPLES, *(-y for y in DEFAULT_Y_SAMPLES if y)):
-        if abs(y) >= 0.5:
-            _, check = certificate_case_large_y(ops, y)
-        else:
-            _, check = certificate_case_small_y(ops, y)
+        _, check = certificate_rows(ops, y)
         assert check.holds, (y, check)
 
 

@@ -17,8 +17,7 @@ from _oracles import (
 from hestonstab import (
     HestonParams,
     build_operators,
-    certificate_case_large_y,
-    certificate_case_small_y,
+    certificate_rows,
     check_advection_bounds,
     check_block_toeplitz_symbol_bound,
     check_diffusion_contractivity,
@@ -414,9 +413,8 @@ def test_lambda_max_tridiagonal_refuses_a_matrix_without_its_similarity(T):
 def test_negative_y_is_the_conjugate_family(y):
     # -y conjugates the family matrix: the same spectrum and, row by row, the same certificate
     _, _, ops = _setup(m1=8, m2=5, rho=-0.7, L=10.0)
-    certify = certificate_case_large_y if y >= 0.5 else certificate_case_small_y
-    rows, check = certify(ops, y)
-    rows_neg, check_neg = certify(ops, -y)
+    rows, check = certificate_rows(ops, y)
+    rows_neg, check_neg = certificate_rows(ops, -y)
     assert [dataclasses.replace(r, y=y) for r in rows_neg] == rows
     assert all(r.y == -y for r in rows_neg)
     assert (check_neg.lhs, check_neg.rhs) == (check.lhs, check.rhs)
@@ -446,14 +444,29 @@ def test_family_condition_large_y_has_margin(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# certificate: case |y| >= 1/2
+# certificate: the case follows |y|
 # ---------------------------------------------------------------------------
 
-def test_large_y_wrong_branch_rejected():
-    _, _, ops = _setup()
-    with pytest.raises(ValueError):
-        certificate_case_large_y(ops, 0.49)
+@pytest.mark.parametrize("y,quartic", [(0.0, False), (0.1, False), (-0.1, False), (0.49, False),
+                                       (-0.49, False), (0.5, True), (-0.5, True), (0.6, True),
+                                       (-2.0, True), (5.0, True)])
+def test_certificate_rows_case_follows_abs_y(y, quartic):
+    _, grid, ops = _setup(m1=8, m2=4, L=10.0)
+    rows, check = certificate_rows(ops, y)
+    assert [(row.i, row.y) for row in rows] == [(i, y) for i in range(1, grid.m1 + 1)]
+    if quartic:
+        assert check.name == f"family_log_norm_inf[y={y:g}]"
+        assert all(row.theta == 4.0 * y**2 for row in rows)
+        assert all((row.eps, row.a, row.b) == (None, None, None) for row in rows)
+    else:
+        assert check.name == f"family_weighted_row_bound[y={y:g}]"
+        assert rows[0].eps is None and all(row.eps is not None for row in rows[1:])
+        assert all(row.theta is None for row in rows)
 
+
+# ---------------------------------------------------------------------------
+# certificate: case |y| >= 1/2
+# ---------------------------------------------------------------------------
 
 def test_quartic_at_theta_one():
     # theta = 1: quartic collapses to 3 nu^2 + 1
@@ -469,7 +482,7 @@ def test_quartic_frozen_value():
 def test_large_y_rows_match_family_matrix():
     _, _, ops = _setup(m1=6, m2=4, L=10.0)
     y = 0.8
-    rows, check = certificate_case_large_y(ops, y)
+    rows, check = certificate_rows(ops, y)
     T = ops.diff_1d + (0.5 + 2j * y) * ops.adv_1d
     for idx, row in enumerate(rows):
         assert row.alpha == pytest.approx(float(T[idx, idx].real), rel=1e-12)
@@ -487,7 +500,7 @@ def test_large_y_rows_match_family_matrix():
 @pytest.mark.parametrize("y", [0.5, 0.6, 1.0, 5.0, -0.5, -2.0])
 def test_large_y_certificate_holds(y):
     _, _, ops = _setup(m1=10, m2=5)
-    rows, check = certificate_case_large_y(ops, y)
+    rows, check = certificate_rows(ops, y)
     assert check.holds
     theta = 4.0 * y**2
     for row in rows:
@@ -500,16 +513,10 @@ def test_large_y_certificate_holds(y):
 # certificate: case |y| < 1/2
 # ---------------------------------------------------------------------------
 
-def test_small_y_wrong_branch_rejected():
-    _, _, ops = _setup()
-    with pytest.raises(ValueError):
-        certificate_case_small_y(ops, 0.5)
-
-
 def test_small_y_frozen_values_at_nu_two():
     # L = 0 grid has nu_i = i, so row 2 carries nu = 2
     _, _, ops = _setup(m1=10, m2=5, L=0.0)
-    rows, _ = certificate_case_small_y(ops, 0.1)
+    rows, _ = certificate_rows(ops, 0.1)
     row = rows[1]
     assert row.nu == pytest.approx(2.0, abs=1e-12)
     assert row.eps == pytest.approx(0.9375, abs=1e-12)
@@ -520,7 +527,7 @@ def test_small_y_frozen_values_at_nu_two():
 
 def test_small_y_bracket_agrees_with_closed_form():
     _, _, ops = _setup(m1=20, m2=5, L=10.0)
-    rows, _ = certificate_case_small_y(ops, 0.3)
+    rows, _ = certificate_rows(ops, 0.3)
     for row in rows[1:-1]:
         assert abs(row.a - row.a_bracket) <= 1e-12
 
@@ -528,7 +535,7 @@ def test_small_y_bracket_agrees_with_closed_form():
 @pytest.mark.parametrize("L", [0.0, 10.0])
 def test_certificate_row_invariants(L):
     _, _, ops = _setup(m1=9, m2=5, L=L)
-    rows, _ = certificate_case_small_y(ops, 0.2)
+    rows, _ = certificate_rows(ops, 0.2)
     for row in rows:
         assert row.nu >= row.i >= 1  # grid ratio dominates the row index
         if row.eps is not None:
@@ -539,7 +546,7 @@ def test_small_y_evaluated_b_form():
     # b_i also equals (nu/2) [ (nu + 1/2)/nu^2 + (nu+1)^2 / ((nu+1/2)^2 (nu+3/2)) ]: the
     # lower neighbour's term, then the upper one's; row 1 has only the upper, row m1 the lower
     _, _, ops = _setup(m1=12, m2=5, L=0.0)
-    rows, _ = certificate_case_small_y(ops, 0.2)
+    rows, _ = certificate_rows(ops, 0.2)
     for row in rows[1:-1]:
         nu = row.nu
         evaluated = 0.5 * nu * (
@@ -565,7 +572,7 @@ def test_small_y_evaluated_b_form():
 def test_small_y_rows_match_row_by_row_reference(m1, L):
     # same arithmetic in the same precision and order, so equal to the last bit
     _, grid, ops = _setup(m1=m1, m2=4, L=L)
-    rows, _ = certificate_case_small_y(ops, 0.2)
+    rows, _ = certificate_rows(ops, 0.2)
     expected = small_y_row_coefficients(grid.s_points / grid.ds)
     assert [(row.eps, row.a, row.a_bracket, row.b) for row in rows] == expected
 
@@ -577,14 +584,14 @@ def test_small_y_bracket_mismatch_names_first_bad_row():
     s_points[3] += 0.3 * grid.ds
     moved = dataclasses.replace(ops, grid=dataclasses.replace(grid, s_points=s_points))
     with pytest.raises(ArithmeticError, match="^row 3: weight coefficient closed form"):
-        certificate_case_small_y(moved, 0.2)
+        certificate_rows(moved, 0.2)
 
 
 @pytest.mark.parametrize("y", [0.0, 0.1, -0.25, 0.49, -0.49])
 @pytest.mark.parametrize("L", [0.0, 10.0])
 def test_small_y_certificate_holds(y, L):
     _, _, ops = _setup(m1=10, m2=5, L=L)
-    rows, check = certificate_case_small_y(ops, y)
+    rows, check = certificate_rows(ops, y)
     assert check.holds
     two_y2 = 2.0 * y**2
     eps_by_row = {row.i: row.eps for row in rows}
@@ -654,7 +661,7 @@ def test_log_norm_inf_dominates_real_spectrum(y):
 
 def test_certificate_report_format():
     _, _, ops = _setup(m1=5, m2=4)
-    rows, check = certificate_case_small_y(ops, 0.2)
+    rows, check = certificate_rows(ops, 0.2)
     text = format_certificate_report(rows, [check])
     lines = text.strip().split("\n")
     assert len(lines) == len(rows) + 1
